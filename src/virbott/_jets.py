@@ -3,7 +3,7 @@
 Everything geometric in this package reduces to knowing a map's value,
 Jacobian and Hessian at a batch of quadrature nodes.  This module holds the
 structure-of-arrays container for such 2-jets, the chain-rule composition,
-the polar<->Cartesian chart jets, batched 2x2/3x3 linear algebra, and a
+the polar chart jet, batched 2x2/3x3 linear algebra, and a
 fourth-order finite-difference fallback.
 
 Index conventions (N = number of points in the batch):
@@ -67,18 +67,6 @@ def compose(outer: Jet, inner: Jet) -> Jet:
     return Jet(outer.x, j, h)
 
 
-def compose_chain(jet_fns, points) -> Jet:
-    """Compose [f1, f2, ...] applied left to right, starting at ``points``.
-
-    Each entry of ``jet_fns`` is a callable pts -> Jet.
-    """
-    current = Jet.identity(points)
-    for fn in jet_fns:
-        link = fn(current.x)
-        current = compose(link, current)
-    return current
-
-
 # ---------------------------------------------------------------------------
 # chart jets
 # ---------------------------------------------------------------------------
@@ -105,24 +93,6 @@ def polar_chart_jet(x, y) -> Jet:
     h[1, 0, 1] = h[1, 1, 0] = (s * s - c * c) / (r * r)
     h[1, 1, 1] = -2 * c * s / (r * r)
     return Jet(np.stack([r, th]), j, h)
-
-
-def cartesian_chart_jet(r, th) -> Jet:
-    """2-jet of (r, theta) -> (x, y)."""
-    c = np.cos(th)
-    s = np.sin(th)
-    n = r.shape[0]
-    j = np.empty((2, 2, n))
-    j[0, 0] = c
-    j[0, 1] = -r * s
-    j[1, 0] = s
-    j[1, 1] = r * c
-    h = np.zeros((2, 2, 2, n))
-    h[0, 0, 1] = h[0, 1, 0] = -s
-    h[0, 1, 1] = -r * c
-    h[1, 0, 1] = h[1, 1, 0] = c
-    h[1, 1, 1] = -r * s
-    return Jet(np.stack([r * c, r * s]), j, h)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +136,6 @@ def inv_batched(j):
         out[2, 2] = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
         return out / det
     raise DegenerateError(f"unsupported matrix dimension {d}")
-
-
-def matmul_batched(a, b):
-    """(d,d,N) @ (d,d,N)."""
-    return np.einsum("ikn,kjn->ijn", a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .diffeo import (
     disc_invert,
     plan_from_name,
 )
-from .errors import ConfigError, DomainError, VirbottError
+from .errors import ConfigError, DomainError
 from .forms import BallGrid, DiscGrid, eta_closedness_residual, mc_form
 from .liealg import (
     GeneratorIndexPair,
@@ -605,17 +605,22 @@ def _chk_beta_fd(ctx):
 # suite runner
 # ---------------------------------------------------------------------------
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_check(check: _Check, cfg: SuiteConfig) -> CheckResult:
     ctx = _CheckContext(cfg, _rng_for(check.name, cfg.seed))
     params = {axis: getattr(cfg, axis) for axis in check.axes}
     try:
         _, residual, extra = check.fn(ctx)
         params.update(extra)
-    except VirbottError as exc:
-        # a crashed check is recorded as the worst possible failure, with
-        # the reason preserved, so the report never loses a row
+    except Exception as exc:
+        # a check that crashes for any reason is recorded as the worst
+        # possible failure, with the reason preserved, so the report never
+        # loses a row and the suite never dies
         residual = sys.float_info.max
-        params["error"] = f"{type(exc).__name__}: {exc}"
+        params["error"] = _error_text(exc)
     tol = cfg.tolerances.get(check.name, check.tolerance)
     return CheckResult(check.name, check.law, residual, tol, params)
 
@@ -681,7 +686,10 @@ def convergence_study(check_name: str, grid_series, cfg: SuiteConfig) -> list:
     Returns one row per grid as a dict with the CSV fields
     ``check,n_r,n_theta,n_rho,n_plane,value,residual``.  The seed (and so
     the sampled family) is held fixed across the ladder, which is what
-    makes the residual column a quadrature-decay measurement.
+    makes the residual column a quadrature-decay measurement.  A level
+    whose check crashes becomes a failing row (value NaN, residual
+    ``sys.float_info.max``) with the reason under ``error``; the ladder
+    goes on.
     """
     check = _REGISTRY.get(check_name)
     if check is None:
@@ -691,18 +699,25 @@ def convergence_study(check_name: str, grid_series, cfg: SuiteConfig) -> list:
     for entry in grid_series:
         sub = cfg.with_grids(**_series_entry(entry))
         ctx = _CheckContext(sub, _rng_for(check.name, sub.seed))
-        value, residual, _ = check.fn(ctx)
         row = {"check": check.name}
         row.update({axis: getattr(sub, axis) for axis in _GRID_AXES})
-        row["value"] = float(value)
-        row["residual"] = float(residual)
+        try:
+            value, residual, _ = check.fn(ctx)
+            row["value"] = float(value)
+            row["residual"] = float(residual)
+        except Exception as exc:
+            row["value"] = float("nan")
+            row["residual"] = sys.float_info.max
+            row["error"] = _error_text(exc)
         rows.append(row)
     return rows
 
 
 def write_convergence_csv(rows, handle) -> None:
-    """Write study rows with the fixed header."""
-    writer = csv.DictWriter(handle, fieldnames=_CSV_FIELDS)
+    """Write study rows with the fixed header (a crashed row's ``error``
+    is not a column)."""
+    writer = csv.DictWriter(handle, fieldnames=_CSV_FIELDS,
+                            extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
 
@@ -881,7 +896,11 @@ def main(argv=None) -> int:
                 write_convergence_csv(rows, handle)
         else:
             write_convergence_csv(rows, sys.stdout)
-        return 0
+        crashed = [row for row in rows if "error" in row]
+        for row in crashed:
+            print(f"virbott: {row['check']} crashed: {row['error']}",
+                  file=sys.stderr)
+        return 1 if crashed else 0
     except ConfigError as exc:
         print(f"virbott: {exc}", file=sys.stderr)
         return 2

@@ -345,42 +345,54 @@ class CircleDiffeoLift:
                 self.periodic_part.signature())
 
 
+def solve_increasing(residual, slope, x, lo, hi, tol=1e-12, max_iter=200,
+                     what="root solve"):
+    """Per-node root of an increasing ``residual`` inside [lo, hi], vectorized.
+
+    Safeguarded Newton from the seed ``x`` (which must lie in the bracket):
+    each residual sign narrows the bracket, and a node whose Newton step
+    would leave it is bisected instead.  A step landing exactly on an end
+    counts as inside, so converged nodes are never bisected.  Returns
+    (x, newton_iterations, bisected_node_steps); raises ConvergenceError if
+    some |residual| still exceeds ``tol`` after ``max_iter`` iterations.
+    """
+    res = residual(x)
+    iters = bisected = 0
+    while iters < max_iter and not np.all(np.abs(res) <= tol):
+        iters += 1
+        hi = np.where(res > 0.0, x, hi)
+        lo = np.where(res < 0.0, x, lo)
+        step = x - res / slope(x)
+        inside = (step >= lo) & (step <= hi)      # False on NaN steps too
+        bisected += int(np.count_nonzero(~inside))
+        x = np.where(inside, step, 0.5 * (lo + hi))
+        res = residual(x)
+    above = ~(np.abs(res) <= tol)
+    if np.any(above):
+        raise ConvergenceError(
+            f"{what} stalled at residual {np.max(np.abs(res)):.3e}: "
+            f"{int(np.count_nonzero(above))} of {res.size} nodes above "
+            f"tol {tol:.1e} after {iters} Newton iterations")
+    return x, iters, bisected
+
+
 def circle_invert(lift: CircleDiffeoLift, theta, tol: float = 1e-12,
                   max_iter: int = 200):
     """Solve f(x) = theta for the lift f, vectorized.
 
-    Bisection brackets the root (f(x) - x is bounded), then Newton refines;
-    raises ConvergenceError if |f(x) - theta| > tol after ``max_iter`` total
-    iterations.
+    Newton from x0 = s - p(s), s = theta - 2 pi k, inside the bracket
+    s +- (||p||_1 + 1) (see :func:`solve_increasing`); raises
+    ConvergenceError if |f(x) - theta| > tol after ``max_iter`` iterations.
     """
     theta = np.asarray(theta, dtype=np.float64)
     scalar = theta.ndim == 0
     t = np.atleast_1d(theta).astype(np.float64)
     p = lift.periodic_part
-    bound = abs(p.constant) + float(np.sum(np.abs(p.cos_coeffs))
-                                    + np.sum(np.abs(p.sin_coeffs))) + 1.0
-    shift = _TWO_PI * lift.winding_offset
-    lo = t - shift - bound
-    hi = t - shift + bound
-    it = 0
-    for _ in range(60):                     # bisection: bracket to ~1e-18 rel
-        it += 1
-        mid = 0.5 * (lo + hi)
-        high = lift.value(mid) > t
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-        if it >= max_iter:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter - it):
-        res = lift.value(x) - t
-        if np.max(np.abs(res)) <= tol:
-            break
-        x = x - res / lift.d1(x)
-    res = lift.value(x) - t
-    if np.max(np.abs(res)) > tol:
-        raise ConvergenceError(
-            f"circle inversion stalled at residual {np.max(np.abs(res)):.3e}")
+    s = t - _TWO_PI * lift.winding_offset
+    bound = p.coeff_l1() + 1.0
+    x, _, _ = solve_increasing(lambda x: lift.value(x) - t, lift.d1,
+                               s - p(s), s - bound, s + bound, tol, max_iter,
+                               "circle inversion")
     return float(x[0]) if scalar else x
 
 
@@ -465,10 +477,24 @@ class AngleDisplacement:
         self.support_min = min((prof.support[0] for prof, *_ in self.terms),
                                default=np.inf)
 
-    def value(self, r, th):
+    def weights(self, r):
+        """Profile values profile_k(r), one per term."""
+        return [prof.value(r) for prof, *_ in self.terms]
+
+    def value(self, r, th, weights=None):
+        """A(r, th); pass ``weights(r)`` to reuse profile values."""
+        if weights is None:
+            weights = self.weights(r)
         out = np.zeros(np.broadcast(r, th).shape)
-        for prof, poly, _, _ in self.terms:
-            out = out + prof.value(r) * poly(th)
+        for w, (_, poly, _, _) in zip(weights, self.terms):
+            out = out + w * poly(th)
+        return out
+
+    def theta_slope(self, weights, th):
+        """1 + A_theta(r, th) for the profile ``weights`` at r."""
+        out = np.ones(np.shape(th))
+        for w, (_, _, dpoly, _) in zip(weights, self.terms):
+            out = out + w * dpoly(th)
         return out
 
     def jets(self, r, th):
@@ -497,9 +523,7 @@ class AngleDisplacement:
         an exact identity mask for the link."""
         out = np.zeros_like(np.asarray(r, dtype=np.float64))
         for prof, poly, _, _ in self.terms:
-            bound = abs(poly.constant) + float(
-                np.sum(np.abs(poly.cos_coeffs)) + np.sum(np.abs(poly.sin_coeffs)))
-            out += np.abs(prof.value(r)) * bound
+            out += np.abs(prof.value(r)) * poly.coeff_l1()
         return out
 
     def scaled(self, c: float) -> "AngleDisplacement":
@@ -549,19 +573,18 @@ def _invert_angle_jets(fwd_jets, psi):
     """Second-order inverse-function data for theta -> theta + A(r, theta).
 
     Given the forward map Phi(r, theta) = theta + A and the solved preimage
-    angle psi (so Phi(r, psi) = t), return the 2-jet of psi as a function of
-    (r, t).  ``fwd_jets`` are the displacement jets evaluated at (r, psi).
+    angle psi (so Phi(r, psi) = t), return the first and second partials of
+    psi in (r, t), laid out as in :func:`_phi_output_jet`.  ``fwd_jets`` are
+    the displacement jets evaluated at (r, psi).
     """
     A, Ar, At, Arr, Art, Att = fwd_jets
     Pt = 1.0 + At            # dPhi/dtheta at (r, psi)
-    Pr = Ar
-    Prr, Prt, Ptt = Arr, Art, Att
     psi_t = 1.0 / Pt
-    psi_r = -Pr / Pt
-    psi_tt = -Ptt * psi_t ** 2 / Pt
-    psi_rt = -(Prt + Ptt * psi_r) * psi_t / Pt
-    psi_rr = -(Prr + 2.0 * Prt * psi_r + Ptt * psi_r ** 2) / Pt
-    return psi_t, psi_r, psi_tt, psi_rt, psi_rr
+    psi_r = -Ar / Pt
+    psi_tt = -Att * psi_t ** 2 / Pt
+    psi_rt = -(Art + Att * psi_r) * psi_t / Pt
+    psi_rr = -(Arr + 2.0 * Art * psi_r + Att * psi_r ** 2) / Pt
+    return [psi_r, psi_t], [[psi_rr, psi_rt], [psi_rt, psi_tt]]
 
 
 _LINK_GUARD = 1e-9           # below this radius every angular link is identity
@@ -584,14 +607,22 @@ class _AngularLinkBase:
         """Exact mask of points the link can move (envelope nonzero)."""
         return (r >= _LINK_GUARD) & (self.displacement.radial_envelope(r) != 0.0)
 
+    def _angle(self, r, th):
+        """Image angle of the moved polar nodes (r, th)."""
+        return th + self.displacement.value(r, th)
+
+    def _angle_jets(self, r, th):
+        """Image angle with its (r, th) partials, as _phi_output_jet takes."""
+        A, Ar, At, Arr, Art, Att = self.displacement.jets(r, th)
+        return th + A, [Ar, 1.0 + At], [[Arr, Art], [Art, Att]]
+
     def apply(self, pts):
         x, y = pts
         r = np.hypot(x, y)
         m = self._active(r)
         out = pts.copy()
         if np.any(m):
-            th = np.arctan2(y[m], x[m])
-            phi = th + self.displacement.value(r[m], th)
+            phi = self._angle(r[m], np.arctan2(y[m], x[m]))
             out[0, m] = r[m] * np.cos(phi)
             out[1, m] = r[m] * np.sin(phi)
         return out
@@ -605,10 +636,7 @@ class _AngularLinkBase:
             sub = pts[:, m]
             chart = polar_chart_jet(sub[0], sub[1])
             rm, thm = chart.x
-            A, Ar, At, Arr, Art, Att = self.displacement.jets(rm, thm)
-            phi = thm + A
-            dphi = [Ar, 1.0 + At]
-            d2phi = [[Arr, Art], [Art, Att]]
+            phi, dphi, d2phi = self._angle_jets(rm, thm)
             polar_out = _phi_output_jet(rm, phi, dphi, d2phi, ir=0)
             full = compose(polar_out, chart)
             out.x[:, m] = full.x
@@ -680,65 +708,31 @@ class InverseAngular(_AngularLinkBase):
         self._fwd_sig = fwd_sig
 
     def _solve(self, r, t, tol=1e-12, max_iter=200):
-        """Solve psi + A(r, psi) = t, vectorized bisection + Newton."""
+        """Solve psi + A(r, psi) = t per node by :func:`solve_increasing`.
+
+        The seed psi0 = t - A(r, t) is exact where A does not depend on
+        theta (twists need no Newton step); the bracket is
+        t +- (sum_k |profile_k(r)| ||poly_k||_1 + 1).  The profiles are
+        evaluated once, since r is fixed.  Returns (psi, iterations,
+        bisected node steps).
+        """
         disp = self.displacement
-        bound = 0.0
-        for _, poly, _, _ in disp.terms:
-            bound += abs(poly.constant) + float(
-                np.sum(np.abs(poly.cos_coeffs)) + np.sum(np.abs(poly.sin_coeffs)))
-        bound = bound + 1.0
-        lo = t - bound
-        hi = t + bound
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            high = mid + disp.value(r, mid) > t
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        psi = 0.5 * (lo + hi)
-        for _ in range(max_iter - 60):
-            res = psi + disp.value(r, psi) - t
-            if np.max(np.abs(res)) <= tol:
-                break
-            _, _, At, *_ = disp.jets(r, psi)
-            psi = psi - res / (1.0 + At)
-        res = psi + disp.value(r, psi) - t
-        if np.max(np.abs(res)) > tol:
-            raise ConvergenceError(
-                f"angle inversion stalled at residual {np.max(np.abs(res)):.3e}")
-        return psi
+        w = disp.weights(r)
+        bound = 1.0
+        for wk, (_, poly, _, _) in zip(w, disp.terms):
+            bound = bound + np.abs(wk) * poly.coeff_l1()
+        return solve_increasing(
+            lambda psi: psi + disp.value(r, psi, w) - t,
+            lambda psi: disp.theta_slope(w, psi),
+            t - disp.value(r, t, w), t - bound, t + bound, tol, max_iter,
+            "angle inversion")
 
-    def apply(self, pts):
-        x, y = pts
-        r = np.hypot(x, y)
-        m = self._active(r)
-        out = pts.copy()
-        if np.any(m):
-            t = np.arctan2(y[m], x[m])
-            psi = self._solve(r[m], t)
-            out[0, m] = r[m] * np.cos(psi)
-            out[1, m] = r[m] * np.sin(psi)
-        return out
+    def _angle(self, r, t):
+        return self._solve(r, t)[0]
 
-    def jet(self, pts) -> Jet:
-        x, y = pts
-        r = np.hypot(x, y)
-        m = self._active(r)
-        out = Jet.identity(pts)
-        if np.any(m):
-            sub = pts[:, m]
-            chart = polar_chart_jet(sub[0], sub[1])
-            rm, tm = chart.x
-            psi = self._solve(rm, tm)
-            fwd = self.displacement.jets(rm, psi)
-            psi_t, psi_r, psi_tt, psi_rt, psi_rr = _invert_angle_jets(fwd, psi)
-            dphi = [psi_r, psi_t]
-            d2phi = [[psi_rr, psi_rt], [psi_rt, psi_tt]]
-            polar_out = _phi_output_jet(rm, psi, dphi, d2phi, ir=0)
-            full = compose(polar_out, chart)
-            out.x[:, m] = full.x
-            out.j[:, :, m] = full.j
-            out.h[:, :, :, m] = full.h
-        return out
+    def _angle_jets(self, r, t):
+        psi = self._angle(r, t)
+        return (psi,) + _invert_angle_jets(self.displacement.jets(r, psi), psi)
 
     def inverse_link(self):
         return _DisplacementLink(self.displacement)

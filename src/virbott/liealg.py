@@ -12,6 +12,7 @@ central term, and the exact Virasoro/Heisenberg structure constants.
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .diffeo import (AlexanderRadial, CircleIsotopy, CutoffFn, CutoffProfile,
 from .errors import DomainError, FlagError, StepError, UnsupportedError
 from .forms import integrate_disc, mc_form
 from .trigpoly import (CircleField, TrigPoly, circle_bracket, tp_derivative,
-                       tp_integrate_period, tp_multiply)
+                       tp_integrate_product, tp_multiply)
 
 __all__ = [
     "DiscVectorField",
@@ -85,11 +86,6 @@ def _fit_boundary_poly(fn) -> TrigPoly:
     cos_c[np.abs(cos_c) < _COEF_PRUNE] = 0.0
     sin_c[np.abs(sin_c) < _COEF_PRUNE] = 0.0
     return TrigPoly(constant, cos_c, sin_c)
-
-
-def _poly_coef_norm(p: TrigPoly) -> float:
-    return (abs(p.constant) + float(np.sum(np.abs(p.cos_coeffs)))
-            + float(np.sum(np.abs(p.sin_coeffs))))
 
 
 def _boundary_mismatch(fn, poly: TrigPoly) -> float:
@@ -233,6 +229,11 @@ def _polar_jets_to_cartesian(j3: _PJet, j4: _PJet, r, c, s):
 # disc vector fields
 # ---------------------------------------------------------------------------
 
+#: Serial numbers for fields built from bare callables.  Unlike id(), a
+#: serial is never handed to a second field, so it can key the gamma cache.
+_FIELD_SERIALS = itertools.count()
+
+
 class DiscVectorField:
     """A field V3 d/dr + V4 d/dtheta on the closed disc.
 
@@ -253,6 +254,7 @@ class DiscVectorField:
         self.v3 = v3
         self.v4 = v4
         self.ar_epsilon = float(ar_epsilon)
+        self._serial = next(_FIELD_SERIALS)
         for name, fn, poly in (("v3", v3, boundary_v3), ("v4", v4, boundary_v4)):
             if poly is None:
                 poly = _fit_boundary_poly(fn)
@@ -264,7 +266,7 @@ class DiscVectorField:
         ar, az = _sample_asymptotic_flags(v3, v4, self.ar_epsilon)
         self.asymptotically_radial = bool(ar or az)
         self.asymptotically_zero = bool(az)
-        self.genuine = _poly_coef_norm(self.boundary_v3) <= _AZ_VALUE_TOL
+        self.genuine = self.boundary_v3.coeff_l1() <= _AZ_VALUE_TOL
 
     @property
     def flags(self) -> dict:
@@ -314,7 +316,7 @@ class DiscVectorField:
         return _polar_jets_to_cartesian(j3, j4, r, c, s)
 
     def signature(self):
-        return ("discfield", id(self))
+        return ("discfield", self._serial)
 
 
 class _UnitProfile:
@@ -476,7 +478,7 @@ def restrict_to_circle(V: DiscVectorField) -> CircleField:
 
 def wf_field(f: TrigPoly, xi: CutoffFn) -> DiscVectorField:
     """The section W_f: (W_f)_3 = xi(r) f(theta), (W_f)_4 = 0."""
-    terms = [] if _poly_coef_norm(f) == 0.0 else [(CutoffProfile(xi), f)]
+    terms = [] if f.coeff_l1() == 0.0 else [(CutoffProfile(xi), f)]
     return SeparableDiscField(v3_terms=terms)
 
 
@@ -486,7 +488,7 @@ def ar_split(V: DiscVectorField, xi: CutoffFn):
     if not V.asymptotically_radial:
         raise FlagError("ar_split needs an asymptotically radial field")
     f = V.boundary_v3
-    if _poly_coef_norm(f) <= _AZ_VALUE_TOL:
+    if f.coeff_l1() <= _AZ_VALUE_TOL:
         return V, TrigPoly.zero()
     if isinstance(V, SeparableDiscField):
         correction = (CutoffProfile(xi), f * (-1.0))
@@ -534,14 +536,14 @@ def _gbeta_polys(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly, c0):
     total = 0.0
     if not (_is_zero_poly(v4) or _is_zero_poly(w4)):
         dw4 = d(w4)
-        total += tp_integrate_period(tp_multiply(d(v4), d(dw4)))
-        total += -2.0 * tp_integrate_period(tp_multiply(v4, dw4))
+        total += tp_integrate_product(d(v4), d(dw4))
+        total += -2.0 * tp_integrate_product(v4, dw4)
     if not (_is_zero_poly(v3) or _is_zero_poly(w3)):
-        total += 3.0 * tp_integrate_period(tp_multiply(v3, d(w3)))
+        total += 3.0 * tp_integrate_product(v3, d(w3))
     if not (_is_zero_poly(v3) or _is_zero_poly(w4)):
-        total += -tp_integrate_period(tp_multiply(d(v3), d(w4)))
+        total += -tp_integrate_product(d(v3), d(w4))
     if not (_is_zero_poly(v4) or _is_zero_poly(w3)):
-        total += tp_integrate_period(tp_multiply(d(v4), d(w3)))
+        total += tp_integrate_product(d(v4), d(w3))
     return -6.0 * c0 * total
 
 

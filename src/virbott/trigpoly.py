@@ -20,6 +20,7 @@ fields v(theta) d/dtheta used downstream:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -32,17 +33,23 @@ DEFAULT_MAX_HARMONIC = 256
 _TWO_PI = 2.0 * math.pi
 
 
-def _as_coeff_array(coeffs, force_complex: bool):
-    arr = np.atleast_1d(np.asarray(coeffs))
+def _as_coeff_array(arr: np.ndarray, dtype) -> np.ndarray:
+    """A read-only 1-D copy of ``arr`` as ``dtype``, with exactly-zero
+    trailing harmonics dropped so degree() is meaningful."""
     if arr.size == 0:
-        arr = np.zeros(0)
-    dtype = np.complex128 if (force_complex or np.iscomplexobj(arr)) else np.float64
-    arr = arr.astype(dtype)
-    # drop exactly-zero trailing harmonics so degree() is meaningful
-    nz = np.nonzero(arr)[0]
-    arr = arr[: nz[-1] + 1] if nz.size else arr[:0]
+        return _EMPTY[dtype]
+    arr = arr.reshape(1).astype(dtype) if arr.ndim == 0 else arr.astype(dtype)
+    nz = arr.nonzero()[0]
+    if not nz.size:
+        return _EMPTY[dtype]
+    arr = arr[: nz[-1] + 1]
     arr.flags.writeable = False
     return arr
+
+
+_EMPTY = {dtype: np.zeros(0, dtype) for dtype in (np.float64, np.complex128)}
+for _empty in _EMPTY.values():
+    _empty.flags.writeable = False
 
 
 class TrigPoly:
@@ -60,27 +67,20 @@ class TrigPoly:
         raise :class:`HarmonicCapError` instead of aliasing.
     """
 
-    __slots__ = ("constant", "cos_coeffs", "sin_coeffs", "max_harmonic")
+    __slots__ = ("constant", "cos_coeffs", "sin_coeffs", "max_harmonic",
+                 "degree")
 
     def __init__(self, constant=0.0, cos_coeffs=(), sin_coeffs=(),
                  max_harmonic: int = DEFAULT_MAX_HARMONIC):
-        force_complex = (
-            isinstance(constant, complex)
-            or np.iscomplexobj(np.asarray(cos_coeffs))
-            or np.iscomplexobj(np.asarray(sin_coeffs))
-        )
-        cos_arr = _as_coeff_array(cos_coeffs, force_complex)
-        sin_arr = _as_coeff_array(sin_coeffs, force_complex)
-        if force_complex:
-            constant = complex(constant)
-        else:
-            constant = float(constant)
-        if force_complex and not np.iscomplexobj(cos_arr):
-            cos_arr = cos_arr.astype(np.complex128)
-            cos_arr.flags.writeable = False
-        if force_complex and not np.iscomplexobj(sin_arr):
-            sin_arr = sin_arr.astype(np.complex128)
-            sin_arr.flags.writeable = False
+        cos_coeffs = np.asarray(cos_coeffs)
+        sin_coeffs = np.asarray(sin_coeffs)
+        force_complex = (isinstance(constant, complex)
+                         or cos_coeffs.dtype.kind == "c"
+                         or sin_coeffs.dtype.kind == "c")
+        dtype = np.complex128 if force_complex else np.float64
+        cos_arr = _as_coeff_array(cos_coeffs, dtype)
+        sin_arr = _as_coeff_array(sin_coeffs, dtype)
+        constant = complex(constant) if force_complex else float(constant)
         degree = max(len(cos_arr), len(sin_arr))
         if degree > max_harmonic:
             raise HarmonicCapError(
@@ -89,6 +89,7 @@ class TrigPoly:
         self.cos_coeffs = cos_arr
         self.sin_coeffs = sin_arr
         self.max_harmonic = int(max_harmonic)
+        self.degree = degree
 
     # -- constructors ------------------------------------------------------
 
@@ -151,10 +152,6 @@ class TrigPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        return max(len(self.cos_coeffs), len(self.sin_coeffs))
-
-    @property
     def is_complex(self) -> bool:
         return isinstance(self.constant, complex)
 
@@ -174,6 +171,11 @@ class TrigPoly:
             if cm != 0:
                 out[-n] = cm
         return out
+
+    def coeff_l1(self) -> float:
+        """|c0| + sum_n |a_n| + |b_n|, a bound on max |p| over the circle."""
+        return (abs(self.constant) + float(np.sum(np.abs(self.cos_coeffs)))
+                + float(np.sum(np.abs(self.sin_coeffs))))
 
     def signature(self) -> tuple:
         """Hashable exact fingerprint (used for cache keys)."""
@@ -217,23 +219,27 @@ class TrigPoly:
 
     # -- arithmetic (thin wrappers over the module ops) --------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op one of operator.iadd, operator.isub."""
         if isinstance(other, (int, float, complex)):
             other = TrigPoly(other, max_harmonic=self.max_harmonic)
         if not isinstance(other, TrigPoly):
             return NotImplemented
         N = max(self.degree, other.degree)
-        a = np.zeros(N, np.complex128)
-        b = np.zeros(N, np.complex128)
+        dtype = (np.complex128 if self.is_complex or other.is_complex
+                 else np.float64)
+        a = np.zeros(N, dtype)
+        b = np.zeros(N, dtype)
         a[: len(self.cos_coeffs)] += self.cos_coeffs
-        a[: len(other.cos_coeffs)] += other.cos_coeffs
         b[: len(self.sin_coeffs)] += self.sin_coeffs
-        b[: len(other.sin_coeffs)] += other.sin_coeffs
+        op(a[: len(other.cos_coeffs)], other.cos_coeffs)
+        op(b[: len(other.sin_coeffs)], other.sin_coeffs)
+        const = op(self.constant, other.constant)
         cap = min(self.max_harmonic, other.max_harmonic)
-        const = self.constant + other.constant
-        if not (self.is_complex or other.is_complex):
-            return TrigPoly(const, a.real, b.real, max_harmonic=cap)
         return TrigPoly(const, a, b, max_harmonic=cap)
+
+    def __add__(self, other):
+        return self._combine(other, operator.iadd)
 
     __radd__ = __add__
 
@@ -242,11 +248,7 @@ class TrigPoly:
                         -np.asarray(self.sin_coeffs), max_harmonic=self.max_harmonic)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = TrigPoly(other, max_harmonic=self.max_harmonic)
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.isub)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -265,11 +267,14 @@ def _exp_vector(p: TrigPoly, N: int):
     """Coefficient vector c_k, k = -N..N (length 2N+1), exponential basis."""
     c = np.zeros(2 * N + 1, np.complex128)
     c[N] = p.constant
-    for n in range(1, p.degree + 1):
-        a = complex(p.cos_coeffs[n - 1]) if n <= len(p.cos_coeffs) else 0j
-        b = complex(p.sin_coeffs[n - 1]) if n <= len(p.sin_coeffs) else 0j
-        c[N + n] = (a - 1j * b) / 2.0
-        c[N - n] = (a + 1j * b) / 2.0
+    D = p.degree
+    if D:
+        a = np.zeros(D, np.complex128)
+        b = np.zeros(D, np.complex128)
+        a[: len(p.cos_coeffs)] = p.cos_coeffs
+        b[: len(p.sin_coeffs)] = p.sin_coeffs
+        c[N + 1: N + D + 1] = (a - 1j * b) / 2.0
+        c[N - D: N] = ((a + 1j * b) / 2.0)[::-1]
     return c
 
 
@@ -291,15 +296,24 @@ def tp_derivative(p: TrigPoly) -> TrigPoly:
     if N == 0:
         return TrigPoly(0.0, max_harmonic=p.max_harmonic)
     n = np.arange(1, N + 1)
-    a = np.zeros(N, np.complex128)
-    b = np.zeros(N, np.complex128)
+    a = np.zeros(N, p.cos_coeffs.dtype)
+    b = np.zeros(N, p.sin_coeffs.dtype)
     a[: len(p.cos_coeffs)] = p.cos_coeffs
     b[: len(p.sin_coeffs)] = p.sin_coeffs
-    new_cos = n * b
-    new_sin = -n * a
-    if not p.is_complex:
-        return TrigPoly(0.0, new_cos.real, new_sin.real, max_harmonic=p.max_harmonic)
-    return TrigPoly(0j, new_cos, new_sin, max_harmonic=p.max_harmonic)
+    zero = 0j if p.is_complex else 0.0
+    return TrigPoly(zero, n * b, -n * a, max_harmonic=p.max_harmonic)
+
+
+def _product_exp_vector(p: TrigPoly, q: TrigPoly):
+    """Exponential-basis coefficients of p q and the product's harmonic cap."""
+    cap = min(p.max_harmonic, q.max_harmonic)
+    if p.degree + q.degree > cap:
+        raise HarmonicCapError(
+            f"product degree {p.degree + q.degree} exceeds cap {cap}")
+    Np, Nq = p.degree, q.degree
+    cp = _exp_vector(p, Np) if Np else np.array([complex(p.constant)])
+    cq = _exp_vector(q, Nq) if Nq else np.array([complex(q.constant)])
+    return np.convolve(cp, cq), cap
 
 
 def tp_multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:
@@ -310,20 +324,23 @@ def tp_multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     HarmonicCapError
         If deg p + deg q exceeds the (smaller) cap of the operands.
     """
-    cap = min(p.max_harmonic, q.max_harmonic)
-    if p.degree + q.degree > cap:
-        raise HarmonicCapError(
-            f"product degree {p.degree + q.degree} exceeds cap {cap}")
-    Np, Nq = p.degree, q.degree
-    cp = _exp_vector(p, Np) if Np else np.array([complex(p.constant)])
-    cq = _exp_vector(q, Nq) if Nq else np.array([complex(q.constant)])
-    conv = np.convolve(cp, cq)
+    conv, cap = _product_exp_vector(p, q)
     return _from_exp_vector(conv, p.is_complex or q.is_complex, cap)
 
 
 def tp_integrate_period(p: TrigPoly):
     """integral over [0, 2 pi]; only the constant term survives."""
     return _TWO_PI * p.constant
+
+
+def tp_integrate_product(p: TrigPoly, q: TrigPoly):
+    """tp_integrate_period(tp_multiply(p, q)), reading the product's constant
+    term off the convolution without building the product."""
+    conv, _ = _product_exp_vector(p, q)
+    const = conv[(len(conv) - 1) // 2]
+    if p.is_complex or q.is_complex:
+        return _TWO_PI * complex(const)
+    return _TWO_PI * float(const.real)
 
 
 class CircleField:
@@ -368,11 +385,11 @@ def gelfand_fuchs(v, w) -> complex:
     """
     vp = tp_derivative(_field_component(v))
     wpp = tp_derivative(tp_derivative(_field_component(w)))
-    integral = tp_integrate_period(tp_multiply(vp, wpp))
+    integral = tp_integrate_product(vp, wpp)
     return complex(integral) / (24.0 * math.pi * 1j)
 
 
 def heisenberg_cocycle(v, w):
     """integral over a period of v' w  (the loop-group/Heisenberg pairing)."""
     vp = tp_derivative(_field_component(v))
-    return tp_integrate_period(tp_multiply(vp, _field_component(w)))
+    return tp_integrate_product(vp, _field_component(w))

@@ -13,6 +13,8 @@ rounding floor; exact symbolic paths must not move at all).
 import csv
 import io
 import json
+import math
+import sys
 
 import pytest
 
@@ -154,6 +156,48 @@ def test_crashing_check_is_recorded_not_thrown(monkeypatch):
     assert not by_name["boom-check"].passed
     assert "NumericError" in by_name["boom-check"].params["error"]
     json.loads(report.to_json())  # still schema-valid, residual finite
+
+
+def test_check_crashing_outside_the_package_errors_is_a_failing_row(
+        monkeypatch):
+    def bug(ctx):
+        return {}["missing"]
+    monkeypatch.setitem(
+        cli._REGISTRY, "bug-check",
+        cli._Check("bug-check", "forms", "never holds", 1e-6,
+                   ("n_r", "n_theta"), bug))
+    report = run_suite(small_config(suite="forms"))
+    row = {c.name: c for c in report.checks}["bug-check"]
+    assert not row.passed
+    assert row.residual == sys.float_info.max
+    assert row.params["error"] == "KeyError: 'missing'"
+    assert len(report.checks) == len(check_names("forms"))
+
+
+def test_crashed_ladder_level_is_a_failing_row(monkeypatch, tmp_path,
+                                               capsys):
+    def fragile(ctx):
+        if ctx.cfg.n_r > 8:
+            raise ZeroDivisionError("level too fine")
+        return 1.0, 0.5, {}
+    monkeypatch.setitem(
+        cli._REGISTRY, "fragile-check",
+        cli._Check("fragile-check", "forms", "never holds", 1e-6,
+                   ("n_r", "n_theta"), fragile))
+    rows = convergence_study("fragile-check", [(8, 16), (16, 32), (32, 64)],
+                             small_config())
+    assert [row["n_r"] for row in rows] == [8, 16, 32]
+    assert rows[0]["residual"] == 0.5 and "error" not in rows[0]
+    for row in rows[1:]:
+        assert math.isnan(row["value"])
+        assert row["residual"] == sys.float_info.max
+        assert row["error"] == "ZeroDivisionError: level too fine"
+    out = tmp_path / "ladder.csv"
+    assert main(["converge", "fragile-check", "--grid-r", "8",
+                 "--grid-theta", "16", "--levels", "2",
+                 "--out", str(out)]) == 1
+    assert "ZeroDivisionError: level too fine" in capsys.readouterr().err
+    assert len(out.read_text().strip().splitlines()) == 3
 
 
 def test_report_overall_pass_means_every_check_passed():

@@ -158,6 +158,45 @@ def test_circle_invert_convergence_error():
         circle_invert(f, np.array([1.0]), tol=1e-12, max_iter=3)
 
 
+def test_convergence_error_counts_nodes_and_iterations():
+    f = CircleDiffeoLift(0, TrigPoly(0.0, [0.8]))
+    with pytest.raises(ConvergenceError,
+                       match=r"2 of 2 nodes above tol 1\.0e-12 after 3 "
+                             r"Newton iterations"):
+        circle_invert(f, np.array([1.0, 2.0]), tol=1e-12, max_iter=3)
+
+
+def test_nonlinear_alexander_inverse_uses_the_bisection_fallback():
+    # A = xi(r) (0.95 / 3) cos 3 theta: min(1 + A_theta) = 0.05 on xi = 1,
+    # where a plain Newton step from psi0 = t - A(r, t) overshoots the bracket
+    link = AlexanderRadial(CircleIsotopy(0, TrigPoly(0.0, [0.0, 0.0, 0.95 / 3])),
+                           cutoff_make(0.2, 0.2))
+    t = np.linspace(-math.pi, math.pi, 4097)
+    r = np.full_like(t, 0.9)
+    _, _, At, *_ = link.displacement.jets(r, t)
+    assert np.min(1.0 + At) == pytest.approx(0.05, abs=1e-6)
+    psi, iters, bisected = link.inverse_link()._solve(r, t)
+    assert bisected > 0
+    assert iters <= 10
+    assert np.max(np.abs(psi + link.displacement.value(r, psi) - t)) <= 1e-12
+    pts = disc_points(500)
+    back = DiscDiffeo.from_link(link.inverse_link()).apply(link.apply(pts))
+    assert np.max(np.abs(back - pts)) <= 1e-12
+
+
+def test_twist_inverse_needs_no_newton_step():
+    # amplitude 2.5 exceeds ||poly||_1 + 1 = 2: the bracket scales with it
+    twist = RadialTwist(BumpProfile(0.2, 0.8, 2.5))
+    pts = disc_points(400)
+    moved = twist.apply(pts)
+    r = np.hypot(*moved)
+    t = np.arctan2(moved[1], moved[0])
+    psi, iters, bisected = twist.inverse_link()._solve(r, t, max_iter=0)
+    assert (iters, bisected) == (0, 0)
+    back = twist.inverse_link().apply(moved)
+    assert np.max(np.abs(back - pts)) <= 1e-12
+
+
 def test_isotopy_path_endpoints():
     iso = CircleIsotopy(1, TrigPoly(0.0, [0.5]))
     th = np.linspace(0, 2 * math.pi, 33)

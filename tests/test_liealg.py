@@ -14,24 +14,27 @@ boundary integral), so the tests assert the real value.  Exact-zero cases
 
 import concurrent.futures
 import csv
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from virbott.cocycle import CocycleConfig
+from virbott.cocycle import CocycleConfig, gamma_m
 from virbott.diffeo import (
     AlexanderRadial,
     BumpProfile,
+    CircleIsotopy,
     CutoffProfile,
     DiscDiffeo,
     FlowMap,
     RadialTwist,
     Rotation,
     cutoff_make,
+    disc_invert,
 )
 from virbott.errors import DomainError, FlagError, StepError
-from virbott.forms import DiscGrid
+from virbott.forms import DiscGrid, integrate_disc, mc_components, wedge_trace_2form
 from virbott.liealg import (
     DiscVectorField,
     GeneratorIndexPair,
@@ -190,6 +193,28 @@ def test_cartesian_jets_match_symbolic_partials():
     assert np.max(np.abs(d2[1, 0, 0] - 2.0)) < 1e-8
     assert np.max(np.abs(d2[1, 0, 1] + 2 * y)) < 1e-8
     assert np.max(np.abs(d2[1, 1, 1] + 2 * x)) < 1e-8
+
+
+def test_gamma_cache_never_returns_the_value_of_a_dead_field():
+    # each round's field dies before the next is built, so CPython hands
+    # its address on; the gamma cache key must not follow the address
+    cfg = CocycleConfig(disc_grid=DiscGrid(16, 32))
+    grid = cfg.disc_grid
+    bump = BumpProfile(0.2, 0.8, 1.0)
+    h = DiscDiffeo.from_link(AlexanderRadial(
+        CircleIsotopy(0, TrigPoly(0.0, [0.3])), XI))
+    hinv_mc = mc_components(disc_invert(h).jet(grid.xy, cfg.plan))
+    for i in range(16):
+        field = DiscVectorField(
+            lambda r, t, a=0.1 * (i + 1): a * bump.value(r) * np.sin(2 * t),
+            lambda r, t: bump.value(r) * np.cos(t))
+        g = DiscDiffeo.from_link(FlowMap(field, 0.5, 8))
+        got = gamma_m(g, h, cfg)
+        direct = integrate_disc(wedge_trace_2form(
+            mc_components(g.jet(grid.xy, cfg.plan)), hinv_mc), grid)
+        assert got == pytest.approx(direct, rel=1e-12), i
+        del field, g
+        gc.collect()
 
 
 def test_flags_catch_a_field_that_keeps_radial_slope():

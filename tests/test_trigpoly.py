@@ -20,6 +20,7 @@ from virbott.trigpoly import (
     heisenberg_cocycle,
     tp_derivative,
     tp_integrate_period,
+    tp_integrate_product,
     tp_multiply,
 )
 
@@ -153,6 +154,33 @@ def test_integral_vs_sympy():
 def test_integral_of_derivative_vanishes():
     for p in SAMPLES:
         assert tp_integrate_period(tp_derivative(p)) == 0
+
+
+def test_integrate_product_reads_the_product_constant():
+    # the same convolution entry, so the two routes agree bit for bit
+    for p in SAMPLES:
+        for q in SAMPLES:
+            direct = tp_integrate_product(p, q)
+            via_product = tp_integrate_period(tp_multiply(p, q))
+            assert type(direct) is type(via_product), (p, q)
+            assert direct == via_product, (p, q)
+    p = TrigPoly.harmonic_cos(3, max_harmonic=5)
+    with pytest.raises(HarmonicCapError):
+        tp_integrate_product(p, TrigPoly.harmonic_cos(4, max_harmonic=5))
+
+
+def test_arithmetic_keeps_coefficients_read_only():
+    p, q = SAMPLES[1], SAMPLES[2]
+    for r in (p + q, p - q, -p, 2.0 * p, tp_derivative(p), tp_multiply(p, q),
+              p - p, TrigPoly.zero()):
+        assert r.degree == max(len(r.cos_coeffs), len(r.sin_coeffs))
+        for arr in (r.cos_coeffs, r.sin_coeffs):
+            assert not arr.flags.writeable
+    assert (p - p).degree == 0
+    coeffs = np.array([1.0, 2.0])
+    kept = TrigPoly(0.0, coeffs)
+    coeffs[0] = 5.0  # the polynomial holds its own copy
+    assert kept.cos_coeffs[0] == 1.0
 
 
 @given(polys, polys)
