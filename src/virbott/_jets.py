@@ -30,18 +30,6 @@ class Jet:
         self.j = j
         self.h = h
 
-    @property
-    def dout(self):
-        return self.x.shape[0]
-
-    @property
-    def din(self):
-        return self.j.shape[1]
-
-    @property
-    def npts(self):
-        return self.x.shape[-1]
-
     @classmethod
     def identity(cls, points):
         """Identity-map jet at ``points`` of shape (d, N)."""
@@ -50,9 +38,6 @@ class Jet:
         for i in range(d):
             j[i, i] = 1.0
         return cls(points.copy(), j, np.zeros((d, d, d, n)))
-
-    def copy(self):
-        return Jet(self.x.copy(), self.j.copy(), self.h.copy())
 
 
 def compose(outer: Jet, inner: Jet) -> Jet:

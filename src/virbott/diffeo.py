@@ -15,9 +15,14 @@ The building blocks are:
 * layered ball maps (rho, p) -> (rho, m_{c(rho)}(p)) built from parametric
   planar maps driven by a radial profile.
 
-Every elementary link carries an analytic polar 2-jet; chains compose jets
-through the generic engine in ``_jets``.  A finite-difference plan (FD4)
-provides an independent derivative path for cross-validation.
+A link is any object with ``apply(pts)``, an exact 2-jet ``jet(pts)`` and
+a ``signature()``; disc links also give ``inverse_link()`` and
+``param_map()`` (their linear-in-u family for ball extensions).  Disc and
+ball maps are one chain type: ``DiscDiffeo`` and ``BallDiffeo`` share the
+chain base, whose jet starts from the first link's jet and composes every
+later link through ``_jets.compose``, the one chain rule of the package.
+A finite-difference plan (FD4) provides an independent derivative path
+for cross-validation.
 """
 
 from __future__ import annotations
@@ -201,6 +206,9 @@ class PoweredCutoffProfile:
         if k == 1:
             return d2
         return k * (k - 1) * v ** (k - 2) * d1 ** 2 + k * v ** (k - 1) * d2
+
+    def signature(self):
+        return ("powered-cutoff", self.k) + self.cutoff.signature()
 
 
 class SinePulseProfile:
@@ -443,8 +451,12 @@ class DerivativePlan:
     def __init__(self, kind: str, fd_rel_step: float = 1e-4):
         if kind not in ("analytic", "fd4"):
             raise DomainError(f"unknown derivative plan {kind!r}")
+        step = float(fd_rel_step)
+        if not (math.isfinite(step) and step > 0.0):
+            raise DomainError(
+                f"FD step must be finite and positive: {fd_rel_step}")
         self.kind = kind
-        self.fd_rel_step = float(fd_rel_step)
+        self.fd_rel_step = step
 
     def signature(self):
         return ("plan", self.kind, self.fd_rel_step)
@@ -781,6 +793,8 @@ class FlowMap:
     The field object must provide ``cartesian_value(pts)`` and, for the
     analytic jet path, ``cartesian_jet2(pts) -> (V, DV, D2V)``; first and
     second variational equations are integrated alongside the base point.
+    Their right-hand side is the chain rule: the field's jet composed with
+    the state's jet.
     """
 
     __slots__ = ("field", "time", "steps")
@@ -807,21 +821,13 @@ class FlowMap:
         return x
 
     def _rhs(self, state):
-        x, J, H = state
-        V, DV, D2V = self.field.cartesian_jet2(x)
-        dJ = np.einsum("ikn,kan->ian", DV, J)
-        dH = (np.einsum("ikln,kan,lbn->iabn", D2V, J, J)
-              + np.einsum("ikn,kabn->iabn", DV, H))
-        return V, dJ, dH
+        rate = compose(Jet(*self.field.cartesian_jet2(state[0])), Jet(*state))
+        return rate.x, rate.j, rate.h
 
     def jet(self, pts) -> Jet:
-        n = pts.shape[1]
-        x = pts.astype(np.float64).copy()
-        J = np.zeros((2, 2, n))
-        J[0, 0] = J[1, 1] = 1.0
-        H = np.zeros((2, 2, 2, n))
+        start = Jet.identity(pts.astype(np.float64))
         dt = self.time / self.steps
-        state = (x, J, H)
+        state = (start.x, start.j, start.h)
         for _ in range(self.steps):
             k1 = self._rhs(state)
             s2 = tuple(a + 0.5 * dt * b for a, b in zip(state, k1))
@@ -848,14 +854,16 @@ class FlowMap:
 
 
 # ---------------------------------------------------------------------------
-# disc diffeomorphisms (chains)
+# chains and disc diffeomorphisms
 # ---------------------------------------------------------------------------
 
-class DiscDiffeo:
-    """A diffeomorphism of the disc/plane as a chain of elementary links,
-    applied left to right: chain [m1, m2] sends p to m2(m1(p))."""
+class _Chain:
+    """A map as a chain of links (see the module docstring), applied left
+    to right: chain [m1, m2] sends p to m2(m1(p)).  The points are (d, N)
+    with d = 2 on the disc and d = 3 in the ball chart."""
 
     __slots__ = ("links",)
+    _tag: str                     # leads the signature: disc- or ball-chain
 
     def __init__(self, links=()):
         self.links = tuple(links)
@@ -863,10 +871,6 @@ class DiscDiffeo:
     @classmethod
     def identity(cls):
         return cls(())
-
-    @classmethod
-    def from_link(cls, link):
-        return cls((link,))
 
     def apply(self, pts):
         pts = np.asarray(pts, dtype=np.float64)
@@ -877,23 +881,36 @@ class DiscDiffeo:
     def jet(self, pts, plan: DerivativePlan = ANALYTIC) -> Jet:
         pts = np.asarray(pts, dtype=np.float64)
         if plan.kind == "analytic":
-            current = Jet.identity(pts)
-            for link in self.links:
+            if not self.links:
+                return Jet.identity(pts)
+            current = self.links[0].jet(pts)
+            for link in self.links[1:]:
                 current = compose(link.jet(current.x), current)
             return current
         step = plan.fd_rel_step
+        d, n = pts.shape
         J = fd4_jacobian(self.apply, pts, step)
 
         def jfn(q):
-            return fd4_jacobian(self.apply, q, step).reshape(4, -1)
+            return fd4_jacobian(self.apply, q, step).reshape(d * d, -1)
 
-        Hflat = fd4_jacobian(jfn, pts, step)          # (4, 2, N)
-        H = Hflat.reshape(2, 2, 2, pts.shape[1])
+        H = fd4_jacobian(jfn, pts, step).reshape(d, d, d, n)
         H = 0.5 * (H + H.transpose(0, 2, 1, 3))       # symmetrize FD noise
         return Jet(self.apply(pts), J, H)
 
     def signature(self):
-        return ("disc-chain",) + tuple(l.signature() for l in self.links)
+        return (self._tag,) + tuple(l.signature() for l in self.links)
+
+
+class DiscDiffeo(_Chain):
+    """A diffeomorphism of the disc/plane as a chain of elementary links."""
+
+    __slots__ = ()
+    _tag = "disc-chain"
+
+    @classmethod
+    def from_link(cls, link):
+        return cls((link,))
 
 
 def disc_compose(g: DiscDiffeo, h: DiscDiffeo) -> DiscDiffeo:
@@ -906,18 +923,23 @@ def disc_invert(g: DiscDiffeo) -> DiscDiffeo:
     return DiscDiffeo(tuple(link.inverse_link() for link in reversed(g.links)))
 
 
-def disc_jacobian(g: DiscDiffeo, pts, plan: DerivativePlan = ANALYTIC):
-    """Jacobian stack (2, 2, N); DegenerateError if any det <= 0."""
+def _chain_jacobian(chain: _Chain, pts, plan: DerivativePlan, failure: str):
+    """Jacobian stack (d, d, N), or (d, d) for a single point; raises
+    DegenerateError naming ``failure`` and the min det if any det <= 0."""
     pts = np.asarray(pts, dtype=np.float64)
     single = pts.ndim == 1
     if single:
         pts = pts[:, None]
-    J = g.jet(pts, plan).j
+    J = chain.jet(pts, plan).j
     det = det_batched(J)
     if np.any(det <= 0.0) or np.any(~np.isfinite(det)):
-        raise DegenerateError(
-            f"Jacobian not orientation-preserving (min det {np.min(det):.3e})")
+        raise DegenerateError(f"{failure} (min det {np.min(det):.3e})")
     return J[:, :, 0] if single else J
+
+
+def disc_jacobian(g: DiscDiffeo, pts, plan: DerivativePlan = ANALYTIC):
+    """Jacobian stack (2, 2, N); DegenerateError if any det <= 0."""
+    return _chain_jacobian(g, pts, plan, "Jacobian not orientation-preserving")
 
 
 _BT_ANGLES = np.linspace(0.0, _TWO_PI, 256, endpoint=False)
@@ -944,12 +966,6 @@ class SphereDiffeo:
 
     def apply(self, pts):
         return self.disc.apply(pts)
-
-    def jet(self, pts, plan: DerivativePlan = ANALYTIC):
-        return self.disc.jet(pts, plan)
-
-    def signature(self):
-        return ("sphere",) + self.disc.signature()
 
 
 def sphere_extend(h: DiscDiffeo, eps: float = 0.1) -> SphereDiffeo:
@@ -1012,9 +1028,6 @@ class ParamRotation:
 
     def boundary_link(self, u0: float):
         return Rotation(u0 * self.alpha)
-
-    def iszero(self):
-        return self.alpha == 0.0
 
     def signature(self):
         return ("param-rotation", self.alpha)
@@ -1085,9 +1098,6 @@ class ParamAngular:
     def boundary_link(self, u0: float):
         return _DisplacementLink(self.displacement.scaled(u0))
 
-    def iszero(self):
-        return not self.displacement.terms
-
     def signature(self):
         return ("param-angular", self.displacement.signature())
 
@@ -1131,9 +1141,6 @@ class ParamFrozen:
     def boundary_link(self, u0: float):
         return self.link
 
-    def iszero(self):
-        return False
-
     def signature(self):
         return ("param-frozen", self.link.signature())
 
@@ -1154,7 +1161,7 @@ class BallLayerLink:
         planar = self.pmap.apply(u, pts3[1:])
         return np.concatenate([rho[None], planar])
 
-    def jet3(self, pts3) -> Jet:
+    def jet(self, pts3) -> Jet:
         rho = pts3[0]
         n = pts3.shape[1]
         c0 = self.profile.value(rho)
@@ -1178,42 +1185,12 @@ class BallLayerLink:
         return ("ball-layer", self.profile.signature(), self.pmap.signature())
 
 
-class BallDiffeo:
+class BallDiffeo(_Chain):
     """Layered diffeomorphism of the solid ball in the chart
     (rho, x, y) with rho preserved by every layer."""
 
-    __slots__ = ("links",)
-
-    def __init__(self, links=()):
-        self.links = tuple(links)
-
-    @classmethod
-    def identity(cls):
-        return cls(())
-
-    def apply(self, pts3):
-        pts3 = np.asarray(pts3, dtype=np.float64)
-        for link in self.links:
-            pts3 = link.apply(pts3)
-        return pts3
-
-    def jet(self, pts3, plan: DerivativePlan = ANALYTIC) -> Jet:
-        pts3 = np.asarray(pts3, dtype=np.float64)
-        if plan.kind == "analytic":
-            current = Jet.identity(pts3)
-            for link in self.links:
-                current = compose(link.jet3(current.x), current)
-            return current
-        step = plan.fd_rel_step
-        J = fd4_jacobian(self.apply, pts3, step)
-
-        def jfn(q):
-            return fd4_jacobian(self.apply, q, step).reshape(9, -1)
-
-        Hflat = fd4_jacobian(jfn, pts3, step)
-        H = Hflat.reshape(3, 3, 3, pts3.shape[1])
-        H = 0.5 * (H + H.transpose(0, 2, 1, 3))
-        return Jet(self.apply(pts3), J, H)
+    __slots__ = ()
+    _tag = "ball-chain"
 
     def boundary_map(self) -> DiscDiffeo:
         """The planar chain obtained by restricting every layer to rho = 1."""
@@ -1239,9 +1216,6 @@ class BallDiffeo:
         for link in self.links:
             links.append(link.pmap.boundary_link(0.0))
         return DiscDiffeo(tuple(links))
-
-    def signature(self):
-        return ("ball-chain",) + tuple(l.signature() for l in self.links)
 
 
 def ball_compose(g: BallDiffeo, h: BallDiffeo) -> BallDiffeo:
@@ -1311,13 +1285,4 @@ def conjugated_extension(g: DiscDiffeo, h: DiscDiffeo, xi: CutoffFn,
 def ball_jacobian(B: BallDiffeo, pts3, plan: DerivativePlan = ANALYTIC):
     """Jacobian stack (3, 3, N); DegenerateError if any det <= 0.  For
     layered maps the top row is exactly (1, 0, 0)."""
-    pts3 = np.asarray(pts3, dtype=np.float64)
-    single = pts3.ndim == 1
-    if single:
-        pts3 = pts3[:, None]
-    J = B.jet(pts3, plan).j
-    det = det_batched(J)
-    if np.any(det <= 0.0) or np.any(~np.isfinite(det)):
-        raise DegenerateError(
-            f"ball Jacobian degenerate (min det {np.min(det):.3e})")
-    return J[:, :, 0] if single else J
+    return _chain_jacobian(B, pts3, plan, "ball Jacobian degenerate")

@@ -16,11 +16,11 @@ import itertools
 
 import numpy as np
 
-from ._jets import fd4_jacobian
+from ._jets import Jet, compose, fd4_jacobian, polar_chart_jet
 from .cocycle import CocycleConfig, gamma
-from .diffeo import (AlexanderRadial, CircleIsotopy, CutoffFn, CutoffProfile,
-                     DiscDiffeo, FlowMap, RadialTwist, Rotation, disc_compose,
-                     disc_invert)
+from .diffeo import (AlexanderRadial, AngleDisplacement, CircleIsotopy,
+                     CutoffFn, CutoffProfile, DiscDiffeo, FlowMap, RadialTwist,
+                     Rotation, disc_compose, disc_invert)
 from .errors import DomainError, FlagError, StepError, UnsupportedError
 from .forms import integrate_disc, mc_form
 from .trigpoly import (CircleField, TrigPoly, circle_bracket, tp_derivative,
@@ -119,113 +119,6 @@ def _sample_asymptotic_flags(v3, v4, ar_epsilon: float):
 
 
 # ---------------------------------------------------------------------------
-# polar 2-jets and the Cartesian conversion
-# ---------------------------------------------------------------------------
-
-class _PJet:
-    """2-jet of a scalar in polar coordinates: (f, f_r, f_t, f_rr, f_rt,
-    f_tt), vectorized over sample points."""
-
-    __slots__ = ("f", "fr", "ft", "frr", "frt", "ftt")
-
-    def __init__(self, f, fr, ft, frr, frt, ftt):
-        self.f, self.fr, self.ft = f, fr, ft
-        self.frr, self.frt, self.ftt = frr, frt, ftt
-
-    def __add__(self, other):
-        return _PJet(self.f + other.f, self.fr + other.fr,
-                     self.ft + other.ft, self.frr + other.frr,
-                     self.frt + other.frt, self.ftt + other.ftt)
-
-    def __sub__(self, other):
-        return _PJet(self.f - other.f, self.fr - other.fr,
-                     self.ft - other.ft, self.frr - other.frr,
-                     self.frt - other.frt, self.ftt - other.ftt)
-
-    def scaled(self, c):
-        return _PJet(c * self.f, c * self.fr, c * self.ft,
-                     c * self.frr, c * self.frt, c * self.ftt)
-
-    def __mul__(self, other):
-        f, g = self, other
-        return _PJet(
-            f.f * g.f,
-            f.fr * g.f + f.f * g.fr,
-            f.ft * g.f + f.f * g.ft,
-            f.frr * g.f + 2.0 * f.fr * g.fr + f.f * g.frr,
-            f.frt * g.f + f.fr * g.ft + f.ft * g.fr + f.f * g.frt,
-            f.ftt * g.f + 2.0 * f.ft * g.ft + f.f * g.ftt,
-        )
-
-
-def _pjet_zero(shape):
-    z = np.zeros(shape)
-    return _PJet(z, z, z, z, z, z)
-
-
-def _pjet_radius(r):
-    one, zero = np.ones_like(r), np.zeros_like(r)
-    return _PJet(r, one, zero, zero, zero, zero)
-
-
-def _pjet_cos(c, s):
-    zero = np.zeros_like(c)
-    return _PJet(c, zero, -s, zero, zero, -c)
-
-
-def _pjet_sin(c, s):
-    zero = np.zeros_like(s)
-    return _PJet(s, zero, c, zero, zero, -s)
-
-
-def _pjet_profile(profile, r):
-    zero = np.zeros_like(r)
-    v = np.broadcast_to(np.asarray(profile.value(r), dtype=np.float64), r.shape)
-    d1 = np.broadcast_to(np.asarray(profile.d1(r), dtype=np.float64), r.shape)
-    d2 = np.broadcast_to(np.asarray(profile.d2(r), dtype=np.float64), r.shape)
-    return _PJet(v, d1, zero, d2, zero, zero)
-
-
-def _pjet_poly(p: TrigPoly, dp: TrigPoly, ddp: TrigPoly, theta):
-    zero = np.zeros_like(theta)
-    return _PJet(p(theta), zero, dp(theta), zero, zero, ddp(theta))
-
-
-def _cartesian_scalar(u: _PJet, rs, c, s):
-    """Cartesian value/gradient/Hessian of a scalar from its polar 2-jet."""
-    fx = c * u.fr - (s / rs) * u.ft
-    fy = s * u.fr + (c / rs) * u.ft
-    dfx_dr = c * u.frr - (s / rs) * u.frt + (s / rs ** 2) * u.ft
-    dfx_dt = -s * u.fr + c * u.frt - (c / rs) * u.ft - (s / rs) * u.ftt
-    dfy_dr = s * u.frr + (c / rs) * u.frt - (c / rs ** 2) * u.ft
-    dfy_dt = c * u.fr + s * u.frt - (s / rs) * u.ft + (c / rs) * u.ftt
-    fxx = c * dfx_dr - (s / rs) * dfx_dt
-    fxy = s * dfx_dr + (c / rs) * dfx_dt
-    fyx = c * dfy_dr - (s / rs) * dfy_dt
-    fyy = s * dfy_dr + (c / rs) * dfy_dt
-    cross = 0.5 * (fxy + fyx)  # symmetrize conversion roundoff
-    return u.f, (fx, fy), (fxx, cross, fyy)
-
-
-def _polar_jets_to_cartesian(j3: _PJet, j4: _PJet, r, c, s):
-    rs = np.maximum(np.abs(r), _TINY_RADIUS) * np.where(r < 0, -1.0, 1.0)
-    rj, cj, sj = _pjet_radius(r), _pjet_cos(c, s), _pjet_sin(c, s)
-    u1 = j3 * cj - rj * j4 * sj
-    u2 = j3 * sj + rj * j4 * cj
-    n = r.shape[0]
-    v = np.zeros((2, n))
-    dv = np.zeros((2, 2, n))
-    d2v = np.zeros((2, 2, 2, n))
-    for i, u in enumerate((u1, u2)):
-        val, grad, hess = _cartesian_scalar(u, rs, c, s)
-        v[i] = val
-        dv[i, 0], dv[i, 1] = grad
-        d2v[i, 0, 0], d2v[i, 0, 1], d2v[i, 1, 1] = hess
-        d2v[i, 1, 0] = d2v[i, 0, 1]
-    return v, dv, d2v
-
-
-# ---------------------------------------------------------------------------
 # disc vector fields
 # ---------------------------------------------------------------------------
 
@@ -277,8 +170,9 @@ class DiscVectorField:
     # -- jets ---------------------------------------------------------------
 
     def polar_jet2(self, r, theta):
-        """2-jets of (V3, V4) at polar sample arrays; FD4 on the callables
-        (overridden analytically where the components are separable)."""
+        """2-jets (f, f_r, f_t, f_rr, f_rt, f_tt) of V3 and of V4 at polar
+        sample arrays; FD4 on the callables (overridden analytically where
+        the components are separable)."""
         h = _DEFAULT_FD_STEP
         jets = []
         for fn in (self.v3, self.v4):
@@ -293,7 +187,7 @@ class DiscVectorField:
             frr = np.tensordot(_FD2_W, grid[:, 2], axes=(0, 0)) / h ** 2
             ftt = np.tensordot(_FD2_W, grid[2], axes=(0, 0)) / h ** 2
             frt = np.einsum("a,b,abn->n", _FD1_W, _FD1_W, grid) / h ** 2
-            jets.append(_PJet(f, fr, ft, frr, frt, ftt))
+            jets.append((f, fr, ft, frr, frt, ftt))
         return jets[0], jets[1]
 
     def cartesian_value(self, pts):
@@ -307,13 +201,29 @@ class DiscVectorField:
 
     def cartesian_jet2(self, pts):
         """(V, DV, D2V) with DV[i, a] = d_a V_i and D2V[i, a, b] = d_a d_b
-        V_i, from the polar jets by the chain rule."""
-        pts = np.asarray(pts, dtype=np.float64)
-        r = np.hypot(pts[0], pts[1])
-        theta = np.arctan2(pts[1], pts[0])
-        c, s = np.cos(theta), np.sin(theta)
-        j3, j4 = self.polar_jet2(r, theta)
-        return _polar_jets_to_cartesian(j3, j4, r, c, s)
+        V_i: the polar jet of V1 + i V2 composed with the polar chart.
+
+        The chart is singular at the origin, so a node at r = 0 raises
+        DegenerateError, as every polar-chart evaluation does.
+        """
+        chart = polar_chart_jet(*np.asarray(pts, dtype=np.float64))
+        r, theta = chart.x
+        (a, ar, at, arr, art, att), (b, br, bt, brr, brt, btt) = \
+            self.polar_jet2(r, theta)
+        # V1 + i V2 = e^{i theta} z with z = V3 + i r V4
+        z = a + 1j * r * b
+        z_r = ar + 1j * (b + r * br)
+        z_t = at + 1j * r * bt
+        z_rr = arr + 1j * (2.0 * br + r * brr)
+        z_rt = art + 1j * (bt + r * brt)
+        z_tt = att + 1j * r * btt
+        e = np.exp(1j * theta)
+        u_rt = e * (z_rt + 1j * z_r)
+        polar_u = Jet(*(np.stack([u.real, u.imag]) for u in map(np.asarray, (
+            e * z, [e * z_r, e * (z_t + 1j * z)],
+            [[e * z_rr, u_rt], [u_rt, e * (z_tt + 2j * z_t - z)]]))))
+        out = compose(polar_u, chart)
+        return out.x, out.j, out.h
 
     def signature(self):
         return ("discfield", self._serial)
@@ -367,15 +277,6 @@ class _ScaledProfile:
         return ("scaled", self.scale) + tuple(self.base.signature())
 
 
-def _terms_callable(terms):
-    def fn(r, theta):
-        out = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(theta)))
-        for profile, poly in terms:
-            out = out + profile.value(r) * poly(theta)
-        return out
-    return fn
-
-
 class SeparableDiscField(DiscVectorField):
     """Field whose components are sums of profile(r) * poly(theta) terms;
     boundary polys and polar 2-jets are exact."""
@@ -383,33 +284,24 @@ class SeparableDiscField(DiscVectorField):
     def __init__(self, v3_terms=(), v4_terms=(), ar_epsilon: float = 0.05):
         self.v3_terms = tuple((p, q) for p, q in v3_terms)
         self.v4_terms = tuple((p, q) for p, q in v4_terms)
-        self._jet_terms = tuple(
-            tuple((prof, poly, tp_derivative(poly),
-                   tp_derivative(tp_derivative(poly))) for prof, poly in terms)
-            for terms in (self.v3_terms, self.v4_terms))
+        # a sum of profile(r) poly(theta) terms is what AngleDisplacement
+        # evaluates with its exact polar jets
+        self._sums = (AngleDisplacement(self.v3_terms),
+                      AngleDisplacement(self.v4_terms))
         boundary = []
         for terms in (self.v3_terms, self.v4_terms):
             total = TrigPoly.zero()
             for prof, poly in terms:
                 total = total + poly * float(prof.value(np.float64(1.0)))
             boundary.append(total)
-        super().__init__(_terms_callable(self.v3_terms),
-                         _terms_callable(self.v4_terms),
+        super().__init__(self._sums[0].value, self._sums[1].value,
                          ar_epsilon=ar_epsilon,
                          boundary_v3=boundary[0], boundary_v4=boundary[1])
 
     def polar_jet2(self, r, theta):
-        shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
-        r = np.broadcast_to(np.asarray(r, np.float64), shape)
-        theta = np.broadcast_to(np.asarray(theta, np.float64), shape)
-        out = []
-        for terms in self._jet_terms:
-            total = _pjet_zero(shape)
-            for prof, poly, dpoly, ddpoly in terms:
-                total = total + (_pjet_profile(prof, r)
-                                 * _pjet_poly(poly, dpoly, ddpoly, theta))
-            out.append(total)
-        return out[0], out[1]
+        r, theta = np.broadcast_arrays(np.asarray(r, np.float64),
+                                       np.asarray(theta, np.float64))
+        return tuple(terms.jets(r, theta) for terms in self._sums)
 
     def signature(self):
         return ("sepfield", self.ar_epsilon,
@@ -451,8 +343,8 @@ def disc_bracket(V: DiscVectorField, W: DiscVectorField) -> DiscVectorField:
             tb = (b3, b4)[idx]
             ta = (a3, a4)[idx]
             # antisymmetrized pairwise so the diagonal cancels exactly
-            return ((a3.f * tb.fr - b3.f * ta.fr)
-                    + (a4.f * tb.ft - b4.f * ta.ft))
+            return ((a3[0] * tb[1] - b3[0] * ta[1])
+                    + (a4[0] * tb[2] - b4[0] * ta[2]))
         return comp
 
     boundary = {}

@@ -22,6 +22,7 @@ from virbott.diffeo import (
     CircleIsotopy,
     CutoffFn,
     CutoffProfile,
+    DerivativePlan,
     DiscDiffeo,
     FlowMap,
     ParamFrozen,
@@ -48,6 +49,7 @@ from virbott.errors import (
     NotBoundaryTrivialError,
     UnsupportedError,
 )
+from virbott.liealg import SeparableDiscField
 from virbott.trigpoly import TrigPoly
 
 RNG = np.random.default_rng(7)
@@ -307,6 +309,65 @@ def test_analytic_jet_matches_fd4(name):
     assert np.max(np.abs(ja.x - jf.x)) < 1e-14
     assert np.max(np.abs(ja.j - jf.j)) < 1e-8
     assert np.max(np.abs(ja.h - jf.h)) < 2e-5
+
+
+def every_disc_link():
+    """One link of every kind a disc chain can hold."""
+    iso = CircleIsotopy(0, TrigPoly(0.1, [0.35], [0.15]))
+    alexander = AlexanderRadial(iso, cutoff_make(0.2, 0.1), 0.8)
+    field = SeparableDiscField(
+        v3_terms=[(BumpProfile(0.2, 0.8, 1.0), TrigPoly(0.0, [0.2]))],
+        v4_terms=[(CutoffProfile(cutoff_make(0.2, 0.15)),
+                   TrigPoly(0.0, [0.35], [0.0, -0.15]))])
+    return {
+        "rotation": Rotation(0.6),
+        "alexander": alexander,
+        "twist": RadialTwist(BumpProfile(0.3, 0.75, 0.7)),
+        "inverse": alexander.inverse_link(),
+        "displacement": alexander.param_map().boundary_link(0.5),
+        "flow": FlowMap(field, 0.4, steps=16),
+    }
+
+
+@pytest.mark.parametrize("name", ["rotation", "alexander", "twist",
+                                  "inverse", "displacement", "flow"])
+def test_every_link_kind_through_a_one_link_chain(name):
+    link = every_disc_link()[name]
+    chain = DiscDiffeo.from_link(link)
+    pts = disc_points(40, 0.25, 0.85, seed=67)
+    own = link.jet(pts)
+    ja = chain.jet(pts, ANALYTIC)
+    # a one-link chain's jet is the link's own jet
+    assert np.array_equal(ja.x, own.x)
+    assert np.array_equal(ja.j, own.j)
+    assert np.array_equal(ja.h, own.h)
+    jf = chain.jet(pts, FD4)
+    assert np.max(np.abs(ja.x - jf.x)) < 1e-14
+    assert np.max(np.abs(ja.j - jf.j)) < 1e-8
+    assert np.max(np.abs(ja.h - jf.h)) < 2e-5
+
+
+def test_ball_extension_through_a_rotation_layer():
+    # Rotation yields the ParamRotation layer; the Alexander link undoes
+    # the rotation on the boundary annulus
+    disc = DiscDiffeo((Rotation(0.6), AlexanderRadial(
+        CircleIsotopy(0, TrigPoly(-0.6)), cutoff_make(0.2, 0.15))))
+    B = ball_extend(disc, cutoff_make(0.2, 0.1))
+    pts = ball_points(30, seed=71)
+    ja = B.jet(pts, ANALYTIC)
+    jf = B.jet(pts, FD4)
+    assert np.max(np.abs(ja.x - jf.x)) < 1e-14
+    assert np.max(np.abs(ja.j - jf.j)) < 1e-9
+    assert np.max(np.abs(ja.h - jf.h)) < 1e-6
+    pts2 = disc_points(50, seed=73)
+    assert np.max(np.abs(B.boundary_map().apply(pts2)
+                         - disc.apply(pts2))) < 1e-15
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+def test_derivative_plan_rejects_a_bad_fd_step(step):
+    with pytest.raises(DomainError):
+        DerivativePlan("fd4", step)
 
 
 def test_jet_composition_consistency():

@@ -28,12 +28,13 @@ from virbott.diffeo import (
     CutoffProfile,
     DiscDiffeo,
     FlowMap,
+    PoweredCutoffProfile,
     RadialTwist,
     Rotation,
     cutoff_make,
     disc_invert,
 )
-from virbott.errors import DomainError, FlagError, StepError
+from virbott.errors import DegenerateError, DomainError, FlagError, StepError
 from virbott.forms import DiscGrid, integrate_disc, mc_components, wedge_trace_2form
 from virbott.liealg import (
     DiscVectorField,
@@ -193,6 +194,30 @@ def test_cartesian_jets_match_symbolic_partials():
     assert np.max(np.abs(d2[1, 0, 0] - 2.0)) < 1e-8
     assert np.max(np.abs(d2[1, 0, 1] + 2 * y)) < 1e-8
     assert np.max(np.abs(d2[1, 1, 1] + 2 * x)) < 1e-8
+
+
+def test_cartesian_jets_refuse_the_origin():
+    # the polar chart is singular at r = 0, whatever the field
+    pts = np.array([[0.3, 0.0], [0.2, 0.0]])
+    for field in (POLY_V, FIELD_V):
+        with pytest.raises(DegenerateError):
+            field.cartesian_jet2(pts)
+
+
+def test_gamma_of_a_flow_with_a_powered_cutoff_profile():
+    # every link signature enters the gamma cache key, profiles included
+    cfg = CocycleConfig(disc_grid=DiscGrid(8, 16))
+    grid = cfg.disc_grid
+    squared = PoweredCutoffProfile(XI, 2)
+    assert squared.signature() != PoweredCutoffProfile(XI, 3).signature()
+    field = SeparableDiscField(v4_terms=[(squared, TrigPoly(0.0, [0.3]))])
+    g = DiscDiffeo.from_link(FlowMap(field, 0.5, 8))
+    h = DiscDiffeo.from_link(AlexanderRadial(
+        CircleIsotopy(0, TrigPoly(0.0, [0.3])), XI))
+    direct = integrate_disc(wedge_trace_2form(
+        mc_components(g.jet(grid.xy, cfg.plan)),
+        mc_components(disc_invert(h).jet(grid.xy, cfg.plan))), grid)
+    assert gamma_m(g, h, cfg) == pytest.approx(direct, rel=1e-12)
 
 
 def test_gamma_cache_never_returns_the_value_of_a_dead_field():
