@@ -127,20 +127,28 @@ def inv_batched(j):
 # finite differences (4th-order central)
 # ---------------------------------------------------------------------------
 
+#: The 5-point stencil on offsets (-2h, -h, 0, +h, +2h):
+#: f' ~ FD4_D1 . f / h and f'' ~ FD4_D2 . f / h^2, both 4th order.
+FD4_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+FD4_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+FD4_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+
+
 def fd4_directional(f, pts, axis, step):
-    """(d/dp_axis) f at pts via the 5-point 4th-order central stencil.
+    """(d/dp_axis) f at pts via the FD4_D1 stencil.
 
     ``f`` maps (din, N) -> array whose last axis is N; the step is taken
-    per point as step * max(1, |p_axis|).
+    per point as step * max(1, |p_axis|).  The centre, whose weight is
+    zero, is not evaluated.
     """
     h = step * np.maximum(1.0, np.abs(pts[axis]))
+    taps = FD4_D1 != 0.0
     shifted = []
-    for k in (-2.0, -1.0, 1.0, 2.0):
+    for k in FD4_OFFSETS[taps]:
         q = pts.copy()
         q[axis] = q[axis] + k * h
         shifted.append(f(q))
-    fm2, fm1, fp1, fp2 = shifted
-    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    return np.tensordot(FD4_D1[taps], np.stack(shifted), axes=(0, 0)) / h
 
 
 def fd4_jacobian(f, pts, step):

@@ -420,19 +420,12 @@ class CircleIsotopy:
         self.periodic_part = periodic_part
 
     def path(self, s: float) -> CircleDiffeoLift:
-        p = self.periodic_part
-        scaled = TrigPoly(s * p.constant + _TWO_PI * self.winding_offset * s,
-                          s * np.asarray(p.cos_coeffs),
-                          s * np.asarray(p.sin_coeffs),
-                          max_harmonic=p.max_harmonic)
-        return CircleDiffeoLift(0, scaled)
+        return CircleDiffeoLift(
+            0, self.periodic_part * s + _TWO_PI * self.winding_offset * s)
 
     def displacement_poly(self) -> TrigPoly:
         """2 pi k + p(theta) as a single TrigPoly (the isotopy velocity)."""
-        p = self.periodic_part
-        return TrigPoly(p.constant + _TWO_PI * self.winding_offset,
-                        p.cos_coeffs, p.sin_coeffs,
-                        max_harmonic=p.max_harmonic)
+        return self.periodic_part + _TWO_PI * self.winding_offset
 
     def signature(self):
         return ("circle-isotopy", self.winding_offset,

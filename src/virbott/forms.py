@@ -148,6 +148,10 @@ class MCFormSample:
     def dim(self):
         return len(self.components)
 
+    def stack(self) -> np.ndarray:
+        """The components as a (d, d, d, 1) stack of the batched routines."""
+        return np.stack(self.components)[..., np.newaxis]
+
 
 def mc_components(jet) -> np.ndarray:
     """Batched MC components from a 2-jet: out[b] = J^{-1} d_b J.
@@ -171,14 +175,13 @@ def mc_form(g, p, plan: DerivativePlan = ANALYTIC) -> MCFormSample:
 def wedge_trace_2form(a, b):
     """tr(a_x b_y - a_y b_x) for two matrix one-forms on a plane chart.
 
-    Accepts MCFormSample pairs or batched (2, d, d, N) stacks.
+    Accepts batched (2, d, d, N) stacks, or MCFormSample pairs, for which
+    the value at the one point is returned as a float.
     """
     if isinstance(a, MCFormSample):
         if not isinstance(b, MCFormSample) or a.dim != b.dim:
             raise DimensionError("mismatched one-form samples")
-        ax, ay = a.components
-        bx, by = b.components
-        return float(np.einsum("ij,ji->", ax, by) - np.einsum("ij,ji->", ay, bx))
+        return float(wedge_trace_2form(a.stack(), b.stack())[0])
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape or a.shape[0] != 2:
@@ -194,14 +197,13 @@ def wedge_trace_cube(a):
 
     This shortcut equals the full antisymmetrization over S3 because the
     trace is cyclic; the tests check that against the permutation sum.
-    Accepts an MCFormSample or a (3, d, d, N) stack.
+    Accepts a (3, d, d, N) stack, or an MCFormSample, for which the value
+    at the one point is returned as a float.
     """
     if isinstance(a, MCFormSample):
         if a.dim != 3:
             raise DimensionError("cube wedge needs 3 components (rho, x, y)")
-        ar, ax, ay = a.components
-        return 3.0 * float(np.einsum("ij,jk,ki->", ar, ax, ay)
-                           - np.einsum("ij,jk,ki->", ar, ay, ax))
+        return float(wedge_trace_cube(a.stack())[0])
     a = np.asarray(a)
     if a.shape[0] != 3:
         raise DimensionError(f"need (3,d,d,N) stack, got {a.shape}")

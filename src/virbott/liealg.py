@@ -16,7 +16,8 @@ import itertools
 
 import numpy as np
 
-from ._jets import Jet, compose, fd4_jacobian, polar_chart_jet
+from ._jets import (FD4_D1, FD4_D2, FD4_OFFSETS, Jet, compose, fd4_jacobian,
+                    polar_chart_jet)
 from .cocycle import CocycleConfig, gamma
 from .diffeo import (AlexanderRadial, AngleDisplacement, CircleIsotopy,
                      CutoffFn, CutoffProfile, DiscDiffeo, FlowMap, RadialTwist,
@@ -56,12 +57,6 @@ _AR_DERIV_TOL = 1e-6
 _AZ_VALUE_TOL = 1e-12
 _DEFAULT_FD_STEP = 1e-3
 _TINY_RADIUS = 1e-30
-
-# FD4 stencil weights on offsets (-2h, -h, 0, +h, +2h).
-_FD1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_FD2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
 
 # ---------------------------------------------------------------------------
 # boundary fit and flag sampling
@@ -107,13 +102,13 @@ def _sample_asymptotic_flags(v3, v4, ar_epsilon: float):
     def band_eval(fn):
         stack = np.stack([np.broadcast_to(
             np.asarray(fn(rr + off * h, tt), dtype=np.float64), rr.shape)
-            for off in _OFFSETS])
+            for off in FD4_OFFSETS])
         return stack
 
     s3, s4 = band_eval(v3), band_eval(v4)
     value_max = max(float(np.max(np.abs(s3[2]))), float(np.max(np.abs(s4[2]))))
-    d3 = np.tensordot(_FD1_W, s3, axes=(0, 0)) / h
-    d4 = np.tensordot(_FD1_W, s4, axes=(0, 0)) / h
+    d3 = np.tensordot(FD4_D1, s3, axes=(0, 0)) / h
+    d4 = np.tensordot(FD4_D1, s4, axes=(0, 0)) / h
     deriv_max = max(float(np.max(np.abs(d3))), float(np.max(np.abs(d4))))
     return deriv_max <= _AR_DERIV_TOL, value_max <= _AZ_VALUE_TOL
 
@@ -179,14 +174,14 @@ class DiscVectorField:
             grid = np.stack([
                 np.stack([np.broadcast_to(
                     np.asarray(fn(r + a * h, theta + b * h), dtype=np.float64),
-                    r.shape) for b in _OFFSETS])
-                for a in _OFFSETS])  # (5 radial, 5 angular, N)
+                    r.shape) for b in FD4_OFFSETS])
+                for a in FD4_OFFSETS])  # (5 radial, 5 angular, N)
             f = grid[2, 2]
-            fr = np.tensordot(_FD1_W, grid[:, 2], axes=(0, 0)) / h
-            ft = np.tensordot(_FD1_W, grid[2], axes=(0, 0)) / h
-            frr = np.tensordot(_FD2_W, grid[:, 2], axes=(0, 0)) / h ** 2
-            ftt = np.tensordot(_FD2_W, grid[2], axes=(0, 0)) / h ** 2
-            frt = np.einsum("a,b,abn->n", _FD1_W, _FD1_W, grid) / h ** 2
+            fr = np.tensordot(FD4_D1, grid[:, 2], axes=(0, 0)) / h
+            ft = np.tensordot(FD4_D1, grid[2], axes=(0, 0)) / h
+            frr = np.tensordot(FD4_D2, grid[:, 2], axes=(0, 0)) / h ** 2
+            ftt = np.tensordot(FD4_D2, grid[2], axes=(0, 0)) / h ** 2
+            frt = np.einsum("a,b,abn->n", FD4_D1, FD4_D1, grid) / h ** 2
             jets.append((f, fr, ft, frr, frt, ftt))
         return jets[0], jets[1]
 
@@ -414,7 +409,7 @@ def beta_integral(V: DiscVectorField, W: DiscVectorField,
 
 
 def _is_zero_poly(p: TrigPoly) -> bool:
-    return p.constant == 0 and not len(p.cos_coeffs) and not len(p.sin_coeffs)
+    return p.degree == 0 and p.constant == 0
 
 
 def _gbeta_polys(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly, c0):

@@ -2,13 +2,18 @@
 
 A trigonometric polynomial
 
-    p(theta) = c0 + sum_{n=1}^{N} a_n cos(n theta) + b_n sin(n theta)
+    p(theta) = sum_{k=-N}^{N} c_k e^{i k theta}
+             = c0 + sum_{n=1}^{N} a_n cos(n theta) + b_n sin(n theta)
 
-is stored by its coefficient arrays.  Coefficients may be real or complex;
-complex coefficients make the basis e^{i n theta} available (e.g.
-``TrigPoly.exp_harmonic(n)``).  All operations are coefficient-exact (no
-sampling, no aliasing): products are computed by convolution in the
-exponential basis, integrals over a period read off the constant term.
+is stored as one read-only complex vector ``coeffs`` = (c_{-N}, ..., c_N),
+trimmed so that N is the degree, and a flag ``real``.  A real polynomial
+has c_{-k} = conj(c_k) exactly and evaluates to floats; a complex one makes
+the basis e^{i n theta} available (e.g. ``TrigPoly.exp_harmonic(n)``).
+The cos/sin coefficients a_n = c_n + c_{-n} and b_n = i (c_n - c_{-n}) are
+derived, trimmed, read-only views (``cos_coeffs``, ``sin_coeffs``).  All
+operations are coefficient-exact (no sampling, no aliasing): a sum pads
+and adds the vectors, the derivative multiplies c_k by i k, a product
+convolves the vectors, and an integral over a period reads off c_0.
 
 The module also carries the two classical pairings of boundary vector
 fields v(theta) d/dtheta used downstream:
@@ -33,23 +38,12 @@ DEFAULT_MAX_HARMONIC = 256
 _TWO_PI = 2.0 * math.pi
 
 
-def _as_coeff_array(arr: np.ndarray, dtype) -> np.ndarray:
-    """A read-only 1-D copy of ``arr`` as ``dtype``, with exactly-zero
-    trailing harmonics dropped so degree() is meaningful."""
-    if arr.size == 0:
-        return _EMPTY[dtype]
-    arr = arr.reshape(1).astype(dtype) if arr.ndim == 0 else arr.astype(dtype)
-    nz = arr.nonzero()[0]
-    if not nz.size:
-        return _EMPTY[dtype]
-    arr = arr[: nz[-1] + 1]
+def _read_only_trimmed(arr: np.ndarray) -> np.ndarray:
+    """``arr`` without its exactly-zero trailing entries, read-only."""
+    nz = np.flatnonzero(arr)
+    arr = arr[: nz[-1] + 1 if nz.size else 0]
     arr.flags.writeable = False
     return arr
-
-
-_EMPTY = {dtype: np.zeros(0, dtype) for dtype in (np.float64, np.complex128)}
-for _empty in _EMPTY.values():
-    _empty.flags.writeable = False
 
 
 class TrigPoly:
@@ -61,35 +55,53 @@ class TrigPoly:
         The mean value c0.
     cos_coeffs, sin_coeffs : sequence of scalars
         Coefficients a_n, b_n for n = 1, 2, ...; trailing zeros are trimmed.
+        The polynomial is complex if any of the data is.
     max_harmonic : int
         Cap on the harmonic content this polynomial (and products built from
         it) may carry.  Products whose exact degree would exceed the cap
         raise :class:`HarmonicCapError` instead of aliasing.
     """
 
-    __slots__ = ("constant", "cos_coeffs", "sin_coeffs", "max_harmonic",
-                 "degree")
+    __slots__ = ("coeffs", "real", "max_harmonic", "degree")
 
     def __init__(self, constant=0.0, cos_coeffs=(), sin_coeffs=(),
                  max_harmonic: int = DEFAULT_MAX_HARMONIC):
-        cos_coeffs = np.asarray(cos_coeffs)
-        sin_coeffs = np.asarray(sin_coeffs)
-        force_complex = (isinstance(constant, complex)
-                         or cos_coeffs.dtype.kind == "c"
-                         or sin_coeffs.dtype.kind == "c")
-        dtype = np.complex128 if force_complex else np.float64
-        cos_arr = _as_coeff_array(cos_coeffs, dtype)
-        sin_arr = _as_coeff_array(sin_coeffs, dtype)
-        constant = complex(constant) if force_complex else float(constant)
-        degree = max(len(cos_arr), len(sin_arr))
+        a = np.asarray(cos_coeffs).ravel()
+        b = np.asarray(sin_coeffs).ravel()
+        real = not (isinstance(constant, complex) or a.dtype.kind == "c"
+                    or b.dtype.kind == "c")
+        n = max(a.size, b.size)
+        c = np.zeros(2 * n + 1, np.complex128)
+        c[n] = constant
+        if n:
+            ab = np.zeros((2, n), np.complex128)
+            ab[0, : a.size] = a
+            ab[1, : b.size] = b
+            c[n + 1:] = (ab[0] - 1j * ab[1]) / 2.0       # c_1 .. c_n
+            c[n - 1::-1] = (ab[0] + 1j * ab[1]) / 2.0    # c_{-1} .. c_{-n}
+        self._set(c, real, max_harmonic)
+
+    def _set(self, c: np.ndarray, real: bool, max_harmonic: int):
+        """Store the vector ``c`` (odd length, centred on c_0), trimmed to
+        the first and last nonzero harmonic."""
+        nz = c.nonzero()[0]
+        mid = len(c) // 2
+        degree = max(mid - int(nz[0]), int(nz[-1]) - mid) if nz.size else 0
         if degree > max_harmonic:
             raise HarmonicCapError(
                 f"degree {degree} exceeds max_harmonic={max_harmonic}")
-        self.constant = constant
-        self.cos_coeffs = cos_arr
-        self.sin_coeffs = sin_arr
+        c = c[mid - degree: mid + degree + 1]
+        c.flags.writeable = False
+        self.coeffs = c
+        self.real = real
         self.max_harmonic = int(max_harmonic)
         self.degree = degree
+
+    @classmethod
+    def _from_vector(cls, c: np.ndarray, real: bool, max_harmonic: int):
+        p = cls.__new__(cls)
+        p._set(c, real, max_harmonic)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -122,15 +134,7 @@ class TrigPoly:
     @classmethod
     def exp_harmonic(cls, n: int, c=1.0):
         """c * e^{i n theta} for any integer n (complex coefficients)."""
-        c = complex(c)
-        if n == 0:
-            return cls(c)
-        m = abs(n)
-        cos_coeffs = [0j] * m
-        sin_coeffs = [0j] * m
-        cos_coeffs[m - 1] = c
-        sin_coeffs[m - 1] = 1j * c if n > 0 else -1j * c
-        return cls(0j, cos_coeffs, sin_coeffs)
+        return cls.from_exp_coeffs({n: complex(c)})
 
     @classmethod
     def from_exp_coeffs(cls, coeffs: dict, max_harmonic: int = DEFAULT_MAX_HARMONIC):
@@ -138,38 +142,52 @@ class TrigPoly:
         if not coeffs:
             return cls(0.0, max_harmonic=max_harmonic)
         N = max(abs(k) for k in coeffs)
-        const = complex(coeffs.get(0, 0.0))
-        a = [0j] * N
-        b = [0j] * N
-        for k, c in coeffs.items():
-            if k == 0:
-                continue
-            m = abs(k)
-            a[m - 1] += c
-            b[m - 1] += 1j * c if k > 0 else -1j * c
-        return cls(const, a, b, max_harmonic=max_harmonic)
+        c = np.zeros(2 * N + 1, np.complex128)
+        for k, ck in coeffs.items():
+            c[N + k] += ck
+        return cls._from_vector(c, False, max_harmonic)
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def constant(self):
+        """The mean value c0: a float when the polynomial is real."""
+        c0 = self.coeffs[self.degree]
+        return float(c0.real) if self.real else complex(c0)
+
+    @property
     def is_complex(self) -> bool:
-        return isinstance(self.constant, complex)
+        return not self.real
+
+    def _cos_sin(self):
+        """Untrimmed (a_n, b_n), n = 1..N, read off the vector; real arrays
+        for a real polynomial."""
+        N = self.degree
+        pos = self.coeffs[N + 1:]
+        if self.real:
+            return 2.0 * pos.real, -2.0 * pos.imag
+        neg = self.coeffs[:N][::-1]
+        return pos + neg, 1j * (pos - neg)
+
+    @property
+    def cos_coeffs(self) -> np.ndarray:
+        """a_n for n = 1, 2, ..., trailing zeros trimmed (read-only)."""
+        return _read_only_trimmed(self._cos_sin()[0])
+
+    @property
+    def sin_coeffs(self) -> np.ndarray:
+        """b_n for n = 1, 2, ..., trailing zeros trimmed (read-only)."""
+        return _read_only_trimmed(self._cos_sin()[1])
 
     def exp_coeffs(self) -> dict:
-        """Exponential-basis coefficients {k: c_k}, exact from the stored data:
-        c_k = (a_k - i b_k)/2 and c_{-k} = (a_k + i b_k)/2 for k >= 1."""
+        """Exponential-basis coefficients {k: c_k} of the nonzero entries,
+        ordered 0, 1, -1, 2, -2, ..."""
+        N = self.degree
         out = {}
-        if self.constant != 0:
-            out[0] = complex(self.constant)
-        for n in range(1, self.degree + 1):
-            a = complex(self.cos_coeffs[n - 1]) if n <= len(self.cos_coeffs) else 0j
-            b = complex(self.sin_coeffs[n - 1]) if n <= len(self.sin_coeffs) else 0j
-            cp = (a - 1j * b) / 2.0
-            cm = (a + 1j * b) / 2.0
-            if cp != 0:
-                out[n] = cp
-            if cm != 0:
-                out[-n] = cm
+        for k in [0] + [s * n for n in range(1, N + 1) for s in (1, -1)]:
+            ck = complex(self.coeffs[N + k])
+            if ck != 0:
+                out[k] = ck
         return out
 
     def coeff_l1(self) -> float:
@@ -179,19 +197,17 @@ class TrigPoly:
 
     def signature(self) -> tuple:
         """Hashable exact fingerprint (used for cache keys)."""
-        return ("trigpoly", complex(self.constant),
-                self.cos_coeffs.tobytes(), self.sin_coeffs.tobytes(),
-                len(self.cos_coeffs), len(self.sin_coeffs))
+        return ("trigpoly", self.real, self.coeffs.tobytes())
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return (complex(self.constant) == complex(other.constant)
-                and np.array_equal(self.cos_coeffs, other.cos_coeffs)
-                and np.array_equal(self.sin_coeffs, other.sin_coeffs))
+        return np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash(self.signature())
+        # + 0.0 turns -0.0 into 0.0, so polynomials that compare equal,
+        # real or complex, hash alike
+        return hash((self.coeffs + 0.0).tobytes())
 
     def __repr__(self):
         return (f"TrigPoly(constant={self.constant!r}, "
@@ -205,15 +221,11 @@ class TrigPoly:
         scalar = theta.ndim == 0
         th = np.atleast_1d(theta)
         out = np.full(th.shape, self.constant,
-                      dtype=np.complex128 if self.is_complex else np.float64)
+                      dtype=np.float64 if self.real else np.complex128)
         N = self.degree
         if N:
-            n = np.arange(1, N + 1)
-            ang = np.multiply.outer(th, n)          # (..., N)
-            a = np.zeros(N, dtype=out.dtype)
-            a[: len(self.cos_coeffs)] = self.cos_coeffs
-            b = np.zeros(N, dtype=out.dtype)
-            b[: len(self.sin_coeffs)] = self.sin_coeffs
+            a, b = self._cos_sin()
+            ang = np.multiply.outer(th, np.arange(1, N + 1))   # (..., N)
             out = out + np.cos(ang) @ a + np.sin(ang) @ b
         return out[0] if scalar else out
 
@@ -226,17 +238,11 @@ class TrigPoly:
         if not isinstance(other, TrigPoly):
             return NotImplemented
         N = max(self.degree, other.degree)
-        dtype = (np.complex128 if self.is_complex or other.is_complex
-                 else np.float64)
-        a = np.zeros(N, dtype)
-        b = np.zeros(N, dtype)
-        a[: len(self.cos_coeffs)] += self.cos_coeffs
-        b[: len(self.sin_coeffs)] += self.sin_coeffs
-        op(a[: len(other.cos_coeffs)], other.cos_coeffs)
-        op(b[: len(other.sin_coeffs)], other.sin_coeffs)
-        const = op(self.constant, other.constant)
-        cap = min(self.max_harmonic, other.max_harmonic)
-        return TrigPoly(const, a, b, max_harmonic=cap)
+        c = np.zeros(2 * N + 1, np.complex128)
+        c[N - self.degree: N + self.degree + 1] = self.coeffs
+        op(c[N - other.degree: N + other.degree + 1], other.coeffs)
+        return TrigPoly._from_vector(c, self.real and other.real,
+                                     min(self.max_harmonic, other.max_harmonic))
 
     def __add__(self, other):
         return self._combine(other, operator.iadd)
@@ -244,18 +250,16 @@ class TrigPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly(-self.constant, -np.asarray(self.cos_coeffs),
-                        -np.asarray(self.sin_coeffs), max_harmonic=self.max_harmonic)
+        return TrigPoly._from_vector(-self.coeffs, self.real, self.max_harmonic)
 
     def __sub__(self, other):
         return self._combine(other, operator.isub)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return TrigPoly(other * self.constant,
-                            other * np.asarray(self.cos_coeffs),
-                            other * np.asarray(self.sin_coeffs),
-                            max_harmonic=self.max_harmonic)
+            return TrigPoly._from_vector(
+                self.coeffs * other,
+                self.real and not isinstance(other, complex), self.max_harmonic)
         if isinstance(other, TrigPoly):
             return tp_multiply(self, other)
         return NotImplemented
@@ -263,57 +267,21 @@ class TrigPoly:
     __rmul__ = __mul__
 
 
-def _exp_vector(p: TrigPoly, N: int):
-    """Coefficient vector c_k, k = -N..N (length 2N+1), exponential basis."""
-    c = np.zeros(2 * N + 1, np.complex128)
-    c[N] = p.constant
-    D = p.degree
-    if D:
-        a = np.zeros(D, np.complex128)
-        b = np.zeros(D, np.complex128)
-        a[: len(p.cos_coeffs)] = p.cos_coeffs
-        b[: len(p.sin_coeffs)] = p.sin_coeffs
-        c[N + 1: N + D + 1] = (a - 1j * b) / 2.0
-        c[N - D: N] = ((a + 1j * b) / 2.0)[::-1]
-    return c
-
-
-def _from_exp_vector(c, is_complex: bool, cap: int) -> TrigPoly:
-    N = (len(c) - 1) // 2
-    const = c[N]
-    a = c[N + 1:] + c[N - 1::-1][: N]            # c_n + c_{-n}
-    b = 1j * (c[N + 1:] - c[N - 1::-1][: N])     # i (c_n - c_{-n})
-    if not is_complex:
-        return TrigPoly(const.real, a.real, b.real, max_harmonic=cap)
-    return TrigPoly(const, a, b, max_harmonic=cap)
-
-
 # -- core operations -------------------------------------------------------
 
 def tp_derivative(p: TrigPoly) -> TrigPoly:
-    """d/dtheta, exact on coefficients:  a_n cos -> -n a_n sin, etc."""
-    N = p.degree
-    if N == 0:
-        return TrigPoly(0.0, max_harmonic=p.max_harmonic)
-    n = np.arange(1, N + 1)
-    a = np.zeros(N, p.cos_coeffs.dtype)
-    b = np.zeros(N, p.sin_coeffs.dtype)
-    a[: len(p.cos_coeffs)] = p.cos_coeffs
-    b[: len(p.sin_coeffs)] = p.sin_coeffs
-    zero = 0j if p.is_complex else 0.0
-    return TrigPoly(zero, n * b, -n * a, max_harmonic=p.max_harmonic)
+    """d/dtheta, exact on coefficients: c_k -> i k c_k."""
+    k = np.arange(-p.degree, p.degree + 1)
+    return TrigPoly._from_vector(p.coeffs * (1j * k), p.real, p.max_harmonic)
 
 
-def _product_exp_vector(p: TrigPoly, q: TrigPoly):
-    """Exponential-basis coefficients of p q and the product's harmonic cap."""
+def _product_cap(p: TrigPoly, q: TrigPoly) -> int:
+    """The harmonic cap of p q, after checking that p q stays within it."""
     cap = min(p.max_harmonic, q.max_harmonic)
     if p.degree + q.degree > cap:
         raise HarmonicCapError(
             f"product degree {p.degree + q.degree} exceeds cap {cap}")
-    Np, Nq = p.degree, q.degree
-    cp = _exp_vector(p, Np) if Np else np.array([complex(p.constant)])
-    cq = _exp_vector(q, Nq) if Nq else np.array([complex(q.constant)])
-    return np.convolve(cp, cq), cap
+    return cap
 
 
 def tp_multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:
@@ -324,8 +292,14 @@ def tp_multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     HarmonicCapError
         If deg p + deg q exceeds the (smaller) cap of the operands.
     """
-    conv, cap = _product_exp_vector(p, q)
-    return _from_exp_vector(conv, p.is_complex or q.is_complex, cap)
+    cap = _product_cap(p, q)
+    c = np.convolve(p.coeffs, q.coeffs)
+    real = p.real and q.real
+    if real:
+        # c_k and c_{-k} are summed in different orders; averaging c_k with
+        # conj(c_{-k}) restores the exact symmetry of a real polynomial
+        c = 0.5 * (c + c[::-1].conj())
+    return TrigPoly._from_vector(c, real, cap)
 
 
 def tp_integrate_period(p: TrigPoly):
@@ -336,11 +310,9 @@ def tp_integrate_period(p: TrigPoly):
 def tp_integrate_product(p: TrigPoly, q: TrigPoly):
     """tp_integrate_period(tp_multiply(p, q)), reading the product's constant
     term off the convolution without building the product."""
-    conv, _ = _product_exp_vector(p, q)
-    const = conv[(len(conv) - 1) // 2]
-    if p.is_complex or q.is_complex:
-        return _TWO_PI * complex(const)
-    return _TWO_PI * float(const.real)
+    _product_cap(p, q)
+    c0 = np.convolve(p.coeffs, q.coeffs)[p.degree + q.degree]
+    return _TWO_PI * (float(c0.real) if p.real and q.real else complex(c0))
 
 
 class CircleField:

@@ -206,6 +206,21 @@ def test_wedge_dimension_errors():
         wedge_trace_2form(np.zeros((2, 2, 2, 4)), np.zeros((2, 2, 2, 5)))
 
 
+def test_sample_wedge_traces_are_the_batched_traces_at_one_point():
+    rng = np.random.default_rng(4)
+    a, b, c = random_sample_2(rng), random_sample_2(rng), random_sample_3(rng)
+    assert a.stack().shape == (2, 2, 2, 1)
+    two = wedge_trace_2form(a, b)
+    cube = wedge_trace_cube(c)
+    assert type(two) is float and type(cube) is float
+    assert two == wedge_trace_2form(a.stack(), b.stack())[0]
+    assert cube == wedge_trace_cube(c.stack())[0]
+    with pytest.raises(DimensionError, match="mismatched one-form samples"):
+        wedge_trace_2form(a, c)
+    with pytest.raises(DimensionError, match="cube wedge needs 3 components"):
+        wedge_trace_cube(a)
+
+
 # ----------------------------------------------------------------------
 # closedness of the quartic trace
 # ----------------------------------------------------------------------

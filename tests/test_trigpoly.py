@@ -330,3 +330,60 @@ def test_heisenberg_antisymmetry(p, q):
     a = heisenberg_cocycle(field(p), field(q))
     b = heisenberg_cocycle(field(q), field(p))
     assert abs(a + b) < 1e-10
+
+
+# ----------------------------------------------------------------------
+# the exp-basis vector behind the cos/sin views
+# ----------------------------------------------------------------------
+
+def test_equal_polynomials_hash_alike():
+    # a real and a complex copy, and a signed zero, compare equal
+    pairs = [(TrigPoly(1.0, [0.5]), TrigPoly(1.0 + 0j, [0.5 + 0j])),
+             (TrigPoly(0.0, [-0.0, 1.0]), TrigPoly(0.0, [0.0, 1.0]))]
+    for p, q in pairs:
+        assert p == q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
+
+
+def test_constructor_cos_sin_data_come_back_bit_exact():
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal(6), rng.standard_normal(4)
+    p = TrigPoly(0.25, a, b)
+    assert p.cos_coeffs.tobytes() == a.tobytes()
+    assert p.sin_coeffs.tobytes() == b.tobytes()
+    # complex data come back exactly when (a -+ i b) / 2 round exactly,
+    # as they do for these dyadic entries
+    a = np.array([0.5 + 0.25j, -1.0 + 0.0j, 3.0j])
+    b = np.array([0.75j, 1.5 - 0.5j])
+    q = TrigPoly(1.0j, a, b)
+    assert q.cos_coeffs.dtype == np.complex128
+    assert np.array_equal(q.cos_coeffs, a)
+    assert np.array_equal(q.sin_coeffs, b)
+    assert q.constant == 1.0j
+
+
+def test_real_flag_follows_the_arithmetic():
+    p = SAMPLES[1]
+    th = np.linspace(0.0, 2 * math.pi, 7)
+    assert (p * 1j).is_complex
+    assert (p * 1j)(th).dtype == np.complex128
+    for r in (p * 2.0, 2.0 * p, -p, tp_derivative(p), p + 1, p - p):
+        assert not r.is_complex
+        assert isinstance(r.constant, float)
+        assert r(th).dtype == np.float64
+
+
+def test_product_vector_is_the_convolution():
+    # the vector c_{-N}..c_N of a product is np.convolve of the operands'
+    # vectors; these coefficients are dyadic, so the convolution is exact
+    dyadic = SAMPLES[:4]
+    for p in dyadic:
+        for q in dyadic:
+            conv = np.convolve(p.coeffs, q.coeffs)
+            mid = p.degree + q.degree
+            want = {k: complex(conv[mid + k]) for k in range(-mid, mid + 1)
+                    if conv[mid + k] != 0}
+            got = tp_multiply(p, q).exp_coeffs()
+            assert got == want, (p, q)
+            assert len(tp_multiply(p, q).coeffs) == len(conv)
