@@ -8,12 +8,27 @@ is exposed here as a residual: the 2-cocycle property, normalization,
 the coboundary of omega0, the conjugation (normality) defect Delta_g, the
 coboundary of W with its boundary-sphere surface term, and the vanishing
 correction integral of the boundary normal derivatives.
+
+The integrals skip the nodes where their integrand is exactly zero.  Every
+map answers ``moves(pts)``, a mask that may be False only where its
+analytic jet is exactly the identity (see :mod:`virbott.diffeo`); there
+its Maurer-Cartan form is exactly 0, and so is any wedge trace that
+contains it.  ``gamma_m`` and the surface term of
+``w_coboundary_residual`` compute jets, MC forms and wedge traces only
+where both factors move, ``wz_term`` only where the ball map moves, and
+scatter the result into zeros for the same quadrature call, so every
+value is bit-identical to a full-grid sum.  Two things stay unmasked: the
+box-edge support guards, which sample a few hundred points and must see
+all of them, and the FD4 plan, whose stencils at a fixed node can reach
+into the support.  A chain subclass that overrides ``jet`` must override
+``moves`` to match.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -145,7 +160,49 @@ def _mc_stack(m, pts, plan) -> np.ndarray:
     return mc_components(m.jet(pts, plan))
 
 
-_GAMMA_CACHE: dict = {}
+def _wedge_2form(g, hinv, plan):
+    """The density tr(theta(g) ^ theta(hinv)) as a function of (2, N) points."""
+    return lambda pts: wedge_trace_2form(_mc_stack(g, pts, plan),
+                                         _mc_stack(hinv, pts, plan))
+
+
+def _on_moved(density, maps, pts, plan) -> np.ndarray:
+    """density(pts), computed only where every map of ``maps`` moves.
+
+    Elsewhere one MC form vanishes exactly and the value is exactly 0 (see
+    the module docstring).  Under a finite-difference plan every node is
+    computed, since a stencil at a fixed node may reach into the support.
+    """
+    if plan.kind != "analytic":
+        return density(pts)
+    mask = maps[0].moves(pts)
+    for m in maps[1:]:
+        mask &= m.moves(pts)
+    if mask.all():
+        return density(pts)
+    out = np.zeros(pts.shape[1])
+    out[mask] = density(pts[:, mask])
+    return out
+
+
+def _check_edge(vals: np.ndarray, pts: np.ndarray, what: str, edge: str):
+    """Raise SupportError if a sampled edge value exceeds _EDGE_TOL, naming
+    the number of samples and the chart coordinates of the worst one."""
+    if not vals.size:
+        return
+    k = int(np.argmax(np.abs(vals)))
+    worst = abs(float(vals[k]))
+    if worst > _EDGE_TOL:
+        axes = ("rho", "x", "y")[-pts.shape[0]:]
+        where = ", ".join(f"{a}={c:.4g}" for a, c in zip(axes, pts[:, k]))
+        raise SupportError(
+            f"{what} reaches the {edge} edge ({worst:.3e} at {where}; "
+            f"worst of {vals.size} edge samples)")
+
+
+# gamma values kept by the least-recently-used cache below
+_GAMMA_CACHE_SIZE = 1024
+_GAMMA_CACHE: OrderedDict = OrderedDict()
 _GAMMA_LOCK = threading.Lock()
 
 
@@ -153,9 +210,10 @@ def gamma_m(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
             h_inv: DiscDiffeo | None = None) -> float:
     """integral_{D^2} tr(theta(g) ^ theta(h^{-1})) on the config disc grid.
 
-    Values are cached by (g, h, grid, plan) signature; the cache is safe
-    for concurrent readers and writers (recomputing a value is harmless,
-    losing one is not).  A caller that already holds the inverse of ``h``
+    Values are cached by (g, h, grid, plan) signature in an LRU of
+    ``_GAMMA_CACHE_SIZE`` entries; the cache is safe for concurrent
+    readers and writers (recomputing a value is harmless, losing one is
+    not).  A caller that already holds the inverse of ``h``
     (a time-reversed flow, say, whose link chain ``disc_invert`` refuses)
     may pass it as ``h_inv``; it must invert ``h``, and the cache key is
     unchanged because the value is.
@@ -164,14 +222,18 @@ def gamma_m(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
            cfg.disc_grid.signature(), cfg.plan.signature())
     with _GAMMA_LOCK:
         if key in _GAMMA_CACHE:
+            _GAMMA_CACHE.move_to_end(key)
             return _GAMMA_CACHE[key]
     grid = cfg.disc_grid
     hinv = disc_invert(h) if h_inv is None else h_inv
-    vals = wedge_trace_2form(_mc_stack(g, grid.xy, cfg.plan),
-                             _mc_stack(hinv, grid.xy, cfg.plan))
+    vals = _on_moved(_wedge_2form(g, hinv, cfg.plan), (g, hinv), grid.xy,
+                     cfg.plan)
     out = integrate_disc(vals, grid)
     with _GAMMA_LOCK:
         _GAMMA_CACHE[key] = out
+        _GAMMA_CACHE.move_to_end(key)      # another thread may have stored it
+        while len(_GAMMA_CACHE) > _GAMMA_CACHE_SIZE:
+            _GAMMA_CACHE.popitem(last=False)
     return out
 
 
@@ -195,19 +257,20 @@ def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
     """W(B) = integral_{B^3} tr(theta(B)^{wedge 3}) over the layered chart.
 
     The integrand must vanish on the chart-box edge (layer supports stay
-    inside the unit disc of the plane); a visible edge value raises
-    SupportError before any integration happens.
+    inside the unit disc of the plane); a visible value at one of the
+    grid's edge samples raises SupportError before any integration happens.
     """
     if not isinstance(B, BallDiffeo):
         raise DomainError("wz_term expects a layered ball map")
     grid = cfg.ball_grid
-    edge = wedge_trace_cube(_mc_stack(B, grid.edge_points, cfg.plan))
-    worst = float(np.max(np.abs(edge))) if edge.size else 0.0
-    if worst > _EDGE_TOL:
-        raise SupportError(
-            f"Wess-Zumino integrand reaches the box edge ({worst:.3e})")
-    vals = wedge_trace_cube(_mc_stack(B, grid.nodes, cfg.plan))
-    return integrate_ball(vals, grid)
+
+    def density(pts):
+        return wedge_trace_cube(_mc_stack(B, pts, cfg.plan))
+
+    _check_edge(density(grid.edge_points), grid.edge_points,
+                "Wess-Zumino integrand", "box")
+    return integrate_ball(_on_moved(density, (B,), grid.nodes, cfg.plan),
+                          grid)
 
 
 def omega0(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,
@@ -273,11 +336,9 @@ def _plane_quad(grid: BallGrid):
     return pts, w, np.concatenate(edges, axis=1)
 
 
-def _plane_integral(vals: np.ndarray, w: np.ndarray,
-                    edge_vals: np.ndarray, what: str) -> float:
-    worst = float(np.max(np.abs(edge_vals))) if edge_vals.size else 0.0
-    if worst > _EDGE_TOL:
-        raise SupportError(f"{what} reaches the plane-box edge ({worst:.3e})")
+def _plane_integral(vals: np.ndarray, w: np.ndarray, edge_vals: np.ndarray,
+                    edge: np.ndarray, what: str) -> float:
+    _check_edge(edge_vals, edge, what, "plane-box")
     return math.fsum((np.asarray(vals, dtype=np.float64) * w).tolist())
 
 
@@ -292,11 +353,10 @@ def w_coboundary_residual(g: BallDiffeo, h: BallDiffeo,
     gb = g.boundary_map()
     hb_inv = disc_invert(h.boundary_map())
     pts, w, edge = _plane_quad(cfg.ball_grid)
-    vals = wedge_trace_2form(_mc_stack(gb, pts, cfg.plan),
-                             _mc_stack(hb_inv, pts, cfg.plan))
-    ev = wedge_trace_2form(_mc_stack(gb, edge, cfg.plan),
-                           _mc_stack(hb_inv, edge, cfg.plan))
-    surface = _plane_integral(vals, w, ev, "boundary surface term")
+    density = _wedge_2form(gb, hb_inv, cfg.plan)
+    vals = _on_moved(density, (gb, hb_inv), pts, cfg.plan)
+    surface = _plane_integral(vals, w, density(edge), edge,
+                              "boundary surface term")
     return abs(Wgh - Wg - Wh - 3.0 * surface)
 
 
@@ -327,4 +387,4 @@ def phi_correction_integral(g, h, cfg: CocycleConfig) -> float:
     ehx, ehy = _phi_gradient(h, edge)
     vals = gx * hy - hx * gy
     ev = egx * ehy - ehx * egy
-    return _plane_integral(vals, w, ev, "normal-derivative correction")
+    return _plane_integral(vals, w, ev, edge, "normal-derivative correction")

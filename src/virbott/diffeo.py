@@ -15,9 +15,12 @@ The building blocks are:
 * layered ball maps (rho, p) -> (rho, m_{c(rho)}(p)) built from parametric
   planar maps driven by a radial profile.
 
-A link is any object with ``apply(pts)``, an exact 2-jet ``jet(pts)`` and
-a ``signature()``; disc links also give ``inverse_link()`` and
-``param_map()`` (their linear-in-u family for ball extensions).  Disc and
+A link is any object with ``apply(pts)``, an exact 2-jet ``jet(pts)``, a
+mask ``moves(pts)`` and a ``signature()``; disc links also give
+``inverse_link()`` and ``param_map()`` (their linear-in-u family for ball
+extensions).  ``moves`` may be False only where the analytic jet is
+exactly the identity (value ``pts``, Jacobian I, Hessian 0, bit for bit);
+a chain's mask is the OR of its links' masks.  Disc and
 ball maps are one chain type: ``DiscDiffeo`` and ``BallDiffeo`` share the
 chain base, whose jet starts from the first link's jet and composes every
 later link through ``_jets.compose``, the one chain rule of the package.
@@ -531,6 +534,13 @@ class AngleDisplacement:
             out += np.abs(prof.value(r)) * poly.coeff_l1()
         return out
 
+    def moves(self, pts):
+        """Plane points (2, N) at which some profile is nonzero, and not
+        inside the origin guard: elsewhere a link driven by this
+        displacement is exactly the identity."""
+        r = np.hypot(pts[0], pts[1])
+        return (r >= _LINK_GUARD) & (self.radial_envelope(r) != 0.0)
+
     def scaled(self, c: float) -> "AngleDisplacement":
         return AngleDisplacement([(prof, c * poly)
                                   for prof, poly, _, _ in self.terms])
@@ -595,6 +605,11 @@ def _invert_angle_jets(fwd_jets, psi):
 _LINK_GUARD = 1e-9           # below this radius every angular link is identity
 
 
+def _everywhere(pts):
+    """The ``moves`` mask of a link that may move every point."""
+    return np.ones(np.shape(pts)[1], dtype=bool)
+
+
 class _AngularLinkBase:
     """Shared machinery for radius-preserving links (r,th)->(r, th+A)."""
 
@@ -608,9 +623,8 @@ class _AngularLinkBase:
         if np.min(1.0 + At) <= 0.0:
             raise DomainError("angular link is not orientation-preserving")
 
-    def _active(self, r):
-        """Exact mask of points the link can move (envelope nonzero)."""
-        return (r >= _LINK_GUARD) & (self.displacement.radial_envelope(r) != 0.0)
+    def moves(self, pts):
+        return self.displacement.moves(pts)
 
     def _angle(self, r, th):
         """Image angle of the moved polar nodes (r, th)."""
@@ -624,7 +638,7 @@ class _AngularLinkBase:
     def apply(self, pts):
         x, y = pts
         r = np.hypot(x, y)
-        m = self._active(r)
+        m = self.moves(pts)
         out = pts.copy()
         if np.any(m):
             phi = self._angle(r[m], np.arctan2(y[m], x[m]))
@@ -633,9 +647,7 @@ class _AngularLinkBase:
         return out
 
     def jet(self, pts) -> Jet:
-        x, y = pts
-        r = np.hypot(x, y)
-        m = self._active(r)
+        m = self.moves(pts)
         out = Jet.identity(pts)
         if np.any(m):
             sub = pts[:, m]
@@ -764,6 +776,9 @@ class Rotation:
     def apply(self, pts):
         return self._matrix() @ pts
 
+    def moves(self, pts):
+        return _everywhere(pts)
+
     def jet(self, pts) -> Jet:
         R = self._matrix()
         n = pts.shape[1]
@@ -812,6 +827,9 @@ class FlowMap:
             k4 = self.field.cartesian_value(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return x
+
+    def moves(self, pts):
+        return _everywhere(pts)
 
     def _rhs(self, state):
         rate = compose(Jet(*self.field.cartesian_jet2(state[0])), Jet(*state))
@@ -870,6 +888,15 @@ class _Chain:
         for link in self.links:
             pts = link.apply(pts)
         return pts
+
+    def moves(self, pts):
+        """Exact mask of the nodes where the chain's analytic jet may differ
+        from the identity: the OR of its links' masks at ``pts`` (a link
+        that fixes p hands p on unchanged, so the next link sees p too)."""
+        out = np.zeros(np.shape(pts)[1], dtype=bool)
+        for link in self.links:
+            out |= link.moves(pts)
+        return out
 
     def jet(self, pts, plan: DerivativePlan = ANALYTIC) -> Jet:
         pts = np.asarray(pts, dtype=np.float64)
@@ -992,6 +1019,9 @@ class ParamRotation:
     def __init__(self, alpha: float):
         self.alpha = float(alpha)
 
+    def moves(self, pts):
+        return _everywhere(pts)
+
     def apply(self, u, pts):
         phi = u * self.alpha
         c, s = np.cos(phi), np.sin(phi)
@@ -1048,14 +1078,15 @@ class ParamAngular:
             out[1, m] = r[m] * np.sin(phi)
         return out
 
-    def jet_uxy(self, u, pts) -> Jet:
-        """Jet in (u, x, y); u is a per-point array."""
-        x, y = pts
-        r = np.hypot(x, y)
-        n = pts.shape[1]
+    def moves(self, pts):
         # the u-derivative is A itself, so u = 0 points stay active; only
         # envelope-zero points are exactly the identity in all three slots
-        m = (r >= _LINK_GUARD) & (self.displacement.radial_envelope(r) != 0.0)
+        return self.displacement.moves(pts)
+
+    def jet_uxy(self, u, pts) -> Jet:
+        """Jet in (u, x, y); u is a per-point array."""
+        n = pts.shape[1]
+        m = self.moves(pts)
         # identity default
         val = pts.copy()
         j = np.zeros((2, 3, n))
@@ -1119,6 +1150,9 @@ class ParamFrozen:
     def __init__(self, link):
         self.link = link
 
+    def moves(self, pts):
+        return self.link.moves(pts)
+
     def apply(self, u, pts):
         return self.link.apply(pts)
 
@@ -1147,6 +1181,9 @@ class BallLayerLink:
     def __init__(self, profile, pmap):
         self.profile = profile
         self.pmap = pmap
+
+    def moves(self, pts3):
+        return self.pmap.moves(pts3[1:])
 
     def apply(self, pts3):
         rho = pts3[0]

@@ -216,10 +216,12 @@ def wedge_trace_cube(a):
 # ---------------------------------------------------------------------------
 
 def _fsum_weighted(values, weights):
+    """Exactly rounded sum of the products; the zero ones are left out,
+    which changes nothing (an exactly zero sum comes out +0.0 either way)."""
     prods = np.asarray(values, dtype=np.float64) * weights
     if np.any(~np.isfinite(prods)):
         raise NumericError("non-finite values in quadrature")
-    return math.fsum(prods.tolist())
+    return math.fsum(prods[prods != 0.0].tolist())
 
 
 def integrate_disc(density, grid: DiscGrid) -> float:

@@ -11,10 +11,14 @@ extension construction lives on, at default grids with refinement decay.
 import concurrent.futures
 import json
 import math
+import re
+import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from virbott import cocycle
 from virbott.cocycle import (
     CheckResult,
     CocycleConfig,
@@ -30,6 +34,7 @@ from virbott.cocycle import (
     wz_term,
 )
 from virbott.diffeo import (
+    FD4,
     AlexanderRadial,
     BallDiffeo,
     BumpProfile,
@@ -39,7 +44,9 @@ from virbott.diffeo import (
     PoweredCutoffProfile,
     RadialTwist,
     Rotation,
+    ball_compose,
     ball_extend,
+    conjugated_extension,
     cutoff_make,
     disc_compose,
     disc_invert,
@@ -49,7 +56,13 @@ from virbott.errors import (
     NotBoundaryTrivialError,
     SupportError,
 )
-from virbott.forms import BallGrid, DiscGrid
+from virbott.forms import (
+    BallGrid,
+    DiscGrid,
+    mc_components,
+    wedge_trace_2form,
+    wedge_trace_cube,
+)
 from virbott.trigpoly import TrigPoly
 
 # refined-ladder pin for gamma(ALEX, TW_SHARP) at c0 = 1 (see module docstring)
@@ -160,6 +173,47 @@ def test_gamma_cache_is_deterministic_and_thread_safe():
     assert set(vals) == {first}
 
 
+def test_gamma_cache_evicts_the_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(cocycle, "_GAMMA_CACHE", OrderedDict())
+    monkeypatch.setattr(cocycle, "_GAMMA_CACHE_SIZE", 2)
+    computed = []
+    integrate = cocycle.integrate_disc
+
+    def counting(vals, grid):
+        computed.append(grid)
+        return integrate(vals, grid)
+
+    monkeypatch.setattr(cocycle, "integrate_disc", counting)
+    gamma_m(TW1, ALEX, CFG_SMALL)
+    gamma_m(TW2, ALEX, CFG_SMALL)
+    gamma_m(TW1, ALEX, CFG_SMALL)        # a hit refreshes (TW1, ALEX)
+    assert len(computed) == 2
+    gamma_m(TW3, ALEX, CFG_SMALL)        # evicts the oldest, (TW2, ALEX)
+    assert len(cocycle._GAMMA_CACHE) == 2
+    gamma_m(TW1, ALEX, CFG_SMALL)
+    assert len(computed) == 3
+    gamma_m(TW2, ALEX, CFG_SMALL)
+    assert len(computed) == 4
+
+
+def test_gamma_cache_stays_bounded_under_concurrent_eviction(monkeypatch):
+    monkeypatch.setattr(cocycle, "_GAMMA_CACHE", OrderedDict())
+    monkeypatch.setattr(cocycle, "_GAMMA_CACHE_SIZE", 2)
+    cfg = CocycleConfig(1.0, DiscGrid(8, 16), BallGrid(4, 8))
+    pairs = [(TW1, ALEX), (TW2, ALEX), (TW3, ALEX)]
+    want = [full_gamma_m(g, h, cfg) for g, h in pairs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda i: gamma_m(*pairs[i % 3], cfg),
+                                range(240), timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [want[i % 3] for i in range(240)]
+    assert len(cocycle._GAMMA_CACHE) <= 2
+
+
 # ----------------------------------------------------------------------
 # extension multiplication and the section iota
 # ----------------------------------------------------------------------
@@ -237,6 +291,15 @@ class _LeakyBall(BallDiffeo):
 
 def test_wz_raises_when_integrand_reaches_the_box_edge():
     with pytest.raises(SupportError):
+        wz_term(_LeakyBall(), CFG_SMALL)
+
+
+def test_box_edge_error_names_the_samples_and_the_worst_one():
+    # every sample reads tr(a^3) = 3; the first is the worst one named
+    count = CFG_SMALL.ball_grid.edge_points.shape[1]
+    with pytest.raises(SupportError, match=re.escape(
+            "reaches the box edge (3.000e+00 at rho=0.05, x=1.25, y=-1.25; "
+            f"worst of {count} edge samples)")):
         wz_term(_LeakyBall(), CFG_SMALL)
 
 
@@ -372,3 +435,132 @@ def test_phi_correction_rejects_non_positive_normal_derivative():
     png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
     with pytest.raises(DomainError):
         phi_correction_integral(folded, png, CFG_SMALL)
+
+
+def test_plane_edge_error_names_the_samples_and_the_worst_one():
+    # bumps reaching r = 2 leave the plane box [-1.25, 1.25]^2
+    png = PerturbedNormal(0.10, 2.0, 0.10, 1.0, 0.4)
+    pnh = PerturbedNormal(0.12, 2.0, -0.12, 0.3, -1.0)
+    with pytest.raises(SupportError,
+                       match=r"normal-derivative correction reaches the "
+                             r"plane-box edge \(\S+ at x=\S+, y=\S+; "
+                             r"worst of 260 edge samples\)"):
+        phi_correction_integral(png, pnh, CFG_SMALL)
+
+
+# ----------------------------------------------------------------------
+# integrals over moved nodes only equal full-grid integrals bit for bit
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def cold_gamma(monkeypatch):
+    monkeypatch.setattr(cocycle, "_GAMMA_CACHE", OrderedDict())
+
+
+@pytest.fixture
+def jet_nodes(monkeypatch):
+    """Node counts of every disc and ball chain jet evaluated."""
+    seen = {"disc": [], "ball": []}
+    for key, cls in (("disc", DiscDiffeo), ("ball", BallDiffeo)):
+        def recording(self, pts, plan=cocycle.ANALYTIC, _orig=cls.jet,
+                      _seen=seen[key]):
+            _seen.append(pts.shape[1])
+            return _orig(self, pts, plan)
+        monkeypatch.setattr(cls, "jet", recording)
+    return seen
+
+
+def full_sum(vals, weights):
+    """Every weighted node, zero or not, in one exactly rounded sum."""
+    return math.fsum((vals * weights).tolist())
+
+
+def full_gamma_m(g, h, cfg):
+    grid = cfg.disc_grid
+    vals = wedge_trace_2form(
+        mc_components(g.jet(grid.xy, cfg.plan)),
+        mc_components(disc_invert(h).jet(grid.xy, cfg.plan)))
+    return full_sum(vals, grid.weights)
+
+
+def full_wz(B, cfg):
+    grid = cfg.ball_grid
+    vals = wedge_trace_cube(mc_components(B.jet(grid.nodes, cfg.plan)))
+    return full_sum(vals, grid.weights)
+
+
+def full_w_coboundary(g, h, cfg):
+    pts, w, _ = cocycle._plane_quad(cfg.ball_grid)
+    vals = wedge_trace_2form(
+        mc_components(g.boundary_map().jet(pts, cfg.plan)),
+        mc_components(disc_invert(h.boundary_map()).jet(pts, cfg.plan)))
+    return abs(full_wz(ball_compose(g, h), cfg) - full_wz(g, cfg)
+               - full_wz(h, cfg) - 3.0 * full_sum(vals, w))
+
+
+# TW1, ROT and ALEX are the verify suite's _TW_A, _ROT and _ALEX
+GAMMA_PAIRS = {
+    "twist-alexander": (TW1, ALEX),
+    "alexander-twist": (ALEX, TW_SHARP),
+    "rotation-twist": (ROT, TW1),
+    "alexander-rotation": (ALEX, ROT),
+    "identity-alexander": (DiscDiffeo.identity(), ALEX),
+    "chain-twist": (disc_compose(ALEX, TW1), TW2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_PAIRS))
+def test_masked_gamma_equals_the_full_grid_sum(name, cold_gamma, jet_nodes):
+    g, h = GAMMA_PAIRS[name]
+    assert gamma_m(g, h, CFG_SMALL) == full_gamma_m(g, h, CFG_SMALL)
+
+
+def test_masked_gamma_skips_the_fixed_nodes(cold_gamma, jet_nodes):
+    gamma_m(TW1, ALEX, CFG_SMALL)
+    npts = CFG_SMALL.disc_grid.npts
+    assert jet_nodes["disc"] and max(jet_nodes["disc"]) < npts
+
+
+def ball_maps():
+    return {
+        "twist": ball_extend(TW1, XI),
+        "alexander": ball_extend(ALEX, XI),
+        "rotation": ball_extend(ROT, XI),
+        "identity": ball_extend(DiscDiffeo.identity(), XI),
+        "conj-rotation": conjugated_extension(ROT, TW1, XI),
+        "conj-alexander": conjugated_extension(ALEX, TW1, XI),
+    }
+
+
+@pytest.mark.parametrize("name", ["twist", "alexander", "rotation",
+                                  "identity", "conj-rotation",
+                                  "conj-alexander"])
+def test_masked_wz_equals_the_full_grid_sum(name):
+    B = ball_maps()[name]
+    assert wz_term(B, CFG_SMALL) == full_wz(B, CFG_SMALL)
+
+
+def test_masked_wz_skips_the_fixed_nodes(jet_nodes):
+    wz_term(ball_extend(TW1, XI), CFG_SMALL)
+    # the last call is the interior; the first the box-edge samples
+    assert jet_nodes["ball"][0] == CFG_SMALL.ball_grid.edge_points.shape[1]
+    assert 0 < jet_nodes["ball"][-1] < CFG_SMALL.ball_grid.npts
+
+
+@pytest.mark.parametrize("pair", [("twist", "identity"),
+                                  ("twist", "conj-rotation"),
+                                  ("conj-alexander", "twist"),
+                                  ("alexander", "rotation")])
+def test_masked_w_coboundary_equals_the_full_grid_sums(pair):
+    maps = ball_maps()
+    g, h = maps[pair[0]], maps[pair[1]]
+    assert w_coboundary_residual(g, h, CFG_SMALL) \
+        == full_w_coboundary(g, h, CFG_SMALL)
+
+
+def test_fd4_plan_integrates_every_node(cold_gamma, jet_nodes):
+    # a stencil at a fixed node can reach into the support
+    cfg = CocycleConfig(1.0, DiscGrid(16, 32), BallGrid(6, 12), plan=FD4)
+    val = gamma_m(TW1, ALEX, cfg)
+    assert jet_nodes["disc"] == [cfg.disc_grid.npts] * 2
+    assert val == full_gamma_m(TW1, ALEX, cfg)

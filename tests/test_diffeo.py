@@ -563,3 +563,116 @@ def test_alternative_profiles_give_same_boundary():
     assert np.max(np.abs(B1.apply(top) - B2.apply(top))) < 1e-13
     mid = np.concatenate([np.full((1, 30), 0.5), pts2])
     assert np.max(np.abs(B1.apply(mid) - B2.apply(mid))) > 1e-4
+
+
+# ----------------------------------------------------------------------
+# moves masks: False only where the analytic jet is exactly the identity
+# ----------------------------------------------------------------------
+
+def straddling_points(edges, n_theta=12):
+    """Plane points on circles at, just inside and just outside each radius
+    of ``edges``, plus the origin, a sub-guard radius and a coarse sweep."""
+    radii = [0.0, 1e-10] + list(np.linspace(0.0, 1.3, 27))
+    for e in edges:
+        radii += [e * (1 - 1e-12), e, e * (1 + 1e-12), e * (1 - 1e-6),
+                  e * (1 + 1e-6), e - 0.01, e + 0.01]
+    th = np.arange(n_theta) * (2 * math.pi / n_theta) + 0.1
+    return np.concatenate([np.stack([r * np.cos(th), r * np.sin(th)])
+                           for r in radii], axis=1)
+
+
+def assert_identity_outside_mask(m, moves, pts):
+    """Bitwise identity jet of the map ``m`` at every node that ``moves``
+    leaves out, where ``m.apply`` fixes the node too."""
+    still = ~moves
+    d = pts.shape[0]
+    assert np.array_equal(m.apply(pts)[:, still], pts[:, still])
+    jet = m.jet(pts)
+    assert np.array_equal(jet.x[:, still], pts[:, still])
+    assert np.array_equal(jet.j[:, :, still],
+                          np.broadcast_to(np.eye(d)[:, :, None],
+                                          (d, d, int(still.sum()))))
+    assert np.all(jet.h[:, :, :, still] == 0.0)
+
+
+# edges of the links of every_disc_link(): the Alexander cutoff window is
+# [0.2, 0.9], the twist bump lives on [0.3, 0.75]
+MASK_EDGES = (0.2, 0.3, 0.75, 0.9)
+
+
+@pytest.mark.parametrize("name", ["rotation", "alexander", "twist",
+                                  "inverse", "displacement", "flow"])
+def test_disc_link_masks_are_exact(name):
+    link = every_disc_link()[name]
+    pts = straddling_points(MASK_EDGES)
+    if name == "flow":
+        # a flow moves every node, and its field's jet refuses the origin
+        pts = pts[:, np.hypot(pts[0], pts[1]) > 0.0]
+    moves = link.moves(pts)
+    assert moves.dtype == bool and moves.shape == (pts.shape[1],)
+    if name in ("rotation", "flow"):
+        assert moves.all()
+    else:
+        # the grid sees both sides of the support edge
+        assert moves.any() and not moves.all()
+    assert_identity_outside_mask(link, moves, pts)
+    if hasattr(link, "displacement"):
+        # the true map is the identity there, not only the masked jet
+        r = np.hypot(pts[0], pts[1])[~moves]
+        th = np.arctan2(pts[1], pts[0])[~moves]
+        off = r >= 1e-9
+        for part in link.displacement.jets(r[off], th[off]):
+            assert np.all(part == 0.0)
+
+
+def test_chain_mask_is_the_or_of_its_links():
+    links = every_disc_link()
+    twist, alexander = links["twist"], links["alexander"]
+    pts = straddling_points(MASK_EDGES)
+    chain = DiscDiffeo((twist, alexander.inverse_link(), twist))
+    moves = chain.moves(pts)
+    assert np.array_equal(moves, twist.moves(pts) | alexander.moves(pts))
+    assert_identity_outside_mask(chain, moves, pts)
+    assert not DiscDiffeo.identity().moves(pts).any()
+    with_rotation = DiscDiffeo((twist, links["rotation"]))
+    assert with_rotation.moves(pts).all()
+
+
+def ball_mask_points():
+    """(rho, x, y) nodes: the straddling plane points on layers where the
+    cutoff profile below is zero, rising and one."""
+    plane = straddling_points(MASK_EDGES, n_theta=8)
+    n = plane.shape[1]
+    return np.concatenate([
+        np.concatenate([np.full((1, n), rho), plane])
+        for rho in (0.0, 0.1, 0.2, 0.5, 0.95, 1.0)], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["angular", "rotation", "frozen"])
+def test_ball_layer_masks_are_exact(kind):
+    alexander = every_disc_link()["alexander"]
+    pmap = {"angular": alexander.param_map(),
+            "rotation": Rotation(0.6).param_map(),
+            "frozen": ParamFrozen(alexander)}[kind]
+    layer = BallLayerLink(CutoffProfile(cutoff_make(0.15, 0.1)), pmap)
+    pts3 = ball_mask_points()
+    moves = layer.moves(pts3)
+    assert np.array_equal(moves, pmap.moves(pts3[1:]))
+    if kind == "rotation":
+        assert moves.all()
+    else:
+        assert moves.any() and not moves.all()
+    assert_identity_outside_mask(layer, moves, pts3)
+    B = BallDiffeo((layer, layer))
+    assert np.array_equal(B.moves(pts3), moves)
+    assert_identity_outside_mask(B, moves, pts3)
+
+
+def test_conjugated_extension_mask_is_exact():
+    alexander = every_disc_link()["alexander"]
+    B = conjugated_extension(DiscDiffeo.from_link(alexander),
+                             sample_sphere_map(), cutoff_make(0.2, 0.1))
+    pts3 = ball_mask_points()
+    moves = B.moves(pts3)
+    assert moves.any() and not moves.all()
+    assert_identity_outside_mask(B, moves, pts3)
