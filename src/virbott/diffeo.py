@@ -20,12 +20,21 @@ mask ``moves(pts)`` and a ``signature()``; disc links also give
 ``inverse_link()`` and ``param_map()`` (their linear-in-u family for ball
 extensions).  ``moves`` may be False only where the analytic jet is
 exactly the identity (value ``pts``, Jacobian I, Hessian 0, bit for bit);
-a chain's mask is the OR of its links' masks.  Disc and
-ball maps are one chain type: ``DiscDiffeo`` and ``BallDiffeo`` share the
-chain base, whose jet starts from the first link's jet and composes every
-later link through ``_jets.compose``, the one chain rule of the package.
-A finite-difference plan (FD4) provides an independent derivative path
-for cross-validation.
+a chain's mask is the OR of its links' masks.  Disc and ball maps are one
+chain type: ``DiscDiffeo`` and ``BallDiffeo`` share the chain base.
+
+Every link but a flow preserves the radius (and rho in the ball) and moves
+only the angle.  Such a link gives ``radial_moves(r)``, its mask as a
+function of the plane radius, and the angle hook ``angle_jet(*base, th)``:
+its image angle phi with the partials in (r, theta) on the disc or
+(rho, r, theta) in the ball.  A chain's analytic jet splits its links into
+maximal runs of radius-preserving links and single flows.  A run is one
+pass of the angle-jet engine below: one scalar angle jet carried through
+every link by the scalar chain rule, and one conversion to Cartesian
+coordinates.  Runs and flows are composed through ``_jets.compose``.  A
+run of one link, so a one-link chain too, is that link's own ``jet``,
+which is the engine on that link.  A finite-difference plan (FD4)
+provides an independent derivative path for cross-validation.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from .errors import (
     NotBoundaryTrivialError,
     UnsupportedError,
 )
-from .trigpoly import TrigPoly, tp_derivative
+from .trigpoly import TrigPoly, TrigStack, tp_derivative
 
 _TWO_PI = 2.0 * math.pi
 
@@ -328,9 +337,13 @@ class CircleDiffeoLift:
         if periodic_part.is_complex:
             raise DomainError("circle map data must be real")
         dp = tp_derivative(periodic_part)
-        if np.min(1.0 + dp(_ORIENT_SAMPLES)) <= 0.0:
-            raise DomainError("circle map is not orientation-preserving "
-                              "(1 + p' <= 0 somewhere)")
+        slope = 1.0 + dp(_ORIENT_SAMPLES)
+        k = int(np.argmin(slope))
+        if slope[k] <= 0.0:
+            raise DomainError(
+                f"circle map is not orientation-preserving (min 1 + p' = "
+                f"{slope[k]:.3e} at theta={_ORIENT_SAMPLES[k]:.4g}; worst of "
+                f"{slope.size} samples)")
         self.winding_offset = int(winding_offset)
         self.periodic_part = periodic_part
         self._dp = dp
@@ -356,9 +369,10 @@ class CircleDiffeoLift:
                 self.periodic_part.signature())
 
 
-def solve_increasing(residual, slope, x, lo, hi, tol=1e-12, max_iter=200,
+def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
                      what="root solve"):
-    """Per-node root of an increasing ``residual`` inside [lo, hi], vectorized.
+    """Per-node root of an increasing function inside [lo, hi], vectorized;
+    ``residual(x)`` returns its values and slopes at x.
 
     Safeguarded Newton from the seed ``x`` (which must lie in the bracket):
     each residual sign narrows the bracket, and a node whose Newton step
@@ -367,17 +381,17 @@ def solve_increasing(residual, slope, x, lo, hi, tol=1e-12, max_iter=200,
     (x, newton_iterations, bisected_node_steps); raises ConvergenceError if
     some |residual| still exceeds ``tol`` after ``max_iter`` iterations.
     """
-    res = residual(x)
+    res, slope = residual(x)
     iters = bisected = 0
     while iters < max_iter and not np.all(np.abs(res) <= tol):
         iters += 1
         hi = np.where(res > 0.0, x, hi)
         lo = np.where(res < 0.0, x, lo)
-        step = x - res / slope(x)
+        step = x - res / slope
         inside = (step >= lo) & (step <= hi)      # False on NaN steps too
         bisected += int(np.count_nonzero(~inside))
         x = np.where(inside, step, 0.5 * (lo + hi))
-        res = residual(x)
+        res, slope = residual(x)
     above = ~(np.abs(res) <= tol)
     if np.any(above):
         raise ConvergenceError(
@@ -401,7 +415,7 @@ def circle_invert(lift: CircleDiffeoLift, theta, tol: float = 1e-12,
     p = lift.periodic_part
     s = t - _TWO_PI * lift.winding_offset
     bound = p.coeff_l1() + 1.0
-    x, _, _ = solve_increasing(lambda x: lift.value(x) - t, lift.d1,
+    x, _, _ = solve_increasing(lambda x: (lift.value(x) - t, lift.d1(x)),
                                s - p(s), s - bound, s + bound, tol, max_iter,
                                "circle inversion")
     return float(x[0]) if scalar else x
@@ -474,49 +488,51 @@ def plan_from_name(name: str) -> DerivativePlan:
 # ---------------------------------------------------------------------------
 
 class AngleDisplacement:
-    """A(r, theta) = sum_k profile_k(r) poly_k(theta) with exact polar jets."""
+    """A(r, theta) = sum_k profile_k(r) poly_k(theta) with exact polar jets.
 
-    __slots__ = ("terms", "support_min")
+    Every evaluation reads the polynomials and their theta-derivatives off
+    one shared cos/sin table (:class:`~virbott.trigpoly.TrigStack`); the
+    coefficient L1 norms behind the envelope are taken once, here.
+    """
+
+    __slots__ = ("terms", "support_min", "_polys", "_l1")
 
     def __init__(self, terms):
-        self.terms = tuple((prof, poly, tp_derivative(poly),
-                            tp_derivative(tp_derivative(poly)))
-                           for prof, poly in terms)
-        self.support_min = min((prof.support[0] for prof, *_ in self.terms),
+        self.terms = tuple((prof, poly) for prof, poly in terms)
+        self._polys = TrigStack(poly for _, poly in self.terms)
+        self._l1 = tuple(poly.coeff_l1() for _, poly in self.terms)
+        self.support_min = min((prof.support[0] for prof, _ in self.terms),
                                default=np.inf)
 
     def weights(self, r):
         """Profile values profile_k(r), one per term."""
-        return [prof.value(r) for prof, *_ in self.terms]
+        return [prof.value(r) for prof, _ in self.terms]
 
     def value(self, r, th, weights=None):
         """A(r, th); pass ``weights(r)`` to reuse profile values."""
         if weights is None:
             weights = self.weights(r)
         out = np.zeros(np.broadcast(r, th).shape)
-        for w, (_, poly, _, _) in zip(weights, self.terms):
-            out = out + w * poly(th)
+        for w, g in zip(weights, self._polys(th, (0,))[0]):
+            out = out + w * g
         return out
 
-    def theta_slope(self, weights, th):
-        """1 + A_theta(r, th) for the profile ``weights`` at r."""
-        out = np.ones(np.shape(th))
-        for w, (_, _, dpoly, _) in zip(weights, self.terms):
-            out = out + w * dpoly(th)
-        return out
+    def value_and_slope(self, weights, th):
+        """A and 1 + A_theta at th for the profile ``weights`` at r, read
+        off one table."""
+        value = np.zeros(np.shape(th))
+        slope = np.ones(np.shape(th))
+        for w, g0, g1 in zip(weights, *self._polys(th, (0, 1))):
+            value = value + w * g0
+            slope = slope + w * g1
+        return value, slope
 
     def jets(self, r, th):
         """Return (A, A_r, A_th, A_rr, A_rth, A_thth), each shaped like r."""
-        shape = np.broadcast(r, th).shape
-        A = np.zeros(shape)
-        Ar = np.zeros(shape)
-        At = np.zeros(shape)
-        Arr = np.zeros(shape)
-        Art = np.zeros(shape)
-        Att = np.zeros(shape)
-        for prof, poly, dpoly, ddpoly in self.terms:
+        out = np.zeros((6,) + np.broadcast(r, th).shape)
+        A, Ar, At, Arr, Art, Att = out
+        for (prof, _), g0, g1, g2 in zip(self.terms, *self._polys(th)):
             f0, f1, f2 = prof.value(r), prof.d1(r), prof.d2(r)
-            g0, g1, g2 = poly(th), dpoly(th), ddpoly(th)
             A += f0 * g0
             Ar += f1 * g0
             At += f0 * g1
@@ -525,62 +541,68 @@ class AngleDisplacement:
             Att += f0 * g2
         return A, Ar, At, Arr, Art, Att
 
-    def radial_envelope(self, r):
+    def radial_envelope(self, r, weights=None):
         """Pointwise bound sum_k |profile_k(r)| * ||poly_k||_1; exactly zero
         wherever every term's profile vanishes identically, so it doubles as
         an exact identity mask for the link."""
+        if weights is None:
+            weights = self.weights(r)
         out = np.zeros_like(np.asarray(r, dtype=np.float64))
-        for prof, poly, _, _ in self.terms:
-            out += np.abs(prof.value(r)) * poly.coeff_l1()
+        for w, l1 in zip(weights, self._l1):
+            out += np.abs(w) * l1
         return out
 
-    def moves(self, pts):
-        """Plane points (2, N) at which some profile is nonzero, and not
-        inside the origin guard: elsewhere a link driven by this
-        displacement is exactly the identity."""
-        r = np.hypot(pts[0], pts[1])
+    def radial_moves(self, r):
+        """Radii at which some profile is nonzero, outside the origin
+        guard: elsewhere a link driven by this displacement is exactly the
+        identity."""
         return (r >= _LINK_GUARD) & (self.radial_envelope(r) != 0.0)
 
     def scaled(self, c: float) -> "AngleDisplacement":
         return AngleDisplacement([(prof, c * poly)
-                                  for prof, poly, _, _ in self.terms])
+                                  for prof, poly in self.terms])
 
     def signature(self):
         return ("displacement",) + tuple(
             (prof.signature(), poly.signature())
-            for prof, poly, _, _ in self.terms)
+            for prof, poly in self.terms)
 
 
-def _phi_output_jet(r, phi, dphi, d2phi, ir):
-    """Jet of (X, Y) = (r cos phi, r sin phi) in m variables.
+def _phi_output_jet(r, phi, dphi, d2phi):
+    """Jet of (X, Y) = (r cos phi, r sin phi) in the m variables of an angle
+    jet, (r, t) on the disc and (rho, r, t) in the ball.
 
     ``dphi`` is a list of m first partials of phi, ``d2phi`` an m x m nested
-    list of second partials; variable number ``ir`` is r itself (so dr/dv is
-    the Kronecker delta on ir).
+    list of second partials; variable number m - 2 is r itself (so dr/dv is
+    the Kronecker delta on it).
     """
     m = len(dphi)
+    ir = m - 2
     n = r.shape[0]
     c = np.cos(phi)
     s = np.sin(phi)
     X = r * c
     Y = r * s
     j = np.empty((2, m, n))
-    for v in range(m):
-        rv = 1.0 if v == ir else 0.0
-        j[0, v] = rv * c - r * s * dphi[v]
-        j[1, v] = rv * s + r * c * dphi[v]
     h = np.empty((2, m, m, n))
     for v in range(m):
-        rv = 1.0 if v == ir else 0.0
+        j[0, v] = -Y * dphi[v]
+        j[1, v] = X * dphi[v]
         for w in range(v, m):
-            rw = 1.0 if w == ir else 0.0
-            pv, pw, pvw = dphi[v], dphi[w], d2phi[v][w]
-            h[0, v, w] = (-rv * s * pw - rw * s * pv
-                          - r * c * pv * pw - r * s * pvw)
-            h[1, v, w] = (rv * c * pw + rw * c * pv
-                          - r * s * pv * pw + r * c * pvw)
-            h[0, w, v] = h[0, v, w]
-            h[1, w, v] = h[1, v, w]
+            pp = dphi[v] * dphi[w]
+            h[0, v, w] = -X * pp - Y * d2phi[v][w]
+            h[1, v, w] = -Y * pp + X * d2phi[v][w]
+    # the r-derivative of the factor r
+    j[0, ir] += c
+    j[1, ir] += s
+    for w in range(m):
+        twice = 2.0 if w == ir else 1.0
+        a, b = min(ir, w), max(ir, w)
+        h[0, a, b] -= twice * s * dphi[w]
+        h[1, a, b] += twice * c * dphi[w]
+    for v in range(m):
+        for w in range(v + 1, m):
+            h[:, w, v] = h[:, v, w]
     return Jet(np.stack([X, Y]), j, h)
 
 
@@ -589,8 +611,8 @@ def _invert_angle_jets(fwd_jets, psi):
 
     Given the forward map Phi(r, theta) = theta + A and the solved preimage
     angle psi (so Phi(r, psi) = t), return the first and second partials of
-    psi in (r, t), laid out as in :func:`_phi_output_jet`.  ``fwd_jets`` are
-    the displacement jets evaluated at (r, psi).
+    psi in (r, t), laid out as an angle hook returns them.  ``fwd_jets``
+    are the displacement jets evaluated at (r, psi).
     """
     A, Ar, At, Arr, Art, Att = fwd_jets
     Pt = 1.0 + At            # dPhi/dtheta at (r, psi)
@@ -610,55 +632,254 @@ def _everywhere(pts):
     return np.ones(np.shape(pts)[1], dtype=bool)
 
 
-class _AngularLinkBase:
-    """Shared machinery for radius-preserving links (r,th)->(r, th+A)."""
+# ---------------------------------------------------------------------------
+# the angle-jet engine of radius-preserving links
+# ---------------------------------------------------------------------------
+#
+# A run of radius-preserving links keeps r (and rho) and moves the angle
+# alone, so the run's jet is carried as one scalar angle jet Theta over the
+# variables (r, t) on the disc or (rho, r, t) in the ball, t being the input
+# angle.  Entries are arrays, the float 1.0, or None for an exact zero.
+# Each link's ``angle_jet`` hook gives its image angle phi with the partials
+# in (base..., theta), and the scalar chain rule
+#
+#     Theta'_a  = phi_a + phi_th Theta_a
+#     Theta'_ab = phi_ab + phi_ath Theta_b + phi_bth Theta_a
+#                 + phi_thth Theta_a Theta_b + phi_th Theta_ab
+#
+# (phi_a = 0 for a = t) advances it.  The run goes Cartesian once, through
+# the polar chart; below _LINK_GUARD only rotations act and the chart is
+# singular, so there the exact rotation jet is built instead.
+
+def _add(*terms):
+    """Sum of angle-jet entries; None (an exact zero) terms drop out."""
+    terms = [t for t in terms if t is not None]
+    if not terms:
+        return None
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+def _mul(*factors):
+    """Product of angle-jet entries: None if any factor is None, and a
+    factor 1.0 is skipped."""
+    if any(f is None for f in factors):
+        return None
+    factors = [f for f in factors if not (isinstance(f, float) and f == 1.0)]
+    if not factors:
+        return 1.0
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+def _angle_step(link_jet, grad, hess):
+    """Advance the angle jet (grad, hess over m variables) through one link
+    whose hook returned ``link_jet`` = (phi, dphi, d2phi)."""
+    phi, dphi, d2phi = link_jet
+    m = len(grad)
+    direct = list(dphi[:-1]) + [None]           # phi_a; none for a = t
+    mixed = [d2phi[a][-1] for a in range(m - 1)] + [None]
+    p_t, p_tt = dphi[-1], d2phi[-1][-1]
+    new_grad = [_add(direct[a], _mul(p_t, grad[a])) for a in range(m)]
+    new_hess = {}
+    for a in range(m):
+        for b in range(a, m):
+            own = d2phi[a][b] if b < m - 1 else None
+            new_hess[a, b] = _add(own, _mul(mixed[a], grad[b]),
+                                  _mul(mixed[b], grad[a]),
+                                  _mul(p_tt, grad[a], grad[b]),
+                                  _mul(p_t, hess[a, b]))
+    return phi, new_grad, new_hess
+
+
+def _take(entry, idx):
+    return entry[idx] if isinstance(entry, np.ndarray) else entry
+
+
+def _put(entry, idx, sub, n):
+    """``entry`` over n nodes with ``sub`` written at ``idx``."""
+    if sub is None:
+        return entry                              # then entry is None too
+    full = (np.full(n, 0.0 if entry is None else entry)
+            if not isinstance(entry, np.ndarray) else entry.copy())
+    full[idx] = sub
+    return full
+
+
+def _angle_run(links, masks, base, theta):
+    """The angle jet (theta, grad, hess) after ``links`` at the nodes with
+    base coordinates ``base`` (r, or rho and r) and start angle ``theta``;
+    a link acts only where its mask is True."""
+    m = len(base) + 1
+    grad = [None] * (m - 1) + [1.0]
+    hess = {(a, b): None for a in range(m) for b in range(a, m)}
+    n = theta.size
+    for link, mask in zip(links, masks):
+        if mask.all():
+            theta, grad, hess = _angle_step(link.angle_jet(*base, theta),
+                                            grad, hess)
+        elif mask.any():
+            idx = np.flatnonzero(mask)
+            sub_th, sub_g, sub_h = _angle_step(
+                link.angle_jet(*(b[idx] for b in base), theta[idx]),
+                [_take(e, idx) for e in grad],
+                {k: _take(e, idx) for k, e in hess.items()})
+            theta = _put(theta, idx, sub_th, n)
+            grad = [_put(e, idx, s, n) for e, s in zip(grad, sub_g)]
+            hess = {k: _put(e, idx, sub_h[k], n) for k, e in hess.items()}
+    return theta, grad, hess
+
+
+def _as_array(entry):
+    return 0.0 if entry is None else entry
+
+
+def _polar_nodes_jet(pts, r, theta, grad, hess) -> Jet:
+    """Cartesian jet at nodes away from the origin of the map with angle jet
+    (theta, grad, hess): X = r cos theta, Y = r sin theta composed with the
+    polar chart; the rho row of a ball jet is exact."""
+    m = len(grad)
+    dphi = [_as_array(g) for g in grad]
+    d2phi = [[_as_array(hess[min(a, b), max(a, b)]) for b in range(m)]
+             for a in range(m)]
+    planar = _phi_output_jet(r, theta, dphi, d2phi)
+    chart = polar_chart_jet(pts[-2], pts[-1])
+    if m == 2:
+        return compose(planar, chart)
+    # rho passes the chart unchanged: compose the (r, t) block, and turn
+    # the mixed rho partials by the chart's Jacobian
+    xy = compose(Jet(planar.x, planar.j[:, 1:], planar.h[:, 1:, 1:]), chart)
+    n = r.shape[0]
+    j = np.zeros((3, 3, n))
+    j[0, 0] = 1.0
+    j[1:, 0] = planar.j[:, 0]
+    j[1:, 1:] = xy.j
+    h = np.zeros((3, 3, 3, n))
+    h[1:, 0, 0] = planar.h[:, 0, 0]
+    h[1:, 0, 1:] = np.einsum("iln,lbn->ibn", planar.h[:, 0, 1:], chart.j)
+    h[1:, 1:, 0] = h[1:, 0, 1:]
+    h[1:, 1:, 1:] = xy.h
+    return Jet(np.concatenate([pts[:1], xy.x]), j, h)
+
+
+def _rotation_nodes_jet(pts, angle, grad, hess) -> Jet:
+    """Exact jet of p -> R(angle) p, with angle a function of rho alone
+    in the ball (grad[0], hess[0, 0] its derivatives): what a run of
+    rotations does at nodes inside the origin guard."""
+    d, n = pts.shape
+    c, s = np.cos(angle), np.sin(angle)
+    x, y = pts[-2], pts[-1]
+    X, Y = c * x - s * y, s * x + c * y
+    j = np.zeros((d, d, n))
+    h = np.zeros((d, d, d, n))
+    j[-2, -2], j[-2, -1], j[-1, -2], j[-1, -1] = c, -s, s, c
+    if d == 3:
+        a1, a2 = _as_array(grad[0]), _as_array(hess[0, 0])
+        j[0, 0] = 1.0
+        j[1, 0], j[2, 0] = -a1 * Y, a1 * X
+        h[1, 0, 0] = -a2 * Y - a1 * a1 * X
+        h[2, 0, 0] = a2 * X - a1 * a1 * Y
+        h[1, 0, 1] = h[1, 1, 0] = -a1 * s
+        h[2, 0, 1] = h[2, 1, 0] = a1 * c
+        h[1, 0, 2] = h[1, 2, 0] = -a1 * c
+        h[2, 0, 2] = h[2, 2, 0] = -a1 * s
+    x_out = np.stack([X, Y]) if d == 2 else np.stack([pts[0], X, Y])
+    return Jet(x_out, j, h)
+
+
+def _polar_run_jet(links, pts) -> Jet:
+    """Jet at ``pts`` (d, N) of a run of radius-preserving links.
+
+    The plane radius is taken once and every link's mask read off it.  Only
+    nodes some link moves are evaluated; the others keep the identity jet,
+    so the ``moves`` contract holds bit for bit.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    r = np.hypot(pts[-2], pts[-1])
+    masks = [link.radial_moves(r) for link in links]
+    moved = np.logical_or.reduce(masks)
+    out = Jet.identity(pts)
+    if not moved.any():
+        return out
+    polar = moved & (r >= _LINK_GUARD)
+    for sel, away in ((polar, True), (moved & ~polar, False)):
+        if not sel.any():
+            continue
+        whole = sel.all()
+        sub = pts if whole else pts[:, sel]
+        sub_r = r if whole else r[sel]
+        base = (sub[0], sub_r) if pts.shape[0] == 3 else (sub_r,)
+        start = np.arctan2(sub[-1], sub[-2]) if away else np.zeros(sub_r.size)
+        theta, grad, hess = _angle_run(
+            links, [mk if whole else mk[sel] for mk in masks], base, start)
+        if away:
+            jet = _polar_nodes_jet(sub, sub_r, theta, grad, hess)
+        else:
+            jet = _rotation_nodes_jet(sub, theta, grad, hess)
+        if whole:
+            return jet
+        out.x[:, sel] = jet.x
+        out.j[:, :, sel] = jet.j
+        out.h[:, :, :, sel] = jet.h
+    return out
+
+
+class _PolarLink:
+    """Base of the radius-preserving links: they keep the plane radius r
+    (and rho) and move only the angle.  A subclass gives
+    ``radial_moves(r)``, its mask as a function of r, and the angle hook
+    ``angle_jet(*base, th)`` -> (phi, dphi, d2phi) over the variables
+    (base..., theta); its jet is the angle-jet engine on the one link."""
+
+    def moves(self, pts):
+        return self.radial_moves(np.hypot(pts[-2], pts[-1]))
+
+    def jet(self, pts) -> Jet:
+        return _polar_run_jet((self,), pts)
+
+
+class _AngularLinkBase(_PolarLink):
+    """Shared machinery for the links (r, th) -> (r, th + A(r, th))."""
 
     displacement: AngleDisplacement
 
     def _check_orientation(self):
         rs = np.linspace(max(self.displacement.support_min, 1e-3), 1.2, 64)
         ths = np.linspace(0.0, _TWO_PI, 128, endpoint=False)
-        R, T = np.meshgrid(rs, ths, indexing="ij")
-        _, _, At, *_ = self.displacement.jets(R.ravel(), T.ravel())
-        if np.min(1.0 + At) <= 0.0:
-            raise DomainError("angular link is not orientation-preserving")
+        R, T = (g.ravel() for g in np.meshgrid(rs, ths, indexing="ij"))
+        _, slope = self.displacement.value_and_slope(
+            self.displacement.weights(R), T)
+        k = int(np.argmin(slope))
+        if slope[k] <= 0.0:
+            raise DomainError(
+                f"angular link is not orientation-preserving (min 1 + A_theta "
+                f"= {slope[k]:.3e} at r={R[k]:.4g}, theta={T[k]:.4g}; worst "
+                f"of {slope.size} samples)")
 
-    def moves(self, pts):
-        return self.displacement.moves(pts)
+    def radial_moves(self, r):
+        return self.displacement.radial_moves(r)
 
     def _angle(self, r, th):
         """Image angle of the moved polar nodes (r, th)."""
         return th + self.displacement.value(r, th)
 
-    def _angle_jets(self, r, th):
-        """Image angle with its (r, th) partials, as _phi_output_jet takes."""
+    def angle_jet(self, r, th):
         A, Ar, At, Arr, Art, Att = self.displacement.jets(r, th)
         return th + A, [Ar, 1.0 + At], [[Arr, Art], [Art, Att]]
 
     def apply(self, pts):
         x, y = pts
         r = np.hypot(x, y)
-        m = self.moves(pts)
+        m = self.radial_moves(r)
         out = pts.copy()
         if np.any(m):
             phi = self._angle(r[m], np.arctan2(y[m], x[m]))
             out[0, m] = r[m] * np.cos(phi)
             out[1, m] = r[m] * np.sin(phi)
-        return out
-
-    def jet(self, pts) -> Jet:
-        m = self.moves(pts)
-        out = Jet.identity(pts)
-        if np.any(m):
-            sub = pts[:, m]
-            chart = polar_chart_jet(sub[0], sub[1])
-            rm, thm = chart.x
-            phi, dphi, d2phi = self._angle_jets(rm, thm)
-            polar_out = _phi_output_jet(rm, phi, dphi, d2phi, ir=0)
-            full = compose(polar_out, chart)
-            out.x[:, m] = full.x
-            out.j[:, :, m] = full.j
-            out.h[:, :, :, m] = full.h
         return out
 
     def param_map(self):
@@ -735,19 +956,20 @@ class InverseAngular(_AngularLinkBase):
         """
         disp = self.displacement
         w = disp.weights(r)
-        bound = 1.0
-        for wk, (_, poly, _, _) in zip(w, disp.terms):
-            bound = bound + np.abs(wk) * poly.coeff_l1()
+        bound = 1.0 + disp.radial_envelope(r, w)
+
+        def residual(psi):
+            value, slope = disp.value_and_slope(w, psi)
+            return psi + value - t, slope
+
         return solve_increasing(
-            lambda psi: psi + disp.value(r, psi, w) - t,
-            lambda psi: disp.theta_slope(w, psi),
-            t - disp.value(r, t, w), t - bound, t + bound, tol, max_iter,
-            "angle inversion")
+            residual, t - disp.value(r, t, w), t - bound, t + bound, tol,
+            max_iter, "angle inversion")
 
     def _angle(self, r, t):
         return self._solve(r, t)[0]
 
-    def _angle_jets(self, r, t):
+    def angle_jet(self, r, t):
         psi = self._angle(r, t)
         return (psi,) + _invert_angle_jets(self.displacement.jets(r, psi), psi)
 
@@ -762,7 +984,8 @@ class InverseAngular(_AngularLinkBase):
 
 
 class Rotation:
-    """Rigid rotation of the plane by alpha (exact jets everywhere)."""
+    """Rigid rotation of the plane by alpha (exact jets everywhere); in a
+    run of radius-preserving links it shifts the angle by alpha."""
 
     __slots__ = ("alpha",)
 
@@ -778,6 +1001,12 @@ class Rotation:
 
     def moves(self, pts):
         return _everywhere(pts)
+
+    def radial_moves(self, r):
+        return np.ones(r.shape, dtype=bool)
+
+    def angle_jet(self, r, th):
+        return th + self.alpha, [None, 1.0], [[None, None], [None, None]]
 
     def jet(self, pts) -> Jet:
         R = self._matrix()
@@ -892,21 +1121,43 @@ class _Chain:
     def moves(self, pts):
         """Exact mask of the nodes where the chain's analytic jet may differ
         from the identity: the OR of its links' masks at ``pts`` (a link
-        that fixes p hands p on unchanged, so the next link sees p too)."""
+        that fixes p hands p on unchanged, so the next link sees p too).
+        The radius-preserving links read theirs off one plane radius."""
         out = np.zeros(np.shape(pts)[1], dtype=bool)
+        r = None
         for link in self.links:
-            out |= link.moves(pts)
+            if hasattr(link, "radial_moves"):
+                if r is None:
+                    r = np.hypot(pts[-2], pts[-1])
+                out |= link.radial_moves(r)
+            else:
+                out |= link.moves(pts)
         return out
+
+    def _runs(self):
+        """The links split into maximal runs of radius-preserving links
+        (those with an angle hook) and single other links."""
+        runs = []
+        for link in self.links:
+            if (runs and hasattr(link, "angle_jet")
+                    and hasattr(runs[-1][-1], "angle_jet")):
+                runs[-1].append(link)
+            else:
+                runs.append([link])
+        return runs
 
     def jet(self, pts, plan: DerivativePlan = ANALYTIC) -> Jet:
         pts = np.asarray(pts, dtype=np.float64)
         if plan.kind == "analytic":
-            if not self.links:
-                return Jet.identity(pts)
-            current = self.links[0].jet(pts)
-            for link in self.links[1:]:
-                current = compose(link.jet(current.x), current)
-            return current
+            # a run of radius-preserving links is one angle-jet pass; a
+            # one-link run is that link's own jet
+            current = None
+            for run in self._runs():
+                x = pts if current is None else current.x
+                step = run[0].jet(x) if len(run) == 1 else \
+                    _polar_run_jet(run, x)
+                current = step if current is None else compose(step, current)
+            return Jet.identity(pts) if current is None else current
         step = plan.fd_rel_step
         d, n = pts.shape
         J = fd4_jacobian(self.apply, pts, step)
@@ -1022,32 +1273,22 @@ class ParamRotation:
     def moves(self, pts):
         return _everywhere(pts)
 
+    def radial_moves(self, r):
+        return np.ones(r.shape, dtype=bool)
+
     def apply(self, u, pts):
         phi = u * self.alpha
         c, s = np.cos(phi), np.sin(phi)
         x, y = pts
         return np.stack([c * x - s * y, s * x + c * y])
 
-    def jet_uxy(self, u, pts) -> Jet:
+    def angle_jet(self, u, r, th):
+        """phi = th + u alpha with u = c(rho): ``u`` is (c, c', c'')."""
+        c0, c1, c2 = u
         a = self.alpha
-        phi = u * a
-        c, s = np.cos(phi), np.sin(phi)
-        x, y = pts
-        n = pts.shape[1]
-        val = np.stack([c * x - s * y, s * x + c * y])
-        # d/du rotates by 90 degrees and scales by alpha
-        du = a * np.stack([-s * x - c * y, c * x - s * y])
-        j = np.empty((2, 3, n))
-        j[:, 0] = du
-        j[0, 1], j[0, 2] = c, -s
-        j[1, 1], j[1, 2] = s, c
-        h = np.zeros((2, 3, 3, n))
-        h[:, 0, 0] = -a * a * val
-        h[0, 0, 1] = h[0, 1, 0] = -a * s
-        h[0, 0, 2] = h[0, 2, 0] = -a * c
-        h[1, 0, 1] = h[1, 1, 0] = a * c
-        h[1, 0, 2] = h[1, 2, 0] = -a * s
-        return Jet(val, j, h)
+        none = [None, None, None]
+        return th + c0 * a, [c1 * a, None, 1.0], [[c2 * a, None, None],
+                                                  none, none]
 
     def boundary_link(self, u0: float):
         return Rotation(u0 * self.alpha)
@@ -1079,45 +1320,21 @@ class ParamAngular:
         return out
 
     def moves(self, pts):
+        return self.radial_moves(np.hypot(pts[0], pts[1]))
+
+    def radial_moves(self, r):
         # the u-derivative is A itself, so u = 0 points stay active; only
         # envelope-zero points are exactly the identity in all three slots
-        return self.displacement.moves(pts)
+        return self.displacement.radial_moves(r)
 
-    def jet_uxy(self, u, pts) -> Jet:
-        """Jet in (u, x, y); u is a per-point array."""
-        n = pts.shape[1]
-        m = self.moves(pts)
-        # identity default
-        val = pts.copy()
-        j = np.zeros((2, 3, n))
-        j[0, 1] = 1.0
-        j[1, 2] = 1.0
-        h = np.zeros((2, 3, 3, n))
-        if np.any(m):
-            sub = pts[:, m]
-            um = u[m] if np.ndim(u) else np.full(int(m.sum()), float(u))
-            chart = polar_chart_jet(sub[0], sub[1])        # (x,y)->(r,th)
-            rm, tm = chart.x
-            A, Ar, At, Arr, Art, Att = self.displacement.jets(rm, tm)
-            phi = tm + um * A
-            # phi as a function of (u, r, th)
-            dphi = [A, um * Ar, 1.0 + um * At]
-            d2phi = [[np.zeros_like(A), Ar, At],
-                     [Ar, um * Arr, um * Art],
-                     [At, um * Art, um * Att]]
-            out3 = _phi_output_jet(rm, phi, dphi, d2phi, ir=1)
-            # compose with (u, x, y) -> (u, r, th)
-            inner_j = np.zeros((3, 3, int(m.sum())))
-            inner_h = np.zeros((3, 3, 3, int(m.sum())))
-            inner_j[0, 0] = 1.0
-            inner_j[1:, 1:] = chart.j
-            inner_h[1:, 1:, 1:] = chart.h
-            inner = Jet(np.concatenate([um[None], chart.x]), inner_j, inner_h)
-            full = compose(out3, inner)
-            val[:, m] = full.x
-            j[:, :, m] = full.j
-            h[:, :, :, m] = full.h
-        return Jet(val, j, h)
+    def angle_jet(self, u, r, th):
+        """phi = th + u A(r, th) with u = c(rho): ``u`` is (c, c', c'')."""
+        c0, c1, c2 = u
+        A, Ar, At, Arr, Art, Att = self.displacement.jets(r, th)
+        rho_r, rho_t, r_t = c1 * Ar, c1 * At, c0 * Art
+        return th + c0 * A, [c1 * A, c0 * Ar, 1.0 + c0 * At], [
+            [c2 * A, rho_r, rho_t], [rho_r, c0 * Arr, r_t],
+            [rho_t, r_t, c0 * Att]]
 
     def boundary_link(self, u0: float):
         return _DisplacementLink(self.displacement.scaled(u0))
@@ -1143,27 +1360,30 @@ class _DisplacementLink(_AngularLinkBase):
 
 
 class ParamFrozen:
-    """A u-independent layer: wraps any planar link (conjugators)."""
+    """A u-independent layer: wraps a radius-preserving planar link
+    (conjugators)."""
 
     __slots__ = ("link",)
 
     def __init__(self, link):
+        if not hasattr(link, "angle_jet"):
+            raise UnsupportedError(
+                "frozen layers wrap radius-preserving links only")
         self.link = link
 
     def moves(self, pts):
         return self.link.moves(pts)
 
+    def radial_moves(self, r):
+        return self.link.radial_moves(r)
+
     def apply(self, u, pts):
         return self.link.apply(pts)
 
-    def jet_uxy(self, u, pts) -> Jet:
-        base = self.link.jet(pts)                      # (2-in, 2-out)
-        n = pts.shape[1]
-        j = np.zeros((2, 3, n))
-        j[:, 1:] = base.j
-        h = np.zeros((2, 3, 3, n))
-        h[:, 1:, 1:] = base.h
-        return Jet(base.x, j, h)
+    def angle_jet(self, u, r, th):
+        phi, dphi, d2phi = self.link.angle_jet(r, th)
+        return phi, [None] + dphi, [[None, None, None]] + [
+            [None] + row for row in d2phi]
 
     def boundary_link(self, u0: float):
         return self.link
@@ -1172,9 +1392,11 @@ class ParamFrozen:
         return ("param-frozen", self.link.signature())
 
 
-class BallLayerLink:
+class BallLayerLink(_PolarLink):
     """(rho, x, y) -> (rho, P(c(rho), x, y)) for a radial profile c and a
-    parametric planar map P; the first output row is always rho itself."""
+    parametric planar map P; the first output row is always rho itself.
+    Its angle hook is the planar map's at u = c(rho), over (rho, r, theta).
+    """
 
     __slots__ = ("profile", "pmap")
 
@@ -1182,8 +1404,8 @@ class BallLayerLink:
         self.profile = profile
         self.pmap = pmap
 
-    def moves(self, pts3):
-        return self.pmap.moves(pts3[1:])
+    def radial_moves(self, r):
+        return self.pmap.radial_moves(r)
 
     def apply(self, pts3):
         rho = pts3[0]
@@ -1191,25 +1413,10 @@ class BallLayerLink:
         planar = self.pmap.apply(u, pts3[1:])
         return np.concatenate([rho[None], planar])
 
-    def jet(self, pts3) -> Jet:
-        rho = pts3[0]
-        n = pts3.shape[1]
-        c0 = self.profile.value(rho)
-        c1 = self.profile.d1(rho)
-        c2 = self.profile.d2(rho)
-        pj = self.pmap.jet_uxy(c0, pts3[1:])
-        x = np.concatenate([rho[None], pj.x])
-        j = np.zeros((3, 3, n))
-        j[0, 0] = 1.0
-        j[1:, 0] = pj.j[:, 0] * c1
-        j[1:, 1:] = pj.j[:, 1:]
-        h = np.zeros((3, 3, 3, n))
-        h[1:, 0, 0] = pj.h[:, 0, 0] * c1 ** 2 + pj.j[:, 0] * c2
-        for b in (1, 2):
-            h[1:, 0, b] = pj.h[:, 0, b] * c1
-            h[1:, b, 0] = h[1:, 0, b]
-        h[1:, 1:, 1:] = pj.h[:, 1:, 1:]
-        return Jet(x, j, h)
+    def angle_jet(self, rho, r, th):
+        prof = self.profile
+        return self.pmap.angle_jet(
+            (prof.value(rho), prof.d1(rho), prof.d2(rho)), r, th)
 
     def signature(self):
         return ("ball-layer", self.profile.signature(), self.pmap.signature())

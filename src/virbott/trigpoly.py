@@ -267,6 +267,59 @@ class TrigPoly:
     __rmul__ = __mul__
 
 
+class TrigStack:
+    """Real polynomials p_1..p_T and their first two derivatives, evaluated
+    together on one cos/sin table.
+
+    The derivative coefficients are laid out once, at construction.  A call
+    takes one cos and one sin per angle, builds cos(k theta), sin(k theta)
+    up to the largest degree by angle addition, and reads every requested
+    derivative of every polynomial off that table by one matrix product.
+    """
+
+    __slots__ = ("size", "degree", "_const", "_coef")
+
+    def __init__(self, polys):
+        polys = tuple(polys)
+        if any(not p.real for p in polys):
+            raise ValueError("TrigStack evaluates real polynomials only")
+        self.size = len(polys)
+        self.degree = D = max((p.degree for p in polys), default=0)
+        k = np.arange(1, D + 1)
+        a = np.zeros((self.size, D))
+        b = np.zeros((self.size, D))
+        for i, p in enumerate(polys):
+            a[i, : p.degree], b[i, : p.degree] = p._cos_sin()
+        self._const = np.array([p.constant for p in polys])
+        # derivative orders 0, 1, 2 against the table rows cos | sin:
+        # d/dtheta sends (a, b) to (k b, -k a)
+        self._coef = np.stack([np.concatenate(pair, axis=1) for pair in (
+            (a, b), (k * b, -k * a), (-k * k * a, -k * k * b))])
+
+    def __call__(self, theta, orders=(0, 1, 2)):
+        """Array (len(orders), T, *theta.shape) holding d^n p_i / dtheta^n
+        for each derivative order n of ``orders`` (each 0, 1 or 2)."""
+        th = np.asarray(theta, dtype=np.float64)
+        flat = th.ravel()
+        orders = list(orders)
+        D = self.degree
+        shape = (len(orders), self.size, flat.size)
+        if D:
+            # rows cos(k theta) then sin(k theta), k = 1..D, by angle addition
+            table = np.empty((2 * D, flat.size))
+            cos, sin = table[:D], table[D:]
+            cos[0], sin[0] = np.cos(flat), np.sin(flat)
+            for k in range(1, D):
+                cos[k] = cos[k - 1] * cos[0] - sin[k - 1] * sin[0]
+                sin[k] = sin[k - 1] * cos[0] + cos[k - 1] * sin[0]
+            out = (self._coef[orders].reshape(-1, 2 * D) @ table).reshape(shape)
+        else:
+            out = np.zeros(shape)
+        if 0 in orders:
+            out[orders.index(0)] += self._const[:, None]
+        return out.reshape((len(orders), self.size) + th.shape)
+
+
 # -- core operations -------------------------------------------------------
 
 def tp_derivative(p: TrigPoly) -> TrigPoly:

@@ -553,6 +553,11 @@ def test_ball_extend_rejects_flow_links():
         ball_extend(g, cutoff_make(0.2, 0.1))
 
 
+def test_frozen_layers_refuse_links_that_move_the_radius():
+    with pytest.raises(UnsupportedError):
+        ParamFrozen(every_disc_link()["flow"])
+
+
 def test_alternative_profiles_give_same_boundary():
     h = sample_sphere_map()
     xi = cutoff_make(0.2, 0.1)
@@ -676,3 +681,167 @@ def test_conjugated_extension_mask_is_exact():
     moves = B.moves(pts3)
     assert moves.any() and not moves.all()
     assert_identity_outside_mask(B, moves, pts3)
+
+
+# ----------------------------------------------------------------------
+# the angle-jet engine against a Cartesian fold of the links' own jets
+# ----------------------------------------------------------------------
+
+def fold_of_link_jets(links, pts):
+    """The chain rule link by link in Cartesian coordinates."""
+    jet = links[0].jet(pts)
+    for link in links[1:]:
+        jet = compose(link.jet(jet.x), jet)
+    return jet
+
+
+def assert_jets_close(a, b, tol_x=1e-14, tol_j=1e-13, tol_h=1e-11):
+    assert np.max(np.abs(a.x - b.x)) <= tol_x
+    assert np.max(np.abs(a.j - b.j)) <= tol_j
+    assert np.max(np.abs(a.h - b.h)) <= tol_h
+
+
+def engine_disc_chains():
+    iso = CircleIsotopy(0, TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15]))
+    alex = AlexanderRadial(iso, cutoff_make(0.2, 0.15))
+    alex_b = AlexanderRadial(CircleIsotopy(0, TrigPoly(0.0, [-0.2], [0.25])),
+                             cutoff_make(0.1, 0.1), 0.8)
+    tw_a = RadialTwist(BumpProfile(0.10, 0.90, 0.12))
+    tw_b = RadialTwist(BumpProfile(0.30, 0.75, -0.7))
+    forward = DiscDiffeo((alex, tw_a, alex_b, Rotation(0.7)))
+    return {
+        "alexander-twist-alexander-rotation": forward,
+        "its-inverse": disc_invert(forward),
+        "twist-inverse-alexander-twist": DiscDiffeo(
+            (tw_a, alex.inverse_link(), tw_b)),
+    }
+
+
+@pytest.mark.parametrize("name", ["alexander-twist-alexander-rotation",
+                                  "its-inverse",
+                                  "twist-inverse-alexander-twist"])
+def test_disc_angle_engine_matches_the_cartesian_fold(name):
+    g = engine_disc_chains()[name]
+    # h entries grow like 1 / r toward the origin
+    pts = disc_points(400, 0.05, 1.2, seed=79)
+    assert_jets_close(g.jet(pts), fold_of_link_jets(g.links, pts))
+
+
+def engine_ball_chains():
+    iso = CircleIsotopy(0, TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15]))
+    alex = DiscDiffeo.from_link(AlexanderRadial(iso, cutoff_make(0.2, 0.15)))
+    rot = DiscDiffeo.from_link(Rotation(0.7))
+    tw1 = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.10, 0.90, 0.12)))
+    xi = cutoff_make(0.10, 0.10)
+    rotation_layer = DiscDiffeo((Rotation(0.6), AlexanderRadial(
+        CircleIsotopy(0, TrigPoly(-0.6)), cutoff_make(0.2, 0.15))))
+    return {
+        "conjugated-around-rotation": conjugated_extension(rot, tw1, xi),
+        "conjugated-around-alexander": conjugated_extension(alex, tw1, xi),
+        "two-twists": ball_extend(sample_sphere_map(), xi),
+        "rotation-layer": ball_extend(rotation_layer, xi),
+    }
+
+
+@pytest.mark.parametrize("name", ["conjugated-around-rotation",
+                                  "conjugated-around-alexander",
+                                  "two-twists", "rotation-layer"])
+def test_ball_angle_engine_matches_the_cartesian_fold(name):
+    B = engine_ball_chains()[name]
+    pts = ball_points(400, seed=83)
+    ja = B.jet(pts)
+    assert_jets_close(ja, fold_of_link_jets(B.links, pts))
+    # the rho row stays exact
+    assert np.array_equal(ja.x[0], pts[0])
+    assert np.all(ja.j[0, 0] == 1.0) and np.all(ja.j[0, 1:] == 0.0)
+    assert np.all(ja.h[0] == 0.0)
+
+
+def test_theta_dependent_ball_layers_match_fd4():
+    # ParamAngular layers whose displacement depends on theta, around a
+    # ParamRotation layer: every partial of the layers' angle hooks counts
+    alex = every_disc_link()["alexander"]
+    alex_b = AlexanderRadial(CircleIsotopy(0, TrigPoly(0.0, [-0.2], [0.25])),
+                             cutoff_make(0.1, 0.1), 0.8)
+    B = ball_extend(DiscDiffeo((alex, Rotation(0.6), alex_b)),
+                    cutoff_make(0.2, 0.1))
+    pts = ball_points(30, seed=97)
+    ja = B.jet(pts, ANALYTIC)
+    jf = B.jet(pts, FD4)
+    assert np.max(np.abs(ja.x - jf.x)) < 1e-14
+    assert np.max(np.abs(ja.j - jf.j)) < 1e-8
+    assert np.max(np.abs(ja.h - jf.h)) < 1e-5
+
+
+def test_flow_link_splits_a_chain_into_two_angle_runs():
+    links = every_disc_link()
+    g = DiscDiffeo((links["twist"], links["alexander"], links["flow"],
+                    links["inverse"], links["rotation"]))
+    assert [len(run) for run in g._runs()] == [2, 1, 2]
+    pts = disc_points(40, 0.25, 0.85, seed=89)
+    ja = g.jet(pts)
+    assert_jets_close(ja, fold_of_link_jets(g.links, pts))
+    jf = g.jet(pts, FD4)
+    assert np.max(np.abs(ja.x - jf.x)) < 1e-14
+    assert np.max(np.abs(ja.j - jf.j)) < 1e-8
+    assert np.max(np.abs(ja.h - jf.h)) < 2e-5
+
+
+def rotation_jet(alpha, pts):
+    c, s = math.cos(alpha), math.sin(alpha)
+    R = np.array([[c, -s], [s, c]])
+    n = pts.shape[1]
+    return R @ pts, np.repeat(R[:, :, None], n, axis=2)
+
+
+def test_rotation_runs_keep_the_exact_jet_at_the_origin():
+    links = every_disc_link()
+    g = DiscDiffeo((Rotation(0.6), links["twist"], links["alexander"],
+                    Rotation(-0.25)))
+    pts = np.array([[0.0, 1e-10, 0.0, -3e-10], [0.0, 0.0, 1e-10, 2e-10]])
+    jet = g.jet(pts)
+    x, j = rotation_jet(0.35, pts)
+    assert np.max(np.abs(jet.x - x)) <= 1e-25
+    assert np.max(np.abs(jet.j - j)) <= 1e-15
+    assert np.all(jet.h == 0.0)
+    # in the ball the angle u(rho) * 0.6 moves with rho
+    prof = CutoffProfile(cutoff_make(0.2, 0.1))
+    B = ball_extend(DiscDiffeo((Rotation(0.6), AlexanderRadial(
+        CircleIsotopy(0, TrigPoly(-0.6)), cutoff_make(0.2, 0.15)))),
+        cutoff_make(0.2, 0.1))
+    rho = np.array([0.1, 0.35, 0.5, 0.8])
+    jet = B.jet(np.concatenate([rho[None], pts]))
+    u0, u1, u2 = (np.array(f(rho)) for f in (prof.value, prof.d1, prof.d2))
+    for k in range(4):
+        x, j = rotation_jet(0.6 * u0[k], pts[:, k:k + 1])
+        X, Y = x[:, 0]
+        assert np.max(np.abs(jet.x[1:, k] - x[:, 0])) <= 1e-25
+        assert np.max(np.abs(jet.j[1:, 1:, k] - j[:, :, 0])) <= 1e-15
+        a1, a2 = 0.6 * u1[k], 0.6 * u2[k]
+        assert np.allclose(jet.j[1:, 0, k], [-a1 * Y, a1 * X],
+                           rtol=1e-14, atol=1e-30)
+        assert np.allclose(jet.h[1:, 0, 0, k],
+                           [-a2 * Y - a1 ** 2 * X, a2 * X - a1 ** 2 * Y],
+                           rtol=1e-14, atol=1e-30)
+        c, s = math.cos(0.6 * u0[k]), math.sin(0.6 * u0[k])
+        mixed = np.array([[-a1 * s, -a1 * c], [a1 * c, -a1 * s]])
+        assert np.allclose(jet.h[1:, 0, 1:, k], mixed, rtol=1e-14)
+        assert np.array_equal(jet.h[1:, 1:, 0, k], jet.h[1:, 0, 1:, k])
+        assert np.all(jet.h[1:, 1:, 1:, k] == 0.0)
+    assert np.all(jet.j[0] == np.array([1.0, 0.0, 0.0])[:, None])
+
+
+# ----------------------------------------------------------------------
+# sampled orientation guards name what they sampled
+# ----------------------------------------------------------------------
+
+def test_orientation_errors_name_the_worst_sample():
+    with pytest.raises(DomainError,
+                       match=r"min 1 \+ p' = -5\.000e-01 at theta=3\.142; "
+                             r"worst of 512 samples"):
+        CircleDiffeoLift(0, TrigPoly(0.0, [0.0], [1.5]))
+    iso = CircleIsotopy(0, TrigPoly(0.0, [0.0], [0.6]))
+    with pytest.raises(DomainError,
+                       match=r"min 1 \+ A_theta = -8\.000e-01 at r=[0-9.]+, "
+                             r"theta=3\.142; worst of 8192 samples"):
+        AlexanderRadial(iso, cutoff_make(0.2, 0.1), 3.0)

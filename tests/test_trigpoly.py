@@ -15,6 +15,7 @@ from virbott.errors import HarmonicCapError
 from virbott.trigpoly import (
     CircleField,
     TrigPoly,
+    TrigStack,
     circle_bracket,
     gelfand_fuchs,
     heisenberg_cocycle,
@@ -387,3 +388,36 @@ def test_product_vector_is_the_convolution():
             got = tp_multiply(p, q).exp_coeffs()
             assert got == want, (p, q)
             assert len(tp_multiply(p, q).coeffs) == len(conv)
+
+
+# ----------------------------------------------------------------------
+# one shared cos/sin table for values and derivatives
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("degree", [0, 1, 5, 12])
+def test_trig_stack_matches_separate_evaluations(degree):
+    rng = np.random.default_rng(29 + degree)
+    polys = [TrigPoly(rng.normal(), rng.normal(size=degree),
+                      rng.normal(size=degree)) for _ in range(2)]
+    polys.append(TrigPoly(0.5))            # a lower degree in the same stack
+    theta = rng.uniform(-7.0, 13.0, size=(3, 41))
+    stack = TrigStack(polys)
+    table = stack(theta)
+    assert table.shape == (3, 3, 3, 41)
+    for i, p in enumerate(polys):
+        dp = tp_derivative(p)
+        for order, q in enumerate((p, dp, tp_derivative(dp))):
+            # angle addition loses about k eps at harmonic k, and the
+            # n-th derivative scales harmonic k by k^n
+            tol = 4e-16 * (degree + 1) ** (order + 1) * (p.coeff_l1() + 1)
+            assert np.max(np.abs(table[order, i] - q(theta))) <= tol
+    # any subset of the orders, in any order, reads the same rows (up to
+    # the summation order of the matrix product)
+    part = stack(theta, (2, 0))
+    assert np.allclose(part, table[[2, 0]], rtol=1e-14, atol=1e-14)
+    assert stack(0.3, (1,)).shape == (1, 3)
+
+
+def test_trig_stack_refuses_complex_polynomials():
+    with pytest.raises(ValueError):
+        TrigStack([TrigPoly.exp_harmonic(1)])
