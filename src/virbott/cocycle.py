@@ -45,10 +45,11 @@ from .diffeo import (
     disc_invert,
     is_boundary_trivial,
 )
-from .errors import DomainError, NotBoundaryTrivialError, SupportError
+from .errors import DomainError, NotBoundaryTrivialError
 from .forms import (
     BallGrid,
     DiscGrid,
+    _check_edge,
     _gl_nodes,
     integrate_ball,
     integrate_disc,
@@ -71,10 +72,6 @@ __all__ = [
     "w_coboundary_residual",
     "wz_term",
 ]
-
-# edge magnitude above which an integrand is considered to leak out of the
-# quadrature box (matches the integrate_ball support check)
-_EDGE_TOL = 1e-10
 
 # sampling band width for boundary-triviality checks of candidate H-elements
 _BT_EPS = 0.05
@@ -183,21 +180,6 @@ def _on_moved(density, maps, pts, plan) -> np.ndarray:
     out = np.zeros(pts.shape[1])
     out[mask] = density(pts[:, mask])
     return out
-
-
-def _check_edge(vals: np.ndarray, pts: np.ndarray, what: str, edge: str):
-    """Raise SupportError if a sampled edge value exceeds _EDGE_TOL, naming
-    the number of samples and the chart coordinates of the worst one."""
-    if not vals.size:
-        return
-    k = int(np.argmax(np.abs(vals)))
-    worst = abs(float(vals[k]))
-    if worst > _EDGE_TOL:
-        axes = ("rho", "x", "y")[-pts.shape[0]:]
-        where = ", ".join(f"{a}={c:.4g}" for a, c in zip(axes, pts[:, k]))
-        raise SupportError(
-            f"{what} reaches the {edge} edge ({worst:.3e} at {where}; "
-            f"worst of {vals.size} edge samples)")
 
 
 # gamma values kept by the least-recently-used cache below

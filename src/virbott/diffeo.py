@@ -35,6 +35,18 @@ coordinates.  Runs and flows are composed through ``_jets.compose``.  A
 run of one link, so a one-link chain too, is that link's own ``jet``,
 which is the engine on that link.  A finite-difference plan (FD4)
 provides an independent derivative path for cross-validation.
+
+The two hooks define a radius-preserving link: ``_PolarLink`` derives
+``moves`` (shared with the parametric maps) and ``apply``, which takes
+phi from ``angle_jet(...)[0]`` at the moved nodes and leaves every node
+whose angle is unchanged as it is, bit for bit (a ball layer at u = 0
+included).  ``Rotation`` keeps its own exact matrix jet: the polar path
+would leave rounding of order eps / r in the Hessian.
+
+A radial profile gives ``value(r)`` and ``jets(r)`` = (f, f', f'') from
+one shared pass; ``d1`` and ``d2`` read ``jets`` (``_Profile``), and
+``jets(r)[0]`` is ``value(r)`` bit for bit.  ``value`` stays a separate,
+cheaper method because the link masks evaluate it over whole grids.
 """
 
 from __future__ import annotations
@@ -66,35 +78,38 @@ _TWO_PI = 2.0 * math.pi
 # cutoff functions and radial profiles
 # ---------------------------------------------------------------------------
 
-def _bump(x):
-    """exp(-1/x) extended by 0 for x <= 0 (smooth, flat at 0)."""
+def _bump(x, jets=False):
+    """b(x) = exp(-1/x) extended by 0 for x <= 0 (smooth, flat at 0); with
+    ``jets``, (b, b', b'') off the same exp, b' = b / x^2 and
+    b'' = b (1/x^4 - 2/x^3)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
     m = x > 1e-8          # below this the value underflows to exactly 0
     xm = x[m]
-    out[m] = np.exp(-1.0 / xm)
-    return out
-
-
-def _bump_d1(x):
-    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-1.0 / xm)
     out = np.zeros_like(x)
-    m = x > 1e-8
-    xm = x[m]
-    out[m] = np.exp(-1.0 / xm) / (xm * xm)
-    return out
+    out[m] = e
+    if not jets:
+        return out
+    d1, d2 = np.zeros_like(x), np.zeros_like(x)
+    d1[m] = e / (xm * xm)
+    d2[m] = e * (1.0 / xm ** 4 - 2.0 / xm ** 3)
+    return out, d1, d2
 
 
-def _bump_d2(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    m = x > 1e-8
-    xm = x[m]
-    out[m] = np.exp(-1.0 / xm) * (1.0 / xm ** 4 - 2.0 / xm ** 3)
-    return out
+class _Profile:
+    """Base of the radial profiles: each gives ``value(r)`` and ``jets(r)``
+    (see the module docstring), and ``d1``, ``d2`` read ``jets``."""
+
+    __slots__ = ()
+
+    def d1(self, r):
+        return self.jets(r)[1]
+
+    def d2(self, r):
+        return self.jets(r)[2]
 
 
-class CutoffFn:
+class CutoffFn(_Profile):
     """Smooth monotone cutoff from 0 to 1 over the window [eps1, 1 - eps2].
 
     xi(r) = b(x) / (b(x) + b(1-x)) with b(x) = exp(-1/x) and
@@ -124,32 +139,25 @@ class CutoffFn:
         t = _bump(1.0 - x)
         return s / (s + t + (s + t == 0.0))   # 0/1 tails give s+t=0 -> 0
 
-    def d1(self, r):
+    def jets(self, r):
+        """(xi, xi', xi'') from one exp at x and one at 1 - x; the value
+        equals ``value(r)`` bit for bit."""
         x = self._x(r)
         inside = (x > 0.0) & (x < 1.0)
-        out = np.zeros_like(np.asarray(r, dtype=np.float64))
+        f0, f1, f2 = (np.zeros_like(x) for _ in range(3))
+        f0[x >= 1.0] = 1.0
         xm = x[inside]
-        s, t = _bump(xm), _bump(1.0 - xm)
-        s1, t1 = _bump_d1(xm), -_bump_d1(1.0 - xm)
-        D = s + t
-        out[inside] = (s1 / D - s * (s1 + t1) / D ** 2) / self._len
-        return out
-
-    def d2(self, r):
-        x = self._x(r)
-        inside = (x > 0.0) & (x < 1.0)
-        out = np.zeros_like(np.asarray(r, dtype=np.float64))
-        xm = x[inside]
-        s, t = _bump(xm), _bump(1.0 - xm)
-        s1, t1 = _bump_d1(xm), -_bump_d1(1.0 - xm)
-        s2, t2 = _bump_d2(xm), _bump_d2(1.0 - xm)
+        s, s1, s2 = _bump(xm, jets=True)
+        t, t1, t2 = _bump(1.0 - xm, jets=True)
+        t1 = -t1
         D = s + t
         D1 = s1 + t1
         D2 = s2 + t2
-        val = (s2 / D - 2.0 * s1 * D1 / D ** 2 - s * D2 / D ** 2
-               + 2.0 * s * D1 ** 2 / D ** 3)
-        out[inside] = val / self._len ** 2
-        return out
+        f0[inside] = s / D
+        f1[inside] = (s1 / D - s * D1 / D ** 2) / self._len
+        f2[inside] = (s2 / D - 2.0 * s1 * D1 / D ** 2 - s * D2 / D ** 2
+                      + 2.0 * s * D1 ** 2 / D ** 3) / self._len ** 2
+        return f0, f1, f2
 
     __call__ = value
 
@@ -162,7 +170,7 @@ def cutoff_make(eps1: float, eps2: float) -> CutoffFn:
     return CutoffFn(eps1, eps2)
 
 
-class CutoffProfile:
+class CutoffProfile(_Profile):
     """Radial profile r -> xi(r); support [eps1, inf), boundary value 1."""
 
     __slots__ = ("cutoff",)
@@ -177,17 +185,14 @@ class CutoffProfile:
     def value(self, r):
         return self.cutoff.value(r)
 
-    def d1(self, r):
-        return self.cutoff.d1(r)
-
-    def d2(self, r):
-        return self.cutoff.d2(r)
+    def jets(self, r):
+        return self.cutoff.jets(r)
 
     def signature(self):
         return ("cutoff-profile",) + self.cutoff.signature()
 
 
-class PoweredCutoffProfile:
+class PoweredCutoffProfile(_Profile):
     """xi(r)**k — an alternative extension profile with the same flat tails."""
 
     __slots__ = ("cutoff", "k")
@@ -205,25 +210,19 @@ class PoweredCutoffProfile:
     def value(self, r):
         return self.cutoff.value(r) ** self.k
 
-    def d1(self, r):
+    def jets(self, r):
         k = self.k
-        v = self.cutoff.value(r)
-        return k * v ** (k - 1) * self.cutoff.d1(r)
-
-    def d2(self, r):
-        k = self.k
-        v = self.cutoff.value(r)
-        d1 = self.cutoff.d1(r)
-        d2 = self.cutoff.d2(r)
-        if k == 1:
-            return d2
-        return k * (k - 1) * v ** (k - 2) * d1 ** 2 + k * v ** (k - 1) * d2
+        v, d1, d2 = self.cutoff.jets(r)
+        slope = k * v ** (k - 1)
+        if k > 1:
+            d2 = k * (k - 1) * v ** (k - 2) * d1 ** 2 + slope * d2
+        return v ** k, slope * d1, d2
 
     def signature(self):
         return ("powered-cutoff", self.k) + self.cutoff.signature()
 
 
-class SinePulseProfile:
+class SinePulseProfile(_Profile):
     """amp * sin(pi * xi(r)) — rises from 0 and returns flat to ~0 at the
     boundary; drives isotopy loops whose endpoint is the identity."""
 
@@ -241,23 +240,17 @@ class SinePulseProfile:
     def value(self, r):
         return self.amp * np.sin(math.pi * self.cutoff.value(r))
 
-    def d1(self, r):
-        xi = self.cutoff.value(r)
-        return self.amp * math.pi * np.cos(math.pi * xi) * self.cutoff.d1(r)
-
-    def d2(self, r):
-        xi = self.cutoff.value(r)
-        x1 = self.cutoff.d1(r)
-        x2 = self.cutoff.d2(r)
-        return self.amp * math.pi * (
-            -math.pi * np.sin(math.pi * xi) * x1 ** 2
-            + np.cos(math.pi * xi) * x2)
+    def jets(self, r):
+        xi, x1, x2 = self.cutoff.jets(r)
+        sin, cos = np.sin(math.pi * xi), np.cos(math.pi * xi)
+        return (self.amp * sin, self.amp * math.pi * cos * x1,
+                self.amp * math.pi * (-math.pi * sin * x1 ** 2 + cos * x2))
 
     def signature(self):
         return ("sine-pulse", self.amp) + self.cutoff.signature()
 
 
-class BumpProfile:
+class BumpProfile(_Profile):
     """amp * exp(4/(b-a)^2 - 1/((r-a)(b-r))) on (a, b), 0 outside.
 
     Compactly supported in [a, b] and flat at both ends; peak value amp at
@@ -291,26 +284,19 @@ class BumpProfile:
             4.0 / (self.b - self.a) ** 2 - 1.0 / q[inside])
         return out
 
-    def d1(self, r):
+    def jets(self, r):
         r, q, inside = self._pieces(r)
-        out = np.zeros_like(r)
-        qm = q[inside]
-        q1 = self.a + self.b - 2.0 * r[inside]
-        psi1 = q1 / qm ** 2
-        out[inside] = self.value(r[inside]) * psi1
-        return out
-
-    def d2(self, r):
-        r, q, inside = self._pieces(r)
-        out = np.zeros_like(r)
+        f0, f1, f2 = (np.zeros_like(r) for _ in range(3))
         qm = q[inside]
         q1 = self.a + self.b - 2.0 * r[inside]
         # psi = -1/q:  psi' = q'/q^2,  psi'' = q''/q^2 - 2 q'^2/q^3, q'' = -2
         psi1 = q1 / qm ** 2
         psi2 = -2.0 / qm ** 2 - 2.0 * q1 ** 2 / qm ** 3
-        v = self.value(r[inside])
-        out[inside] = v * (psi1 ** 2 + psi2)
-        return out
+        v = self.amp * np.exp(4.0 / (self.b - self.a) ** 2 - 1.0 / qm)
+        f0[inside] = v
+        f1[inside] = v * psi1
+        f2[inside] = v * (psi1 ** 2 + psi2)
+        return f0, f1, f2
 
     def signature(self):
         return ("bump", self.a, self.b, self.amp)
@@ -532,7 +518,7 @@ class AngleDisplacement:
         out = np.zeros((6,) + np.broadcast(r, th).shape)
         A, Ar, At, Arr, Art, Att = out
         for (prof, _), g0, g1, g2 in zip(self.terms, *self._polys(th)):
-            f0, f1, f2 = prof.value(r), prof.d1(r), prof.d2(r)
+            f0, f1, f2 = prof.jets(r)
             A += f0 * g0
             Ar += f1 * g0
             At += f0 * g1
@@ -625,11 +611,6 @@ def _invert_angle_jets(fwd_jets, psi):
 
 
 _LINK_GUARD = 1e-9           # below this radius every angular link is identity
-
-
-def _everywhere(pts):
-    """The ``moves`` mask of a link that may move every point."""
-    return np.ones(np.shape(pts)[1], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -828,15 +809,44 @@ def _polar_run_jet(links, pts) -> Jet:
     return out
 
 
-class _PolarLink:
+class _RadialMask:
+    """``moves(pts)`` of a map that gives its mask as a function of the
+    plane radius, ``radial_moves(r)``."""
+
+    __slots__ = ()
+
+    def moves(self, pts):
+        return self.radial_moves(np.hypot(pts[-2], pts[-1]))
+
+
+class _PolarLink(_RadialMask):
     """Base of the radius-preserving links: they keep the plane radius r
     (and rho) and move only the angle.  A subclass gives
     ``radial_moves(r)``, its mask as a function of r, and the angle hook
     ``angle_jet(*base, th)`` -> (phi, dphi, d2phi) over the variables
-    (base..., theta); its jet is the angle-jet engine on the one link."""
+    (base..., theta); ``apply`` and ``moves`` follow from the two, and its
+    jet is the angle-jet engine on the one link."""
 
-    def moves(self, pts):
-        return self.radial_moves(np.hypot(pts[-2], pts[-1]))
+    __slots__ = ()
+
+    def apply(self, pts):
+        """Image of ``pts`` (d, N): the hook's angle phi at the moved nodes.
+        A node whose angle phi leaves unchanged keeps its coordinates bit
+        for bit."""
+        pts = np.asarray(pts, dtype=np.float64)
+        r = np.hypot(pts[-2], pts[-1])
+        idx = np.flatnonzero(self.radial_moves(r))
+        out = pts.copy()
+        if idx.size:
+            sub_r = r[idx]
+            th = np.arctan2(pts[-1, idx], pts[-2, idx])
+            base = (pts[0, idx], sub_r) if pts.shape[0] == 3 else (sub_r,)
+            phi = self.angle_jet(*base, th)[0]
+            turned = phi != th
+            idx, sub_r, phi = idx[turned], sub_r[turned], phi[turned]
+            out[-2, idx] = sub_r * np.cos(phi)
+            out[-1, idx] = sub_r * np.sin(phi)
+        return out
 
     def jet(self, pts) -> Jet:
         return _polar_run_jet((self,), pts)
@@ -863,24 +873,12 @@ class _AngularLinkBase(_PolarLink):
     def radial_moves(self, r):
         return self.displacement.radial_moves(r)
 
-    def _angle(self, r, th):
-        """Image angle of the moved polar nodes (r, th)."""
-        return th + self.displacement.value(r, th)
-
     def angle_jet(self, r, th):
         A, Ar, At, Arr, Art, Att = self.displacement.jets(r, th)
         return th + A, [Ar, 1.0 + At], [[Arr, Art], [Art, Att]]
 
-    def apply(self, pts):
-        x, y = pts
-        r = np.hypot(x, y)
-        m = self.radial_moves(r)
-        out = pts.copy()
-        if np.any(m):
-            phi = self._angle(r[m], np.arctan2(y[m], x[m]))
-            out[0, m] = r[m] * np.cos(phi)
-            out[1, m] = r[m] * np.sin(phi)
-        return out
+    def inverse_link(self):
+        return InverseAngular(self.displacement, self.signature())
 
     def param_map(self):
         return ParamAngular(self.displacement)
@@ -904,9 +902,6 @@ class AlexanderRadial(_AngularLinkBase):
         self.displacement = AngleDisplacement([(CutoffProfile(cutoff), disp)])
         self._check_orientation()
 
-    def inverse_link(self):
-        return InverseAngular(self.displacement, self.signature())
-
     def signature(self):
         return ("alexander", self.isotopy.signature(),
                 self.cutoff.signature(), self.t)
@@ -928,9 +923,6 @@ class RadialTwist(_AngularLinkBase):
         self.profile = profile
         self.displacement = AngleDisplacement([(profile, TrigPoly(1.0))])
         # tau depends on r only; orientation is automatic
-
-    def inverse_link(self):
-        return InverseAngular(self.displacement, self.signature())
 
     def signature(self):
         return ("twist", self.profile.signature())
@@ -966,11 +958,8 @@ class InverseAngular(_AngularLinkBase):
             residual, t - disp.value(r, t, w), t - bound, t + bound, tol,
             max_iter, "angle inversion")
 
-    def _angle(self, r, t):
-        return self._solve(r, t)[0]
-
     def angle_jet(self, r, t):
-        psi = self._angle(r, t)
+        psi = self._solve(r, t)[0]
         return (psi,) + _invert_angle_jets(self.displacement.jets(r, psi), psi)
 
     def inverse_link(self):
@@ -983,24 +972,16 @@ class InverseAngular(_AngularLinkBase):
         return ("inverse-angular", self._fwd_sig)
 
 
-class Rotation:
-    """Rigid rotation of the plane by alpha (exact jets everywhere); in a
-    run of radius-preserving links it shifts the angle by alpha."""
+class Rotation(_PolarLink):
+    """Rigid rotation of the plane by alpha; in a run of radius-preserving
+    links it shifts the angle by alpha.  Its own jet is the exact matrix
+    one, with a Hessian of exact zeros (the polar path would leave rounding
+    of order eps / r there)."""
 
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
         self.alpha = float(alpha)
-
-    def _matrix(self):
-        c, s = math.cos(self.alpha), math.sin(self.alpha)
-        return np.array([[c, -s], [s, c]])
-
-    def apply(self, pts):
-        return self._matrix() @ pts
-
-    def moves(self, pts):
-        return _everywhere(pts)
 
     def radial_moves(self, r):
         return np.ones(r.shape, dtype=bool)
@@ -1009,7 +990,8 @@ class Rotation:
         return th + self.alpha, [None, 1.0], [[None, None], [None, None]]
 
     def jet(self, pts) -> Jet:
-        R = self._matrix()
+        c, s = math.cos(self.alpha), math.sin(self.alpha)
+        R = np.array([[c, -s], [s, c]])
         n = pts.shape[1]
         j = np.repeat(R[:, :, None], n, axis=2)
         return Jet(R @ pts, j, np.zeros((2, 2, 2, n)))
@@ -1058,7 +1040,7 @@ class FlowMap:
         return x
 
     def moves(self, pts):
-        return _everywhere(pts)
+        return np.ones(np.shape(pts)[1], dtype=bool)
 
     def _rhs(self, state):
         rate = compose(Jet(*self.field.cartesian_jet2(state[0])), Jet(*state))
@@ -1262,7 +1244,7 @@ def alexander_extend(isotopy: CircleIsotopy, cutoff: CutoffFn,
 # parametric planar maps and layered ball diffeomorphisms
 # ---------------------------------------------------------------------------
 
-class ParamRotation:
+class ParamRotation(_RadialMask):
     """u -> rotation by u * alpha."""
 
     __slots__ = ("alpha",)
@@ -1270,17 +1252,8 @@ class ParamRotation:
     def __init__(self, alpha: float):
         self.alpha = float(alpha)
 
-    def moves(self, pts):
-        return _everywhere(pts)
-
     def radial_moves(self, r):
         return np.ones(r.shape, dtype=bool)
-
-    def apply(self, u, pts):
-        phi = u * self.alpha
-        c, s = np.cos(phi), np.sin(phi)
-        x, y = pts
-        return np.stack([c * x - s * y, s * x + c * y])
 
     def angle_jet(self, u, r, th):
         """phi = th + u alpha with u = c(rho): ``u`` is (c, c', c'')."""
@@ -1297,30 +1270,13 @@ class ParamRotation:
         return ("param-rotation", self.alpha)
 
 
-class ParamAngular:
+class ParamAngular(_RadialMask):
     """u -> (r, theta) |-> (r, theta + u * A(r, theta))."""
 
     __slots__ = ("displacement",)
 
     def __init__(self, displacement: AngleDisplacement):
         self.displacement = displacement
-
-    def apply(self, u, pts):
-        x, y = pts
-        r = np.hypot(x, y)
-        env = self.displacement.radial_envelope(r)
-        m = (r >= _LINK_GUARD) & ((env * np.abs(u)) != 0.0)
-        out = pts.copy()
-        if np.any(m):
-            th = np.arctan2(y[m], x[m])
-            um = u[m] if np.ndim(u) else u
-            phi = th + um * self.displacement.value(r[m], th)
-            out[0, m] = r[m] * np.cos(phi)
-            out[1, m] = r[m] * np.sin(phi)
-        return out
-
-    def moves(self, pts):
-        return self.radial_moves(np.hypot(pts[0], pts[1]))
 
     def radial_moves(self, r):
         # the u-derivative is A itself, so u = 0 points stay active; only
@@ -1352,14 +1308,11 @@ class _DisplacementLink(_AngularLinkBase):
         self.displacement = displacement
         self._check_orientation()
 
-    def inverse_link(self):
-        return InverseAngular(self.displacement, self.signature())
-
     def signature(self):
         return ("displacement-link", self.displacement.signature())
 
 
-class ParamFrozen:
+class ParamFrozen(_RadialMask):
     """A u-independent layer: wraps a radius-preserving planar link
     (conjugators)."""
 
@@ -1371,14 +1324,8 @@ class ParamFrozen:
                 "frozen layers wrap radius-preserving links only")
         self.link = link
 
-    def moves(self, pts):
-        return self.link.moves(pts)
-
     def radial_moves(self, r):
         return self.link.radial_moves(r)
-
-    def apply(self, u, pts):
-        return self.link.apply(pts)
 
     def angle_jet(self, u, r, th):
         phi, dphi, d2phi = self.link.angle_jet(r, th)
@@ -1407,16 +1354,8 @@ class BallLayerLink(_PolarLink):
     def radial_moves(self, r):
         return self.pmap.radial_moves(r)
 
-    def apply(self, pts3):
-        rho = pts3[0]
-        u = self.profile.value(rho)
-        planar = self.pmap.apply(u, pts3[1:])
-        return np.concatenate([rho[None], planar])
-
     def angle_jet(self, rho, r, th):
-        prof = self.profile
-        return self.pmap.angle_jet(
-            (prof.value(rho), prof.d1(rho), prof.d2(rho)), r, th)
+        return self.pmap.angle_jet(self.profile.jets(rho), r, th)
 
     def signature(self):
         return ("ball-layer", self.profile.signature(), self.pmap.signature())
@@ -1449,10 +1388,8 @@ class BallDiffeo(_Chain):
     def parameter_zero_map(self) -> DiscDiffeo:
         """The planar chain at parameter u = 0 (must evaluate to the
         identity for a valid extension of an isotopy)."""
-        links = []
-        for link in self.links:
-            links.append(link.pmap.boundary_link(0.0))
-        return DiscDiffeo(tuple(links))
+        return DiscDiffeo(tuple(link.pmap.boundary_link(0.0)
+                                for link in self.links))
 
 
 def ball_compose(g: BallDiffeo, h: BallDiffeo) -> BallDiffeo:

@@ -215,6 +215,27 @@ def wedge_trace_cube(a):
 # integration
 # ---------------------------------------------------------------------------
 
+# edge magnitude above which an integrand is considered to leak out of the
+# quadrature box
+_EDGE_TOL = 1e-10
+
+
+def _check_edge(vals: np.ndarray, pts: np.ndarray, what: str, edge: str):
+    """Raise SupportError if a sampled edge value exceeds _EDGE_TOL or is
+    NaN, naming the number of samples and the chart coordinates of the
+    worst one (the first NaN, if any)."""
+    if not vals.size:
+        return
+    k = int(np.argmax(np.abs(vals)))
+    worst = abs(float(vals[k]))
+    if not worst <= _EDGE_TOL:
+        axes = ("rho", "x", "y")[-pts.shape[0]:]
+        where = ", ".join(f"{a}={c:.4g}" for a, c in zip(axes, pts[:, k]))
+        raise SupportError(
+            f"{what} reaches the {edge} edge ({worst:.3e} at {where}; "
+            f"worst of {vals.size} edge samples)")
+
+
 def _fsum_weighted(values, weights):
     """Exactly rounded sum of the products; the zero ones are left out,
     which changes nothing (an exactly zero sum comes out +0.0 either way)."""
@@ -233,20 +254,19 @@ def integrate_disc(density, grid: DiscGrid) -> float:
     return _fsum_weighted(values, grid.weights)
 
 
-def integrate_ball(density, grid: BallGrid, check_support: bool = True) -> float:
+def integrate_ball(density, grid: BallGrid) -> float:
     """Integrate density(rho, x, y) over the chart box with the flat
     measure d rho dx dy.
 
-    Raises SupportError when the density is visibly nonzero on the box
-    edge (the construction demands compact support inside the plane box).
+    Raises SupportError when a callable density is visibly nonzero, or not
+    a number, on the box edge (the construction demands compact support
+    inside the plane box); see :func:`_check_edge`.
     """
     if callable(density):
-        if check_support:
-            e = density(*grid.edge_points)
-            if np.max(np.abs(e)) > 1e-10:
-                raise SupportError(
-                    f"integrand not supported inside the box "
-                    f"(edge magnitude {np.max(np.abs(e)):.3e})")
+        edge = grid.edge_points
+        vals = np.asarray(density(*edge), dtype=np.float64)
+        _check_edge(np.broadcast_to(vals, edge.shape[1:]), edge, "integrand",
+                    "box")
         values = density(*grid.nodes)
     else:
         values = density

@@ -21,7 +21,7 @@ from ._jets import (FD4_D1, FD4_D2, FD4_OFFSETS, Jet, compose, fd4_jacobian,
 from .cocycle import CocycleConfig, gamma
 from .diffeo import (AlexanderRadial, AngleDisplacement, CircleIsotopy,
                      CutoffFn, CutoffProfile, DiscDiffeo, FlowMap, RadialTwist,
-                     Rotation, disc_compose, disc_invert)
+                     Rotation, _Profile, disc_compose, disc_invert)
 from .errors import DomainError, FlagError, StepError, UnsupportedError
 from .forms import integrate_disc, mc_form
 from .trigpoly import (CircleField, TrigPoly, circle_bracket, tp_derivative,
@@ -224,7 +224,7 @@ class DiscVectorField:
         return ("discfield", self._serial)
 
 
-class _UnitProfile:
+class _UnitProfile(_Profile):
     """Constant-1 radial profile (rotation-type angular terms)."""
 
     @property
@@ -234,10 +234,9 @@ class _UnitProfile:
     def value(self, r):
         return np.ones_like(np.asarray(r, dtype=np.float64))
 
-    def d1(self, r):
-        return np.zeros_like(np.asarray(r, dtype=np.float64))
-
-    d2 = d1
+    def jets(self, r):
+        zero = np.zeros_like(np.asarray(r, dtype=np.float64))
+        return self.value(r), zero, zero
 
     def signature(self):
         return ("unit",)
@@ -246,7 +245,7 @@ class _UnitProfile:
 _UNIT_PROFILE = _UnitProfile()
 
 
-class _ScaledProfile:
+class _ScaledProfile(_Profile):
     """c * profile(r); twist curves scale one fixed profile by the time."""
 
     __slots__ = ("base", "scale")
@@ -262,11 +261,8 @@ class _ScaledProfile:
     def value(self, r):
         return self.scale * self.base.value(r)
 
-    def d1(self, r):
-        return self.scale * self.base.d1(r)
-
-    def d2(self, r):
-        return self.scale * self.base.d2(r)
+    def jets(self, r):
+        return tuple(self.scale * f for f in self.base.jets(r))
 
     def signature(self):
         return ("scaled", self.scale) + tuple(self.base.signature())

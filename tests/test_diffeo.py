@@ -49,7 +49,7 @@ from virbott.errors import (
     NotBoundaryTrivialError,
     UnsupportedError,
 )
-from virbott.liealg import SeparableDiscField
+from virbott.liealg import SeparableDiscField, _ScaledProfile, _UnitProfile
 from virbott.trigpoly import TrigPoly
 
 RNG = np.random.default_rng(7)
@@ -124,6 +124,34 @@ def test_bump_profile_support():
     assert np.all(b.d1(outside) == 0.0)
     mid = b.value(np.array([0.5]))[0]
     assert abs(mid - 1.0) < 1e-12      # peak value = amp at the midpoint
+
+
+# every profile class, with the edges of its support
+EVERY_PROFILE = {
+    "cutoff": (cutoff_make(0.2, 0.15), (0.2, 0.85)),
+    "cutoff-profile": (CutoffProfile(cutoff_make(0.2, 0.15)), (0.2, 0.85)),
+    "powered": (PoweredCutoffProfile(cutoff_make(0.15, 0.1), 3), (0.15, 0.9)),
+    "sine-pulse": (SinePulseProfile(cutoff_make(0.2, 0.15), 0.5), (0.2, 0.85)),
+    "bump": (BumpProfile(0.3, 0.75, -0.7), (0.3, 0.75)),
+    "unit": (_UnitProfile(), ()),
+    "scaled": (_ScaledProfile(BumpProfile(0.1, 0.9, 0.12), 0.37), (0.1, 0.9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_PROFILE))
+def test_profile_value_and_derivatives_read_off_one_jets_call(name):
+    profile, edges = EVERY_PROFILE[name]
+    radii = list(np.linspace(0.0, 1.3, 53))
+    for e in edges:
+        radii += [e * (1 - 1e-12), e, e * (1 + 1e-12), e - 1e-6, e + 1e-6,
+                  e - 0.01, e + 0.01]
+    # a 0-d input too, as SeparableDiscField passes one
+    for r in (np.array(radii), np.float64(1.0), np.float64(0.5)):
+        f0, f1, f2 = profile.jets(r)
+        assert np.shape(f0) == np.shape(r)
+        assert np.array_equal(profile.value(r), f0)
+        assert np.array_equal(profile.d1(r), f1)
+        assert np.array_equal(profile.d2(r), f2)
 
 
 # ----------------------------------------------------------------------
@@ -681,6 +709,52 @@ def test_conjugated_extension_mask_is_exact():
     moves = B.moves(pts3)
     assert moves.any() and not moves.all()
     assert_identity_outside_mask(B, moves, pts3)
+
+
+# ----------------------------------------------------------------------
+# apply of the radius-preserving links, derived from their angle hooks
+# ----------------------------------------------------------------------
+
+def assert_apply_matches_the_jet(link, pts):
+    """``apply`` agrees with the jet's value, and every node whose angle
+    the link keeps (unmoved, or turned by exactly 0) stays bit for bit."""
+    out = link.apply(pts)
+    assert np.max(np.abs(out - link.jet(pts).x)) <= 1e-14
+    r = np.hypot(pts[-2], pts[-1])
+    th = np.arctan2(pts[-1], pts[-2])
+    base = (pts[0], r) if pts.shape[0] == 3 else (r,)
+    moved = link.moves(pts)
+    kept = ~moved
+    kept[moved] = link.angle_jet(*(b[moved] for b in base),
+                                 th[moved])[0] == th[moved]
+    assert np.array_equal(out[:, kept], pts[:, kept])
+    return out
+
+
+@pytest.mark.parametrize("name", ["rotation", "alexander", "twist",
+                                  "inverse", "displacement"])
+def test_disc_link_apply_matches_its_jet(name):
+    link = every_disc_link()[name]
+    assert_apply_matches_the_jet(link, straddling_points(MASK_EDGES))
+
+
+@pytest.mark.parametrize("kind", ["angular", "rotation", "frozen"])
+def test_ball_layer_apply_matches_its_jet(kind):
+    alexander = every_disc_link()["alexander"]
+    pmap = {"angular": alexander.param_map(),
+            "rotation": Rotation(0.6).param_map(),
+            "frozen": ParamFrozen(alexander)}[kind]
+    profile = CutoffProfile(cutoff_make(0.15, 0.1))
+    layer = BallLayerLink(profile, pmap)
+    pts3 = ball_mask_points()
+    out = assert_apply_matches_the_jet(layer, pts3)
+    assert np.array_equal(out[0], pts3[0])
+    if kind != "frozen":
+        # where the profile is 0 the layer is the identity, bit for bit,
+        # on nodes its mask counts as moved too
+        still = profile.value(pts3[0]) == 0.0
+        assert (still & layer.moves(pts3)).any()
+        assert np.array_equal(out[:, still], pts3[:, still])
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from virbott.forms import (
     BallGrid,
     DiscGrid,
     MCFormSample,
+    _check_edge,
     eta_closedness_residual,
     integrate_ball,
     integrate_disc,
@@ -93,6 +94,22 @@ def test_ball_support_error():
     grid = BallGrid(6, 16, L=1.25)
     with pytest.raises(SupportError):
         integrate_ball(lambda rho, x, y: np.exp(-(x ** 2 + y ** 2)), grid)
+
+
+def test_nan_edge_sample_raises_support_error():
+    # NaN only on the x = +-L edge, which no quadrature node touches
+    grid = BallGrid(4, 8)
+
+    def density(rho, x, y):
+        return np.where(np.abs(x) == grid.L, np.nan, 0.0)
+
+    nan_edge = r"integrand reaches the box edge \(nan at rho=\S+ x=1\.25, "
+    with pytest.raises(SupportError, match=nan_edge):
+        integrate_ball(density, grid)
+    # the check behind the Wess-Zumino and plane-box integrals
+    edge = grid.edge_points
+    with pytest.raises(SupportError, match=nan_edge):
+        _check_edge(density(*edge), edge, "integrand", "box")
 
 
 def test_numeric_error_on_nan():
