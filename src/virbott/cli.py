@@ -49,6 +49,7 @@ from .diffeo import (
     BumpProfile,
     CircleIsotopy,
     CutoffProfile,
+    DerivativePlan,
     DiscDiffeo,
     RadialTwist,
     Rotation,
@@ -56,7 +57,6 @@ from .diffeo import (
     cutoff_make,
     disc_compose,
     disc_invert,
-    plan_from_name,
 )
 from .errors import ConfigError, DomainError
 from .forms import BallGrid, DiscGrid, eta_closedness_residual, mc_components
@@ -120,7 +120,7 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {suite!r}; pick one of {SUITES}")
         self.suite = suite
         if isinstance(plan, str):
-            plan = _wrap_config(plan_from_name, plan)
+            plan = _wrap_config(DerivativePlan, plan.lower())
         self.plan = plan
         self.n_r, self.n_theta = int(n_r), int(n_theta)
         self.n_rho, self.n_plane = int(n_rho), int(n_plane)

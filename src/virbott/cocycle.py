@@ -43,9 +43,9 @@ from .diffeo import (
     cutoff_make,
     disc_compose,
     disc_invert,
-    is_boundary_trivial,
+    require_boundary_trivial,
 )
-from .errors import DomainError, NotBoundaryTrivialError
+from .errors import DomainError
 from .forms import (
     BallGrid,
     DiscGrid,
@@ -259,13 +259,12 @@ def omega0(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,
            profile=None, bt_eps: float = _BT_EPS) -> float:
     """c0 * W of the layered ball extension of a boundary-trivial element.
 
-    The extension follows h's own canonical isotopy (every closed-form
-    link carries a linear-in-u family), radially graded by ``profile``
-    (default: the plain cutoff profile of ``xi``).
+    The extension follows h's own canonical isotopy (every link with a
+    turn scales it linearly in u, inverse links stay frozen), radially
+    graded by ``profile`` (default: the plain cutoff profile of ``xi``).
     """
-    if not is_boundary_trivial(h, bt_eps):
-        raise NotBoundaryTrivialError(
-            "omega0 is defined on the boundary-trivial subgroup only")
+    require_boundary_trivial(
+        h, bt_eps, "omega0 is defined on the boundary-trivial subgroup only")
     ball = ball_extend(h, xi if xi is not None else _DEFAULT_BALL_CUTOFF,
                        profile)
     return cfg.c0 * wz_term(ball, cfg)
@@ -286,13 +285,11 @@ def delta_g_residual(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
     u -> g h_u g^{-1}, with the conjugators entering as frozen layers;
     vanishing of this residual is what makes the extended subgroup normal.
     """
-    if not is_boundary_trivial(h, bt_eps):
-        raise NotBoundaryTrivialError(
-            "Delta_g is defined for boundary-trivial h only")
-    conj = disc_compose(disc_compose(g, h), disc_invert(g))
-    if not is_boundary_trivial(conj, bt_eps):
-        raise NotBoundaryTrivialError(
-            "conjugate g h g^{-1} fails the boundary-triviality check")
+    require_boundary_trivial(
+        h, bt_eps, "Delta_g is defined for boundary-trivial h only")
+    require_boundary_trivial(
+        disc_compose(disc_compose(g, h), disc_invert(g)), bt_eps,
+        "conjugate g h g^{-1} fails the boundary-triviality check")
     xi_ = xi if xi is not None else _DEFAULT_BALL_CUTOFF
     gh = disc_compose(g, h)
     total = (omega0(h, cfg, xi_, profile, bt_eps)

@@ -12,36 +12,40 @@ The building blocks are:
   supported radial twists, and flow maps of vector fields;
 * sphere maps (disc maps that are the identity near the boundary circle,
   extended by the identity across the chart); and
-* layered ball maps (rho, p) -> (rho, m_{c(rho)}(p)) built from parametric
-  planar maps driven by a radial profile.
+* layered ball maps (rho, p) -> (rho, m_{c(rho)}(p)) built from disc links
+  graded by a radial profile.
 
 A link is any object with ``apply(pts)``, an exact 2-jet ``jet(pts)``, a
 mask ``moves(pts)`` and a ``signature()``; disc links also give
-``inverse_link()`` and ``param_map()`` (their linear-in-u family for ball
-extensions).  ``moves`` may be False only where the analytic jet is
+``inverse_link()``.  ``moves`` may be False only where the analytic jet is
 exactly the identity (value ``pts``, Jacobian I, Hessian 0, bit for bit);
 a chain's mask is the OR of its links' masks.  Disc and ball maps are one
 chain type: ``DiscDiffeo`` and ``BallDiffeo`` share the chain base.
 
-Every link but a flow preserves the radius (and rho in the ball) and moves
-only the angle.  Such a link gives ``radial_moves(r)``, its mask as a
+Every link but a flow preserves the radius (and rho in the ball) and only
+turns the angle.  Such a link gives ``radial_moves(r)``, its mask as a
 function of the plane radius, and the angle hook ``angle_jet(*base, th)``:
 its image angle phi with the partials in (r, theta) on the disc or
-(rho, r, theta) in the ball.  A chain's analytic jet splits its links into
-maximal runs of radius-preserving links and single flows.  A run is one
-pass of the angle-jet engine below: one scalar angle jet carried through
-every link by the scalar chain rule, and one conversion to Cartesian
-coordinates.  Runs and flows are composed through ``_jets.compose``.  A
-run of one link, so a one-link chain too, is that link's own ``jet``,
-which is the engine on that link.  A finite-difference plan (FD4)
+(rho, r, theta) in the ball.  ``_PolarLink`` derives ``moves`` and
+``apply`` from the two; ``apply`` leaves every node whose angle is
+unchanged as it is, bit for bit.  A forward disc link states its hook as
+an increment, ``turn(r, th)`` -> (a, [a_r, a_th], [[a_rr, a_rth],
+[a_rth, a_thth]]) with None for an exact zero, from which ``_PolarLink``
+derives phi = theta + a; it also gives ``scaled(u)``, the link with its
+turn scaled by u.  ``InverseAngular`` solves for its own hook.
+
+A chain's analytic jet splits its links into maximal runs of
+radius-preserving links and single flows, composed through
+``_jets.compose``.  A run carries one scalar angle jet Theta through its
+links by the scalar chain rule and goes Cartesian once: it turns each
+point p by delta = Theta - t, t the input angle, so its jet is that of
+p -> R(delta) p (``_turn_jet``), exact for a run of rotations alone.  A
+one-link run is that link's own ``jet``.  A finite-difference plan (FD4)
 provides an independent derivative path for cross-validation.
 
-The two hooks define a radius-preserving link: ``_PolarLink`` derives
-``moves`` (shared with the parametric maps) and ``apply``, which takes
-phi from ``angle_jet(...)[0]`` at the moved nodes and leaves every node
-whose angle is unchanged as it is, bit for bit (a ball layer at u = 0
-included).  ``Rotation`` keeps its own exact matrix jet: the polar path
-would leave rounding of order eps / r in the Hessian.
+A ball layer, ``BallLayerLink``, wraps a radius-preserving disc link:
+graded by a radial profile c it turns by c(rho) times the link's turn,
+and without one it is frozen, the link itself at every rho.
 
 A radial profile gives ``value(r)`` and ``jets(r)`` = (f, f', f'') from
 one shared pass; ``d1`` and ``d2`` read ``jets`` (``_Profile``), and
@@ -465,10 +469,6 @@ ANALYTIC = DerivativePlan("analytic")
 FD4 = DerivativePlan("fd4")
 
 
-def plan_from_name(name: str) -> DerivativePlan:
-    return DerivativePlan(name.lower())
-
-
 # ---------------------------------------------------------------------------
 # angular displacement fields A(r, theta)
 # ---------------------------------------------------------------------------
@@ -554,44 +554,6 @@ class AngleDisplacement:
             for prof, poly in self.terms)
 
 
-def _phi_output_jet(r, phi, dphi, d2phi):
-    """Jet of (X, Y) = (r cos phi, r sin phi) in the m variables of an angle
-    jet, (r, t) on the disc and (rho, r, t) in the ball.
-
-    ``dphi`` is a list of m first partials of phi, ``d2phi`` an m x m nested
-    list of second partials; variable number m - 2 is r itself (so dr/dv is
-    the Kronecker delta on it).
-    """
-    m = len(dphi)
-    ir = m - 2
-    n = r.shape[0]
-    c = np.cos(phi)
-    s = np.sin(phi)
-    X = r * c
-    Y = r * s
-    j = np.empty((2, m, n))
-    h = np.empty((2, m, m, n))
-    for v in range(m):
-        j[0, v] = -Y * dphi[v]
-        j[1, v] = X * dphi[v]
-        for w in range(v, m):
-            pp = dphi[v] * dphi[w]
-            h[0, v, w] = -X * pp - Y * d2phi[v][w]
-            h[1, v, w] = -Y * pp + X * d2phi[v][w]
-    # the r-derivative of the factor r
-    j[0, ir] += c
-    j[1, ir] += s
-    for w in range(m):
-        twice = 2.0 if w == ir else 1.0
-        a, b = min(ir, w), max(ir, w)
-        h[0, a, b] -= twice * s * dphi[w]
-        h[1, a, b] += twice * c * dphi[w]
-    for v in range(m):
-        for w in range(v + 1, m):
-            h[:, w, v] = h[:, v, w]
-    return Jet(np.stack([X, Y]), j, h)
-
-
 def _invert_angle_jets(fwd_jets, psi):
     """Second-order inverse-function data for theta -> theta + A(r, theta).
 
@@ -628,9 +590,8 @@ _LINK_GUARD = 1e-9           # below this radius every angular link is identity
 #     Theta'_ab = phi_ab + phi_ath Theta_b + phi_bth Theta_a
 #                 + phi_thth Theta_a Theta_b + phi_th Theta_ab
 #
-# (phi_a = 0 for a = t) advances it.  The run goes Cartesian once, through
-# the polar chart; below _LINK_GUARD only rotations act and the chart is
-# singular, so there the exact rotation jet is built instead.
+# (phi_a = 0 for a = t) advances it.  The run then goes Cartesian once,
+# as the turn p -> R(Theta - t) p (``_turn_jet``).
 
 def _add(*terms):
     """Sum of angle-jet entries; None (an exact zero) terms drop out."""
@@ -715,61 +676,65 @@ def _angle_run(links, masks, base, theta):
     return theta, grad, hess
 
 
-def _as_array(entry):
-    return 0.0 if entry is None else entry
+def _turn_jet(pts, r, start, theta, grad, hess) -> Jet:
+    """Jet at ``pts`` (d, N), of plane radius ``r``, of the run that ends at
+    the angle jet (theta, grad, hess) from the start angles ``start``: the
+    turn F(p) = R(delta) p by delta = theta - start.
 
-
-def _polar_nodes_jet(pts, r, theta, grad, hess) -> Jet:
-    """Cartesian jet at nodes away from the origin of the map with angle jet
-    (theta, grad, hess): X = r cos theta, Y = r sin theta composed with the
-    polar chart; the rho row of a ball jet is exact."""
-    m = len(grad)
-    dphi = [_as_array(g) for g in grad]
-    d2phi = [[_as_array(hess[min(a, b), max(a, b)]) for b in range(m)]
-             for a in range(m)]
-    planar = _phi_output_jet(r, theta, dphi, d2phi)
-    chart = polar_chart_jet(pts[-2], pts[-1])
-    if m == 2:
-        return compose(planar, chart)
-    # rho passes the chart unchanged: compose the (r, t) block, and turn
-    # the mixed rho partials by the chart's Jacobian
-    xy = compose(Jet(planar.x, planar.j[:, 1:], planar.h[:, 1:, 1:]), chart)
-    n = r.shape[0]
-    j = np.zeros((3, 3, n))
-    j[0, 0] = 1.0
-    j[1:, 0] = planar.j[:, 0]
-    j[1:, 1:] = xy.j
-    h = np.zeros((3, 3, 3, n))
-    h[1:, 0, 0] = planar.h[:, 0, 0]
-    h[1:, 0, 1:] = np.einsum("iln,lbn->ibn", planar.h[:, 0, 1:], chart.j)
-    h[1:, 1:, 0] = h[1:, 0, 1:]
-    h[1:, 1:, 1:] = xy.h
-    return Jet(np.concatenate([pts[:1], xy.x]), j, h)
-
-
-def _rotation_nodes_jet(pts, angle, grad, hess) -> Jet:
-    """Exact jet of p -> R(angle) p, with angle a function of rho alone
-    in the ball (grad[0], hess[0, 0] its derivatives): what a run of
-    rotations does at nodes inside the origin guard."""
+    With q = J p (p turned by a quarter) and D, DD the Cartesian gradient
+    and Hessian of delta, F_a = R (e_a + D_a q) and
+    F_ab = R (J (e_a D_b + e_b D_a) + DD_ab q - D_a D_b p), with e_rho = 0
+    in the plane; the rho row is exact.  D and DD in the plane are delta's
+    (r, t) jet composed with the polar chart, and the rho entries are read
+    off.  Inside _LINK_GUARD only rotations act, so delta has no r or t
+    partial there, and the chart is taken at (1, 0): its entries only
+    multiply exact zeros.
+    """
     d, n = pts.shape
-    c, s = np.cos(angle), np.sin(angle)
-    x, y = pts[-2], pts[-1]
-    X, Y = c * x - s * y, s * x + c * y
+    ir, it = d - 2, d - 1                       # the slots of r and t
+    g = [0.0 if e is None else e for e in grad]
+    H = {k: 0.0 if e is None else e for k, e in hess.items()}
+    delta = theta - start
+    polar_j = np.empty((1, 2, n))
+    polar_h = np.empty((1, 2, 2, n))
+    polar_j[0, 0], polar_j[0, 1] = g[ir], g[it] - 1.0
+    polar_h[0, 0, 0], polar_h[0, 1, 1] = H[ir, ir], H[it, it]
+    polar_h[0, 0, 1] = polar_h[0, 1, 0] = H[ir, it]
+    away = r >= _LINK_GUARD
+    chart = polar_chart_jet(np.where(away, pts[-2], 1.0),
+                            np.where(away, pts[-1], 0.0))
+    plane = compose(Jet(delta[None], polar_j, polar_h), chart)
+    D = g[:ir] + list(plane.j[0])
+    DD = {(ir + k, ir + l): plane.h[0, k, l] for k in (0, 1) for l in (k, 1)}
+    if d == 3:
+        DD[0, 0] = H[0, 0]
+        for k in (0, 1):
+            DD[0, 1 + k] = H[0, 1] * chart.j[0, k] + H[0, 2] * chart.j[1, k]
+    c, s = np.cos(delta), np.sin(delta)
+    X = c * pts[-2] - s * pts[-1]               # R p = (X, Y), R q = (-Y, X)
+    Y = s * pts[-2] + c * pts[-1]
+    turned = {ir: (c, s), it: (-s, c)}          # R e_a of the plane axes
+    quarter = {ir: (-s, c), it: (-c, -s)}       # R J e_a
     j = np.zeros((d, d, n))
     h = np.zeros((d, d, d, n))
-    j[-2, -2], j[-2, -1], j[-1, -2], j[-1, -1] = c, -s, s, c
     if d == 3:
-        a1, a2 = _as_array(grad[0]), _as_array(hess[0, 0])
         j[0, 0] = 1.0
-        j[1, 0], j[2, 0] = -a1 * Y, a1 * X
-        h[1, 0, 0] = -a2 * Y - a1 * a1 * X
-        h[2, 0, 0] = a2 * X - a1 * a1 * Y
-        h[1, 0, 1] = h[1, 1, 0] = -a1 * s
-        h[2, 0, 1] = h[2, 1, 0] = a1 * c
-        h[1, 0, 2] = h[1, 2, 0] = -a1 * c
-        h[2, 0, 2] = h[2, 2, 0] = -a1 * s
-    x_out = np.stack([X, Y]) if d == 2 else np.stack([pts[0], X, Y])
-    return Jet(x_out, j, h)
+    for a in range(d):
+        j[-2, a] = -D[a] * Y
+        j[-1, a] = D[a] * X
+        if a in turned:
+            j[-2, a] += turned[a][0]
+            j[-1, a] += turned[a][1]
+        for b in range(a, d):
+            both = D[a] * D[b]
+            h[-2, a, b] = -DD[a, b] * Y - both * X
+            h[-1, a, b] = DD[a, b] * X - both * Y
+            for e, f in ((a, b), (b, a)):
+                if e in quarter:
+                    h[-2, a, b] += quarter[e][0] * D[f]
+                    h[-1, a, b] += quarter[e][1] * D[f]
+            h[:, b, a] = h[:, a, b]
+    return Jet(np.stack([*pts[:-2], X, Y]), j, h)
 
 
 def _polar_run_jet(links, pts) -> Jet:
@@ -777,57 +742,49 @@ def _polar_run_jet(links, pts) -> Jet:
 
     The plane radius is taken once and every link's mask read off it.  Only
     nodes some link moves are evaluated; the others keep the identity jet,
-    so the ``moves`` contract holds bit for bit.
+    so the ``moves`` contract holds bit for bit.  The run starts from the
+    angle 0 inside _LINK_GUARD, where only rotations act.
     """
     pts = np.asarray(pts, dtype=np.float64)
     r = np.hypot(pts[-2], pts[-1])
     masks = [link.radial_moves(r) for link in links]
     moved = np.logical_or.reduce(masks)
-    out = Jet.identity(pts)
-    if not moved.any():
+    whole = moved.all()
+    out = None if whole else Jet.identity(pts)
+    if not (whole or moved.any()):
         return out
-    polar = moved & (r >= _LINK_GUARD)
-    for sel, away in ((polar, True), (moved & ~polar, False)):
-        if not sel.any():
-            continue
-        whole = sel.all()
-        sub = pts if whole else pts[:, sel]
-        sub_r = r if whole else r[sel]
-        base = (sub[0], sub_r) if pts.shape[0] == 3 else (sub_r,)
-        start = np.arctan2(sub[-1], sub[-2]) if away else np.zeros(sub_r.size)
-        theta, grad, hess = _angle_run(
-            links, [mk if whole else mk[sel] for mk in masks], base, start)
-        if away:
-            jet = _polar_nodes_jet(sub, sub_r, theta, grad, hess)
-        else:
-            jet = _rotation_nodes_jet(sub, theta, grad, hess)
-        if whole:
-            return jet
-        out.x[:, sel] = jet.x
-        out.j[:, :, sel] = jet.j
-        out.h[:, :, :, sel] = jet.h
+    sub = pts if whole else pts[:, moved]
+    sub_r = r if whole else r[moved]
+    start = np.where(sub_r >= _LINK_GUARD, np.arctan2(sub[-1], sub[-2]), 0.0)
+    base = (sub[0], sub_r) if pts.shape[0] == 3 else (sub_r,)
+    jet = _turn_jet(sub, sub_r, start, *_angle_run(
+        links, [mk if whole else mk[moved] for mk in masks], base, start))
+    if whole:
+        return jet
+    out.x[:, moved] = jet.x
+    out.j[:, :, moved] = jet.j
+    out.h[:, :, :, moved] = jet.h
     return out
 
 
-class _RadialMask:
-    """``moves(pts)`` of a map that gives its mask as a function of the
-    plane radius, ``radial_moves(r)``."""
+class _PolarLink:
+    """Base of the radius-preserving links: they keep the plane radius r
+    (and rho) and move only the angle.  A subclass gives
+    ``radial_moves(r)``, its mask as a function of r, and either the
+    increment hook ``turn(r, th)``, from which ``angle_jet`` = theta + a
+    follows, or its own angle hook ``angle_jet(*base, th)`` ->
+    (phi, dphi, d2phi) over (base..., theta).  ``apply`` and ``moves``
+    follow from the two, and its jet is the angle-jet engine on the one
+    link."""
 
     __slots__ = ()
+
+    def angle_jet(self, r, th):
+        a, (a_r, a_t), d2a = self.turn(r, th)
+        return th + a, [a_r, _add(1.0, a_t)], d2a
 
     def moves(self, pts):
         return self.radial_moves(np.hypot(pts[-2], pts[-1]))
-
-
-class _PolarLink(_RadialMask):
-    """Base of the radius-preserving links: they keep the plane radius r
-    (and rho) and move only the angle.  A subclass gives
-    ``radial_moves(r)``, its mask as a function of r, and the angle hook
-    ``angle_jet(*base, th)`` -> (phi, dphi, d2phi) over the variables
-    (base..., theta); ``apply`` and ``moves`` follow from the two, and its
-    jet is the angle-jet engine on the one link."""
-
-    __slots__ = ()
 
     def apply(self, pts):
         """Image of ``pts`` (d, N): the hook's angle phi at the moved nodes.
@@ -853,7 +810,8 @@ class _PolarLink(_RadialMask):
 
 
 class _AngularLinkBase(_PolarLink):
-    """Shared machinery for the links (r, th) -> (r, th + A(r, th))."""
+    """Shared machinery for the links (r, th) -> (r, th + A(r, th)): their
+    turn is the displacement A."""
 
     displacement: AngleDisplacement
 
@@ -873,15 +831,15 @@ class _AngularLinkBase(_PolarLink):
     def radial_moves(self, r):
         return self.displacement.radial_moves(r)
 
-    def angle_jet(self, r, th):
+    def turn(self, r, th):
         A, Ar, At, Arr, Art, Att = self.displacement.jets(r, th)
-        return th + A, [Ar, 1.0 + At], [[Arr, Art], [Art, Att]]
+        return A, [Ar, At], [[Arr, Art], [Art, Att]]
+
+    def scaled(self, u: float):
+        return _DisplacementLink(self.displacement.scaled(u))
 
     def inverse_link(self):
         return InverseAngular(self.displacement, self.signature())
-
-    def param_map(self):
-        return ParamAngular(self.displacement)
 
 
 class AlexanderRadial(_AngularLinkBase):
@@ -928,14 +886,18 @@ class RadialTwist(_AngularLinkBase):
         return ("twist", self.profile.signature())
 
 
-class InverseAngular(_AngularLinkBase):
-    """Inverse of a radius-preserving angular link, solved per point."""
+class InverseAngular(_PolarLink):
+    """Inverse of a radius-preserving angular link, solved per point; it
+    has its own angle hook and no turn."""
 
     __slots__ = ("displacement", "_fwd_sig")
 
     def __init__(self, fwd_displacement: AngleDisplacement, fwd_sig):
         self.displacement = fwd_displacement
         self._fwd_sig = fwd_sig
+
+    def radial_moves(self, r):
+        return self.displacement.radial_moves(r)
 
     def _solve(self, r, t, tol=1e-12, max_iter=200):
         """Solve psi + A(r, psi) = t per node by :func:`solve_increasing`.
@@ -965,18 +927,25 @@ class InverseAngular(_AngularLinkBase):
     def inverse_link(self):
         return _DisplacementLink(self.displacement)
 
-    def param_map(self):
-        return ParamFrozen(self)
-
     def signature(self):
         return ("inverse-angular", self._fwd_sig)
 
 
+class _DisplacementLink(_AngularLinkBase):
+    """Plain angular link from a bare displacement (scaled links)."""
+
+    __slots__ = ("displacement",)
+
+    def __init__(self, displacement: AngleDisplacement):
+        self.displacement = displacement
+        self._check_orientation()
+
+    def signature(self):
+        return ("displacement-link", self.displacement.signature())
+
+
 class Rotation(_PolarLink):
-    """Rigid rotation of the plane by alpha; in a run of radius-preserving
-    links it shifts the angle by alpha.  Its own jet is the exact matrix
-    one, with a Hessian of exact zeros (the polar path would leave rounding
-    of order eps / r there)."""
+    """Rigid rotation of the plane by alpha: the constant turn alpha."""
 
     __slots__ = ("alpha",)
 
@@ -986,21 +955,14 @@ class Rotation(_PolarLink):
     def radial_moves(self, r):
         return np.ones(r.shape, dtype=bool)
 
-    def angle_jet(self, r, th):
-        return th + self.alpha, [None, 1.0], [[None, None], [None, None]]
+    def turn(self, r, th):
+        return self.alpha, [None, None], [[None, None], [None, None]]
 
-    def jet(self, pts) -> Jet:
-        c, s = math.cos(self.alpha), math.sin(self.alpha)
-        R = np.array([[c, -s], [s, c]])
-        n = pts.shape[1]
-        j = np.repeat(R[:, :, None], n, axis=2)
-        return Jet(R @ pts, j, np.zeros((2, 2, 2, n)))
+    def scaled(self, u: float):
+        return Rotation(u * self.alpha)
 
     def inverse_link(self):
         return Rotation(-self.alpha)
-
-    def param_map(self):
-        return ParamRotation(self.alpha)
 
     def signature(self):
         return ("rotation", self.alpha)
@@ -1067,9 +1029,6 @@ class FlowMap:
         raise UnsupportedError("flow links have no closed-form inverse; "
                                "use time_reversed() where a numerical inverse "
                                "is acceptable")
-
-    def param_map(self):
-        return None
 
     def signature(self):
         return ("flow", self.field.signature(), self.time, self.steps)
@@ -1198,13 +1157,32 @@ def disc_jacobian(g: DiscDiffeo, pts, plan: DerivativePlan = ANALYTIC):
 _BT_ANGLES = np.linspace(0.0, _TWO_PI, 256, endpoint=False)
 
 
+def _boundary_offset(g: DiscDiffeo, eps: float):
+    """(largest coordinate of |g(p) - p|, the radius where it is taken,
+    sample count) over 256 angles on each annulus radius 1-eps/2, 1-eps/4;
+    a NaN counts as the largest."""
+    r = np.repeat([1.0 - eps / 2.0, 1.0 - eps / 4.0], _BT_ANGLES.size)
+    th = np.tile(_BT_ANGLES, 2)
+    pts = np.stack([r * np.cos(th), r * np.sin(th)])
+    off = np.max(np.abs(g.apply(pts) - pts), axis=0)
+    k = int(np.argmax(off))
+    return off[k], r[k], off.size
+
+
 def is_boundary_trivial(g: DiscDiffeo, eps: float, tol: float = 1e-12) -> bool:
     """Is g the identity (to ``tol``) on the annulus radii 1-eps/2, 1-eps/4?"""
-    for r in (1.0 - eps / 2.0, 1.0 - eps / 4.0):
-        pts = np.stack([r * np.cos(_BT_ANGLES), r * np.sin(_BT_ANGLES)])
-        if np.max(np.abs(g.apply(pts) - pts)) > tol:
-            return False
-    return True
+    return bool(_boundary_offset(g, eps)[0] <= tol)
+
+
+def require_boundary_trivial(g: DiscDiffeo, eps: float, what: str,
+                             tol: float = 1e-12):
+    """Raise NotBoundaryTrivialError saying ``what`` and naming the worst
+    sample unless ``is_boundary_trivial(g, eps, tol)``."""
+    off, r, n = _boundary_offset(g, eps)
+    if not off <= tol:
+        raise NotBoundaryTrivialError(
+            f"{what} (a coordinate moves by {off:.3e} at r={r:.4g}; worst of "
+            f"{n} samples)")
 
 
 class SphereDiffeo:
@@ -1227,9 +1205,8 @@ def sphere_extend(h: DiscDiffeo, eps: float = 0.1) -> SphereDiffeo:
     Raises NotBoundaryTrivialError when h fails the identity check near the
     boundary circle.
     """
-    if not is_boundary_trivial(h, eps):
-        raise NotBoundaryTrivialError(
-            "disc map is not the identity near the boundary circle")
+    require_boundary_trivial(
+        h, eps, "disc map is not the identity near the boundary circle")
     return SphereDiffeo(h, eps)
 
 
@@ -1241,124 +1218,54 @@ def alexander_extend(isotopy: CircleIsotopy, cutoff: CutoffFn,
 
 
 # ---------------------------------------------------------------------------
-# parametric planar maps and layered ball diffeomorphisms
+# ball layers and layered ball diffeomorphisms
 # ---------------------------------------------------------------------------
 
-class ParamRotation(_RadialMask):
-    """u -> rotation by u * alpha."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha: float):
-        self.alpha = float(alpha)
-
-    def radial_moves(self, r):
-        return np.ones(r.shape, dtype=bool)
-
-    def angle_jet(self, u, r, th):
-        """phi = th + u alpha with u = c(rho): ``u`` is (c, c', c'')."""
-        c0, c1, c2 = u
-        a = self.alpha
-        none = [None, None, None]
-        return th + c0 * a, [c1 * a, None, 1.0], [[c2 * a, None, None],
-                                                  none, none]
-
-    def boundary_link(self, u0: float):
-        return Rotation(u0 * self.alpha)
-
-    def signature(self):
-        return ("param-rotation", self.alpha)
-
-
-class ParamAngular(_RadialMask):
-    """u -> (r, theta) |-> (r, theta + u * A(r, theta))."""
-
-    __slots__ = ("displacement",)
-
-    def __init__(self, displacement: AngleDisplacement):
-        self.displacement = displacement
-
-    def radial_moves(self, r):
-        # the u-derivative is A itself, so u = 0 points stay active; only
-        # envelope-zero points are exactly the identity in all three slots
-        return self.displacement.radial_moves(r)
-
-    def angle_jet(self, u, r, th):
-        """phi = th + u A(r, th) with u = c(rho): ``u`` is (c, c', c'')."""
-        c0, c1, c2 = u
-        A, Ar, At, Arr, Art, Att = self.displacement.jets(r, th)
-        rho_r, rho_t, r_t = c1 * Ar, c1 * At, c0 * Art
-        return th + c0 * A, [c1 * A, c0 * Ar, 1.0 + c0 * At], [
-            [c2 * A, rho_r, rho_t], [rho_r, c0 * Arr, r_t],
-            [rho_t, r_t, c0 * Att]]
-
-    def boundary_link(self, u0: float):
-        return _DisplacementLink(self.displacement.scaled(u0))
-
-    def signature(self):
-        return ("param-angular", self.displacement.signature())
-
-
-class _DisplacementLink(_AngularLinkBase):
-    """Plain angular link from a bare displacement (boundary restrictions)."""
-
-    __slots__ = ("displacement",)
-
-    def __init__(self, displacement: AngleDisplacement):
-        self.displacement = displacement
-        self._check_orientation()
-
-    def signature(self):
-        return ("displacement-link", self.displacement.signature())
-
-
-class ParamFrozen(_RadialMask):
-    """A u-independent layer: wraps a radius-preserving planar link
-    (conjugators)."""
-
-    __slots__ = ("link",)
-
-    def __init__(self, link):
-        if not hasattr(link, "angle_jet"):
-            raise UnsupportedError(
-                "frozen layers wrap radius-preserving links only")
-        self.link = link
-
-    def radial_moves(self, r):
-        return self.link.radial_moves(r)
-
-    def angle_jet(self, u, r, th):
-        phi, dphi, d2phi = self.link.angle_jet(r, th)
-        return phi, [None] + dphi, [[None, None, None]] + [
-            [None] + row for row in d2phi]
-
-    def boundary_link(self, u0: float):
-        return self.link
-
-    def signature(self):
-        return ("param-frozen", self.link.signature())
-
-
 class BallLayerLink(_PolarLink):
-    """(rho, x, y) -> (rho, P(c(rho), x, y)) for a radial profile c and a
-    parametric planar map P; the first output row is always rho itself.
-    Its angle hook is the planar map's at u = c(rho), over (rho, r, theta).
+    """(rho, x, y) -> (rho, m_u(x, y)) for a radius-preserving disc link m;
+    the first output row is always rho itself.
+
+    With a radial ``profile`` c the layer is graded: m_u is the link with
+    its turn a scaled by u = c(rho), and the angle hook over
+    (rho, r, theta) is theta + c a.  Without one it is frozen: m_u is the
+    link at every u, and the hook is the link's own.
     """
 
-    __slots__ = ("profile", "pmap")
+    __slots__ = ("link", "profile")
 
-    def __init__(self, profile, pmap):
+    def __init__(self, link, profile=None):
+        if not hasattr(link, "angle_jet" if profile is None else "turn"):
+            raise UnsupportedError(
+                "ball layers need a radius-preserving link, and graded ones "
+                "a link with a turn: flow links carry no closed-form isotopy")
+        self.link = link
         self.profile = profile
-        self.pmap = pmap
 
     def radial_moves(self, r):
-        return self.pmap.radial_moves(r)
+        # the rho-derivative of a graded layer is c' a, so layers where
+        # c = 0 stay active; only where a vanishes is the layer the identity
+        return self.link.radial_moves(r)
 
     def angle_jet(self, rho, r, th):
-        return self.pmap.angle_jet(self.profile.jets(rho), r, th)
+        if self.profile is None:
+            phi, dphi, d2phi = self.link.angle_jet(r, th)
+            return phi, [None] + dphi, [[None, None, None]] + [
+                [None] + row for row in d2phi]
+        c0, c1, c2 = self.profile.jets(rho)
+        a, (a_r, a_t), ((a_rr, a_rt), (_, a_tt)) = self.link.turn(r, th)
+        rho_r, rho_t, r_t = _mul(c1, a_r), _mul(c1, a_t), _mul(c0, a_rt)
+        return th + _mul(c0, a), [
+            _mul(c1, a), _mul(c0, a_r), _add(1.0, _mul(c0, a_t))], [
+            [_mul(c2, a), rho_r, rho_t], [rho_r, _mul(c0, a_rr), r_t],
+            [rho_t, r_t, _mul(c0, a_tt)]]
+
+    def at(self, u: float):
+        """The planar link m_u."""
+        return self.link if self.profile is None else self.link.scaled(u)
 
     def signature(self):
-        return ("ball-layer", self.profile.signature(), self.pmap.signature())
+        return ("ball-layer", self.link.signature(),
+                None if self.profile is None else self.profile.signature())
 
 
 class BallDiffeo(_Chain):
@@ -1370,13 +1277,11 @@ class BallDiffeo(_Chain):
 
     def boundary_map(self) -> DiscDiffeo:
         """The planar chain obtained by restricting every layer to rho = 1."""
-        links = []
-        for link in self.links:
-            u0 = float(link.profile.value(np.array([1.0]))[0])
-            bl = link.pmap.boundary_link(u0)
-            if bl is not None:
-                links.append(bl)
-        return DiscDiffeo(tuple(links))
+        one = np.array([1.0])
+        return DiscDiffeo(tuple(
+            layer.at(1.0 if layer.profile is None
+                     else float(layer.profile.value(one)[0]))
+            for layer in self.links))
 
     def normal_derivative_jet(self, plane_pts):
         """(d, dx, dy) with d the rho-derivative of the first output
@@ -1388,8 +1293,7 @@ class BallDiffeo(_Chain):
     def parameter_zero_map(self) -> DiscDiffeo:
         """The planar chain at parameter u = 0 (must evaluate to the
         identity for a valid extension of an isotopy)."""
-        return DiscDiffeo(tuple(link.pmap.boundary_link(0.0)
-                                for link in self.links))
+        return DiscDiffeo(tuple(layer.at(0.0) for layer in self.links))
 
 
 def ball_compose(g: BallDiffeo, h: BallDiffeo) -> BallDiffeo:
@@ -1397,47 +1301,43 @@ def ball_compose(g: BallDiffeo, h: BallDiffeo) -> BallDiffeo:
     return BallDiffeo(h.links + g.links)
 
 
-def _param_maps_of(disc: DiscDiffeo):
-    """Canonical parametric decomposition of a disc chain: each link yields
-    its linear-in-u planar family; flow links have none."""
-    pmaps = []
-    for link in disc.links:
-        pm = link.param_map()
-        if pm is None:
-            raise UnsupportedError(
-                "flow links carry no closed-form isotopy; "
-                "ball extensions need rotation/twist/Alexander chains")
-        pmaps.append(pm)
-    return pmaps
+def _layers(links, profile):
+    """Ball layers of disc links: graded by ``profile`` where the link has
+    a turn, frozen otherwise; a flow raises UnsupportedError."""
+    return [BallLayerLink(link, profile if hasattr(link, "turn") else None)
+            for link in links]
 
 
 _ID_CHECK_RADII = (0.15, 0.45, 0.75, 0.95)
 
 
 def _check_parameter_zero_identity(ball: BallDiffeo, tol: float = 1e-12):
-    th = np.linspace(0.0, _TWO_PI, 64, endpoint=False)
-    pts = np.concatenate([
-        np.stack([r * np.cos(th), r * np.sin(th)]) for r in _ID_CHECK_RADII
-    ], axis=1)
-    zero_map = ball.parameter_zero_map()
-    if np.max(np.abs(zero_map.apply(pts) - pts)) > tol:
+    r, th = (g.ravel() for g in np.meshgrid(
+        _ID_CHECK_RADII, np.linspace(0.0, _TWO_PI, 64, endpoint=False),
+        indexing="ij"))
+    pts = np.stack([r * np.cos(th), r * np.sin(th)])
+    off = np.max(np.abs(ball.parameter_zero_map().apply(pts) - pts), axis=0)
+    k = int(np.argmax(off))
+    if not off[k] <= tol:
         raise DomainError(
-            "layer isotopy does not start at the identity "
-            "(frozen conjugator links fail to cancel at u = 0)")
+            "layer isotopy does not start at the identity (frozen conjugator "
+            "links fail to cancel at u = 0: a coordinate moves by "
+            f"{off[k]:.3e} at r={r[k]:.4g}, theta={th[k]:.4g}; worst of "
+            f"{off.size} samples)")
 
 
 def ball_extend(h, xi: CutoffFn, profile=None) -> BallDiffeo:
     """Layered ball extension of a boundary map.
 
     ``h`` may be a DiscDiffeo (sphere map in the chart) or a SphereDiffeo.
-    Each link of the chain is graded by the radial profile (default: the
-    cutoff itself), so the ball map is the identity near rho = 0 and equals
-    the given map on the boundary sphere rho = 1.
+    Each link with a turn is graded by the radial profile (default: the
+    cutoff itself) and the inverse links are frozen, so the ball map is the
+    identity near rho = 0 (when the frozen layers cancel, which is checked)
+    and equals the given map on the boundary sphere rho = 1.
     """
     disc = h.disc if isinstance(h, SphereDiffeo) else h
     prof = profile if profile is not None else CutoffProfile(xi)
-    links = [BallLayerLink(prof, pm) for pm in _param_maps_of(disc)]
-    ball = BallDiffeo(links)
+    ball = BallDiffeo(_layers(disc.links, prof))
     _check_parameter_zero_identity(ball)
     return ball
 
@@ -1447,11 +1347,8 @@ def conjugated_extension(g: DiscDiffeo, h: DiscDiffeo, xi: CutoffFn,
     """Ball extension of g o h o g^{-1} along the isotopy u -> g o h_u o g^{-1}:
     the conjugating chains enter as frozen (u-independent) layers."""
     prof = profile if profile is not None else CutoffProfile(xi)
-    ginv = disc_invert(g)
-    links = [BallLayerLink(prof, ParamFrozen(l)) for l in ginv.links]
-    links += [BallLayerLink(prof, pm) for pm in _param_maps_of(h)]
-    links += [BallLayerLink(prof, ParamFrozen(l)) for l in g.links]
-    ball = BallDiffeo(links)
+    ball = BallDiffeo(_layers(disc_invert(g).links, None)
+                      + _layers(h.links, prof) + _layers(g.links, None))
     _check_parameter_zero_identity(ball)
     return ball
 

@@ -358,6 +358,30 @@ def test_delta_g_rejects_non_boundary_trivial_h():
         delta_g_residual(ROT, ALEX, CFG_SMALL)
 
 
+class _SelfInverseRotation(Rotation):
+    """A rotation that claims to be its own inverse: conjugating by it turns
+    the boundary circle by twice its angle."""
+
+    def inverse_link(self):
+        return Rotation(self.alpha)
+
+
+def test_boundary_triviality_errors_name_the_worst_sample():
+    # a rotation moves the outer sampled ring, r = 1 - eps / 4, the most
+    worst = r"a coordinate moves by \d\.\d{3}e-01 at r=0\.9875; worst of 512 " \
+        r"samples\)"
+    with pytest.raises(NotBoundaryTrivialError,
+                       match=r"subgroup only \(" + worst):
+        omega0(ROT, CFG_SMALL)
+    with pytest.raises(NotBoundaryTrivialError,
+                       match=r"boundary-trivial h only \(" + worst):
+        delta_g_residual(ALEX, ROT, CFG_SMALL)
+    with pytest.raises(NotBoundaryTrivialError,
+                       match=r"boundary-triviality check \(" + worst):
+        delta_g_residual(DiscDiffeo.from_link(_SelfInverseRotation(0.3)),
+                         TW1, CFG_SMALL)
+
+
 def test_w_coboundary_against_identity_is_exactly_zero():
     ball = ball_extend(TW1, XI)
     assert w_coboundary_residual(ball, BallDiffeo.identity(),

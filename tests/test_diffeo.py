@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from virbott._jets import Jet, compose, det_batched
+from virbott import diffeo
+from virbott._jets import Jet, compose, det_batched, polar_chart_jet
 from virbott.diffeo import (
     ANALYTIC,
     FD4,
@@ -25,7 +26,6 @@ from virbott.diffeo import (
     DerivativePlan,
     DiscDiffeo,
     FlowMap,
-    ParamFrozen,
     PoweredCutoffProfile,
     RadialTwist,
     Rotation,
@@ -49,6 +49,7 @@ from virbott.errors import (
     NotBoundaryTrivialError,
     UnsupportedError,
 )
+from virbott.forms import DiscGrid
 from virbott.liealg import SeparableDiscField, _ScaledProfile, _UnitProfile
 from virbott.trigpoly import TrigPoly
 
@@ -352,7 +353,7 @@ def every_disc_link():
         "alexander": alexander,
         "twist": RadialTwist(BumpProfile(0.3, 0.75, 0.7)),
         "inverse": alexander.inverse_link(),
-        "displacement": alexander.param_map().boundary_link(0.5),
+        "displacement": alexander.scaled(0.5),
         "flow": FlowMap(field, 0.4, steps=16),
     }
 
@@ -583,7 +584,7 @@ def test_ball_extend_rejects_flow_links():
 
 def test_frozen_layers_refuse_links_that_move_the_radius():
     with pytest.raises(UnsupportedError):
-        ParamFrozen(every_disc_link()["flow"])
+        BallLayerLink(every_disc_link()["flow"])
 
 
 def test_alternative_profiles_give_same_boundary():
@@ -684,13 +685,13 @@ def ball_mask_points():
 @pytest.mark.parametrize("kind", ["angular", "rotation", "frozen"])
 def test_ball_layer_masks_are_exact(kind):
     alexander = every_disc_link()["alexander"]
-    pmap = {"angular": alexander.param_map(),
-            "rotation": Rotation(0.6).param_map(),
-            "frozen": ParamFrozen(alexander)}[kind]
-    layer = BallLayerLink(CutoffProfile(cutoff_make(0.15, 0.1)), pmap)
+    profile = CutoffProfile(cutoff_make(0.15, 0.1))
+    link = {"angular": alexander, "rotation": Rotation(0.6),
+            "frozen": alexander}[kind]
+    layer = BallLayerLink(link, None if kind == "frozen" else profile)
     pts3 = ball_mask_points()
     moves = layer.moves(pts3)
-    assert np.array_equal(moves, pmap.moves(pts3[1:]))
+    assert np.array_equal(moves, link.moves(pts3[1:]))
     if kind == "rotation":
         assert moves.all()
     else:
@@ -741,11 +742,10 @@ def test_disc_link_apply_matches_its_jet(name):
 @pytest.mark.parametrize("kind", ["angular", "rotation", "frozen"])
 def test_ball_layer_apply_matches_its_jet(kind):
     alexander = every_disc_link()["alexander"]
-    pmap = {"angular": alexander.param_map(),
-            "rotation": Rotation(0.6).param_map(),
-            "frozen": ParamFrozen(alexander)}[kind]
+    link = {"angular": alexander, "rotation": Rotation(0.6),
+            "frozen": alexander}[kind]
     profile = CutoffProfile(cutoff_make(0.15, 0.1))
-    layer = BallLayerLink(profile, pmap)
+    layer = BallLayerLink(link, None if kind == "frozen" else profile)
     pts3 = ball_mask_points()
     out = assert_apply_matches_the_jet(layer, pts3)
     assert np.array_equal(out[0], pts3[0])
@@ -919,3 +919,113 @@ def test_orientation_errors_name_the_worst_sample():
                        match=r"min 1 \+ A_theta = -8\.000e-01 at r=[0-9.]+, "
                              r"theta=3\.142; worst of 8192 samples"):
         AlexanderRadial(iso, cutoff_make(0.2, 0.1), 3.0)
+
+
+# ----------------------------------------------------------------------
+# the turn p -> R(delta) p against the polar route: an independent oracle
+# ----------------------------------------------------------------------
+
+def polar_route_jet(pts, theta, grad, hess):
+    """Reference conversion: X = r cos Theta, Y = r sin Theta as a jet in
+    the angle-jet variables ((rho,) r, t), composed with the polar chart;
+    the rho row is exact.  ``grad[v]`` and ``hess[v][w]`` are arrays."""
+    d, n = pts.shape
+    r = np.hypot(pts[-2], pts[-1])
+    c, s = np.cos(theta), np.sin(theta)
+    X, Y = r * c, r * s
+    dr = [1.0 if v == d - 2 else 0.0 for v in range(d)]
+    j = np.zeros((d, d, n))
+    h = np.zeros((d, d, d, n))
+    for v in range(d):
+        j[-2, v] = dr[v] * c - Y * grad[v]
+        j[-1, v] = dr[v] * s + X * grad[v]
+        for w in range(d):
+            sym = dr[v] * grad[w] + dr[w] * grad[v]
+            both = grad[v] * grad[w]
+            h[-2, v, w] = -s * sym - X * both - Y * hess[v][w]
+            h[-1, v, w] = c * sym - Y * both + X * hess[v][w]
+    polar = polar_chart_jet(pts[-2], pts[-1])
+    cj = np.zeros((d, d, n))
+    ch = np.zeros((d, d, d, n))
+    cj[-2:, -2:] = polar.j
+    ch[-2:, -2:, -2:] = polar.h
+    if d == 3:
+        j[0, 0] = cj[0, 0] = 1.0
+    chart = Jet(np.concatenate([pts[:-2], polar.x]), cj, ch)
+    outer_x = np.concatenate([pts[:-2], np.stack([X, Y])])
+    return compose(Jet(outer_x, j, h), chart)
+
+
+def random_angle_jet(d, n, seed):
+    """Points with 1e-8 <= r <= 1.2 (and rho in [0, 1] for d = 3), their
+    start angles and a random angle jet with every partial filled in."""
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(math.log(1e-8), math.log(1.2), n))
+    t = rng.uniform(-math.pi, math.pi, n)
+    plane = np.stack([r * np.cos(t), r * np.sin(t)])
+    pts = np.concatenate([rng.uniform(0.0, 1.0, (1, n)), plane]) \
+        if d == 3 else plane
+    start = np.arctan2(pts[-1], pts[-2])
+    theta = start + rng.uniform(-3.0, 3.0, n)
+    grad = list(rng.normal(size=(d, n)))
+    half = rng.normal(size=(d, d, n))
+    hess = list(half + half.transpose(1, 0, 2))
+    return pts, r, start, theta, grad, hess
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_turn_conversion_matches_the_polar_route(d):
+    pts, r, start, theta, grad, hess = random_angle_jet(d, 4000, seed=101 + d)
+    jet = diffeo._turn_jet(pts, r, start, theta, grad,
+                           {(a, b): hess[a][b]
+                            for a in range(d) for b in range(a, d)})
+    ref = polar_route_jet(pts, theta, grad, hess)
+    # entries grow like 1 / r toward the origin: compare node by node
+    # against the size of the node's largest entry (measured: j to 5e-16,
+    # h to 2.5e-14 of it over five seeds)
+    scale = np.maximum(1.0, np.max(np.abs(ref.h.reshape(-1, r.size)), axis=0))
+    assert np.max(np.abs(jet.x - ref.x)) <= 1e-15
+    assert np.max(np.abs(jet.j - ref.j) / scale) <= 2e-15
+    assert np.max(np.abs(jet.h - ref.h) / scale) <= 1e-13
+    if d == 3:
+        assert np.array_equal(jet.x[0], pts[0])
+        assert np.all(jet.j[0] == np.array([1.0, 0.0, 0.0])[:, None])
+        assert np.all(jet.h[0] == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.6, -2.5, 3.0])
+def test_rotation_link_jet_is_the_exact_rotation_jet(alpha):
+    link = Rotation(alpha)
+    origin = np.array([[0.0, 1e-10, -3e-10], [0.0, 0.0, 2e-10]])
+    for pts in (DiscGrid().xy, origin):
+        jet = link.jet(pts)
+        x, j = rotation_jet(alpha, pts)
+        assert np.all(jet.h == 0.0)
+        assert np.max(np.abs(jet.j - j)) <= 4.5e-16
+        assert np.max(np.abs(jet.x - x)) <= 1e-15
+    assert np.array_equal(jet.x[:, 0], [0.0, 0.0])      # the origin stays
+
+
+# ----------------------------------------------------------------------
+# sampled boundary guards name what they sampled
+# ----------------------------------------------------------------------
+
+def test_parameter_zero_error_names_the_worst_sample():
+    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4]))
+    alex = AlexanderRadial(iso, cutoff_make(0.2, 0.1), 1.0)
+    bad = DiscDiffeo.from_link(alex.inverse_link())
+    # the inverse link turns most where the cutoff is 1: the r = 0.95 ring
+    with pytest.raises(DomainError,
+                       match=r"a coordinate moves by \d\.\d{3}e-01 at r=0\.95, "
+                             r"theta=[0-9.]+; worst of 256 samples"):
+        ball_extend(bad, cutoff_make(0.2, 0.1))
+
+
+def test_sphere_extend_error_names_the_worst_sample():
+    alex = alexander_extend(CircleIsotopy(0, TrigPoly(0.0, [0.4])),
+                            cutoff_make(0.2, 0.1))
+    with pytest.raises(NotBoundaryTrivialError,
+                       match=r"boundary circle \(a coordinate moves by "
+                             r"\d\.\d{3}e-01 at r=0\.975; worst of 512 "
+                             r"samples\)"):
+        sphere_extend(alex, eps=0.1)
