@@ -50,6 +50,7 @@ from .forms import (
     BallGrid,
     DiscGrid,
     _check_edge,
+    _fsum_weighted,
     _gl_nodes,
     integrate_ball,
     integrate_disc,
@@ -318,7 +319,7 @@ def _plane_quad(grid: BallGrid):
 def _plane_integral(vals: np.ndarray, w: np.ndarray, edge_vals: np.ndarray,
                     edge: np.ndarray, what: str) -> float:
     _check_edge(edge_vals, edge, what, "plane-box")
-    return math.fsum((np.asarray(vals, dtype=np.float64) * w).tolist())
+    return _fsum_weighted(vals, w)
 
 
 def w_coboundary_residual(g: BallDiffeo, h: BallDiffeo,
@@ -344,7 +345,7 @@ def _phi_gradient(m, pts):
     d, dx, dy = (np.asarray(a, dtype=np.float64)
                  for a in m.normal_derivative_jet(pts))
     low = float(np.min(d))
-    if low <= 0.0:
+    if not low > 0.0:  # NaN included
         raise DomainError(
             f"boundary normal derivative must stay positive (min {low:.3e})")
     return dx / d, dy / d

@@ -7,6 +7,14 @@ object.  The module computes the cocycle beta = -6 c0 int tr(dJ(V) ^ dJ(W)),
 its boundary reduction G(beta), the finite-difference rederivation of beta
 from the group cocycle gamma, the semidirect bracket on the circle with its
 central term, and the exact Virasoro/Heisenberg structure constants.
+
+The boundary Lie algebra is stated once: ``_boundary_bracket`` is the
+quotient bracket of boundary data, shared by the disc bracket, the
+semidirect bracket and the cyclic identity, and ``_gbeta_polys`` is
+G(beta).  Both are bilinear over C, so a generator bracket [X_n, Y_m] is
+one semidirect bracket of the complex generators i e^{i n theta}.  The
+curve behind the FD rederivation is closed-form, theta -> theta + t V4,
+for every separable field without a V3 part.
 """
 
 from __future__ import annotations
@@ -19,12 +27,12 @@ import numpy as np
 from ._jets import (FD4_D1, FD4_D2, FD4_OFFSETS, Jet, compose, fd4_jacobian,
                     polar_chart_jet)
 from .cocycle import CocycleConfig, gamma
-from .diffeo import (AlexanderRadial, AngleDisplacement, CircleIsotopy,
-                     CutoffFn, CutoffProfile, DiscDiffeo, FlowMap, RadialTwist,
-                     Rotation, _Profile, disc_compose, disc_invert)
+from .diffeo import (AngleDisplacement, CutoffFn, CutoffProfile, DiscDiffeo,
+                     FlowMap, _DisplacementLink, _Profile, disc_compose,
+                     disc_invert)
 from .errors import DomainError, FlagError, StepError, UnsupportedError
 from .forms import integrate_disc, mc_form
-from .trigpoly import (CircleField, TrigPoly, circle_bracket, tp_derivative,
+from .trigpoly import (CircleField, TrigPoly, tp_derivative,
                        tp_integrate_product, tp_multiply)
 
 __all__ = [
@@ -50,6 +58,8 @@ __all__ = [
 ]
 
 _N_BOUNDARY_ANGLES = 64
+_BOUNDARY_THETA = (np.arange(_N_BOUNDARY_ANGLES)
+                   * (2.0 * np.pi / _N_BOUNDARY_ANGLES))
 _BOUNDARY_MATCH_TOL = 1e-10
 _COEF_PRUNE = 1e-13
 _GENERATOR_PRUNE = 1e-12
@@ -62,14 +72,20 @@ _TINY_RADIUS = 1e-30
 # boundary fit and flag sampling
 # ---------------------------------------------------------------------------
 
+def _boundary_trace(fn) -> np.ndarray:
+    """Values of a polar callable at r = 1 on the 64 equispaced angles
+    ``_BOUNDARY_THETA``."""
+    theta = _BOUNDARY_THETA
+    return np.broadcast_to(
+        np.asarray(fn(np.ones(theta.size), theta), dtype=np.float64),
+        theta.shape)
+
+
 def _fit_boundary_poly(fn) -> TrigPoly:
     """Fit the r = 1 trace of a polar callable as a TrigPoly (rfft at 64
     equispaced angles, coefficients below 1e-13 dropped)."""
     n = _N_BOUNDARY_ANGLES
-    theta = np.arange(n) * (2.0 * np.pi / n)
-    vals = np.broadcast_to(
-        np.asarray(fn(np.ones(n), theta), dtype=np.float64), theta.shape)
-    spec = np.fft.rfft(vals) / n
+    spec = np.fft.rfft(_boundary_trace(fn)) / n
     constant = float(spec[0].real)
     cos_c = np.zeros(n // 2)
     sin_c = np.zeros(n // 2)
@@ -84,11 +100,7 @@ def _fit_boundary_poly(fn) -> TrigPoly:
 
 
 def _boundary_mismatch(fn, poly: TrigPoly) -> float:
-    n = _N_BOUNDARY_ANGLES
-    theta = np.arange(n) * (2.0 * np.pi / n)
-    vals = np.broadcast_to(
-        np.asarray(fn(np.ones(n), theta), dtype=np.float64), theta.shape)
-    return float(np.max(np.abs(vals - poly(theta))))
+    return float(np.max(np.abs(_boundary_trace(fn) - poly(_BOUNDARY_THETA))))
 
 
 def _sample_asymptotic_flags(v3, v4, ar_epsilon: float):
@@ -245,29 +257,6 @@ class _UnitProfile(_Profile):
 _UNIT_PROFILE = _UnitProfile()
 
 
-class _ScaledProfile(_Profile):
-    """c * profile(r); twist curves scale one fixed profile by the time."""
-
-    __slots__ = ("base", "scale")
-
-    def __init__(self, base, scale: float):
-        self.base = base
-        self.scale = float(scale)
-
-    @property
-    def support(self):
-        return self.base.support
-
-    def value(self, r):
-        return self.scale * self.base.value(r)
-
-    def jets(self, r):
-        return tuple(self.scale * f for f in self.base.jets(r))
-
-    def signature(self):
-        return ("scaled", self.scale) + tuple(self.base.signature())
-
-
 class SeparableDiscField(DiscVectorField):
     """Field whose components are sums of profile(r) * poly(theta) terms;
     boundary polys and polar 2-jets are exact."""
@@ -322,6 +311,15 @@ def polar_components(v1, v2, ar_epsilon: float = 0.05) -> DiscVectorField:
     return DiscVectorField(v3, v4, ar_epsilon=ar_epsilon)
 
 
+def _boundary_bracket(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly):
+    """The quotient bracket of boundary data (v3, v4) and (w3, w4):
+    (v4 w3' - w4 v3', v4 w4' - w4 v4'), exact in trig-poly arithmetic and
+    bilinear over C."""
+    d = tp_derivative
+    return (tp_multiply(v4, d(w3)) - tp_multiply(w4, d(v3)),
+            tp_multiply(v4, d(w4)) - tp_multiply(w4, d(v4)))
+
+
 def disc_bracket(V: DiscVectorField, W: DiscVectorField) -> DiscVectorField:
     """Commutator field: [V, W]_j = V3 d_r W_j + V4 d_t W_j - (V <-> W)."""
 
@@ -341,11 +339,8 @@ def disc_bracket(V: DiscVectorField, W: DiscVectorField) -> DiscVectorField:
     boundary = {}
     if V.asymptotically_radial and W.asymptotically_radial:
         # d_r terms vanish on the flat band, leaving exact boundary algebra.
-        d = tp_derivative
-        boundary["boundary_v3"] = (tp_multiply(V.boundary_v4, d(W.boundary_v3))
-                                   - tp_multiply(W.boundary_v4, d(V.boundary_v3)))
-        boundary["boundary_v4"] = (tp_multiply(V.boundary_v4, d(W.boundary_v4))
-                                   - tp_multiply(W.boundary_v4, d(V.boundary_v4)))
+        boundary["boundary_v3"], boundary["boundary_v4"] = _boundary_bracket(
+            V.boundary_v3, V.boundary_v4, W.boundary_v3, W.boundary_v4)
     return DiscVectorField(component(0), component(1),
                            ar_epsilon=min(V.ar_epsilon, W.ar_epsilon),
                            **boundary)
@@ -443,29 +438,17 @@ def gbeta_boundary(V: DiscVectorField, W: DiscVectorField, c0=1.0):
 def default_curve_builder(field: DiscVectorField, flow_steps: int = 64):
     """Curve t -> disc diffeo tangent to ``field`` at t = 0.
 
-    Closed-form families are used where the field shape allows them
-    (rotations, radial twists, Alexander extensions of a circle isotopy);
-    anything else falls back to the RK4 flow of the field.
+    A separable field with no V3 part has the closed-form curve
+    (r, theta) -> (r, theta + t V4(r, theta)), one angular link whose
+    displacement is V4 scaled by t; rotations, radial twists and Alexander
+    extensions of circle isotopies are all of this shape.  Any other field
+    falls back to the RK4 flow of the field.
     """
     if isinstance(field, SeparableDiscField) and not field.v3_terms:
-        terms = field.v4_terms
-        if not terms:
+        if not field.v4_terms:
             return lambda t: DiscDiffeo.identity()
-        if len(terms) == 1:
-            profile, poly = terms[0]
-            if poly.degree == 0 and not poly.is_complex:
-                omega = float(poly.constant)
-                if isinstance(profile, _UnitProfile):
-                    return lambda t: DiscDiffeo.from_link(Rotation(omega * t))
-                lo, hi = profile.support
-                if 0.0 < lo and hi < 1.0:
-                    return lambda t: DiscDiffeo.from_link(
-                        RadialTwist(_ScaledProfile(profile, omega * t)))
-            if isinstance(profile, CutoffProfile) and not poly.is_complex:
-                isotopy = CircleIsotopy(0, poly)
-                cutoff = profile.cutoff
-                return lambda t: DiscDiffeo.from_link(
-                    AlexanderRadial(isotopy, cutoff, t))
+        v4 = field._sums[1]
+        return lambda t: DiscDiffeo.from_link(_DisplacementLink(v4.scaled(t)))
 
     def flow_curve(t):
         if t == 0.0:
@@ -538,19 +521,16 @@ class SemidirectElement:
 def semidirect_bracket(x: SemidirectElement, y: SemidirectElement,
                        c0=1.0) -> SemidirectElement:
     """[(v1, w1), (v2, w2)] = ([v1, v2], v1 w2' - v2 w1') with the central
-    coordinate G(beta-bar) of the pair (computed on boundary data with
-    (v3, v4) = (w, v))."""
+    coordinate G(beta-bar) of the pair: the boundary bracket and G(beta)
+    of the data with (v3, v4) = (w, v).
+
+    Both are bilinear over C, so the parts may be complex trig
+    polynomials (the generators i e^{i n theta} are); the central
+    coordinate is then complex too.
+    """
     xv, xw = x.v.component, x.w.component
     yv, yw = y.v.component, y.w.component
-    if _is_zero_poly(xv) or _is_zero_poly(yv):
-        v_part = TrigPoly.zero()
-    else:
-        v_part = circle_bracket(x.v, y.v).component
-    w_part = TrigPoly.zero()
-    if not (_is_zero_poly(xv) or _is_zero_poly(yw)):
-        w_part = w_part + tp_multiply(xv, tp_derivative(yw))
-    if not (_is_zero_poly(yv) or _is_zero_poly(xw)):
-        w_part = w_part - tp_multiply(yv, tp_derivative(xw))
+    w_part, v_part = _boundary_bracket(xw, xv, yw, yv)
     central = _gbeta_polys(xw, xv, yw, yv, c0)
     return SemidirectElement(CircleField(v_part), CircleField(w_part), central)
 
@@ -573,52 +553,31 @@ class GeneratorIndexPair:
         return f"GeneratorIndexPair({self.n}, {self.m}, {self.kind!r})"
 
 
-def _i_exp_parts(n: int):
-    """Real and imaginary TrigPoly parts of i e^{i n theta}."""
-    if n == 0:
-        return TrigPoly.zero(), TrigPoly.const(1.0)
-    k = abs(n)
-    real = TrigPoly.harmonic_sin(k, -1.0 if n > 0 else 1.0)
-    return real, TrigPoly.harmonic_cos(k, 1.0)
-
-
-def _letter_elements(letter: str, n: int):
-    re_part, im_part = _i_exp_parts(n)
-    zero = TrigPoly.zero()
+def _generator(letter: str, n: int) -> SemidirectElement:
+    """L_n = (i e^{i n theta}, 0) or J_n = (0, i e^{i n theta})."""
+    poly, zero = TrigPoly.exp_harmonic(n, 1j), TrigPoly.zero()
     if letter == "L":
-        return SemidirectElement(re_part, zero), SemidirectElement(im_part, zero)
-    return SemidirectElement(zero, re_part), SemidirectElement(zero, im_part)
+        return SemidirectElement(poly, zero)
+    return SemidirectElement(zero, poly)
 
 
 def generator_bracket(pair: GeneratorIndexPair, c0=1.0):
     """Exact structure constants of [X_n, Y_m] for X, Y in {L, J}.
 
-    The complex generators i e^{i n theta} are split into real and
-    imaginary parts, those run through four real semidirect brackets, and
-    the results are recombined bilinearly.  Returns a coefficient map
-    {(letter, k): complex} over the generators and the complex central term.
+    The complex generators are run through one semidirect bracket, which
+    is bilinear over C.  Returns a coefficient map {(letter, k): complex}
+    over the generators and the complex central term.
     """
-    letters = {"LL": ("L", "L"), "LJ": ("L", "J"), "JJ": ("J", "J")}[pair.kind]
-    x_re, x_im = _letter_elements(letters[0], pair.n)
-    y_re, y_im = _letter_elements(letters[1], pair.m)
-    b_rr = semidirect_bracket(x_re, y_re, c0)
-    b_ri = semidirect_bracket(x_re, y_im, c0)
-    b_ir = semidirect_bracket(x_im, y_re, c0)
-    b_ii = semidirect_bracket(x_im, y_im, c0)
-
-    def recombine(part):
-        real = getattr(b_rr, part).component - getattr(b_ii, part).component
-        imag = getattr(b_ri, part).component + getattr(b_ir, part).component
-        return real + imag * 1j
-
+    x_letter, y_letter = pair.kind
+    b = semidirect_bracket(_generator(x_letter, pair.n),
+                           _generator(y_letter, pair.m), c0)
     coeffs: dict = {}
-    for letter, poly in (("L", recombine("v")), ("J", recombine("w"))):
-        for k, ck in poly.exp_coeffs().items():
+    for letter, part in (("L", b.v), ("J", b.w)):
+        for k, ck in part.component.exp_coeffs().items():
             value = -1j * ck  # the generator's own poly is i e^{i k theta}
             if abs(value) > _GENERATOR_PRUNE:
                 coeffs[(letter, k)] = value
-    central = complex(b_rr.a - b_ii.a, b_ri.a + b_ir.a)
-    return coeffs, central
+    return coeffs, complex(b.a)
 
 
 def generator_table_rows(pairs, c0=1.0):
@@ -655,15 +614,10 @@ def gbeta_cyclic_residual(V0: DiscVectorField, V1: DiscVectorField,
     """|sum_{cyclic} G(beta)([V_j, V_{j+1}], V_{j+2})| on boundary data,
     with the semidirect quotient bracket standing in for the commutator."""
     data = [(F.boundary_v3, F.boundary_v4) for F in (V0, V1, V2)]
-    d = tp_derivative
     total = 0.0
     for j in range(3):
-        a3, a4 = data[j]
-        b3, b4 = data[(j + 1) % 3]
-        c3, c4 = data[(j + 2) % 3]
-        v_br = tp_multiply(a4, d(b4)) - tp_multiply(b4, d(a4))
-        w_br = tp_multiply(a4, d(b3)) - tp_multiply(b4, d(a3))
-        total += _gbeta_polys(w_br, v_br, c3, c4, c0)
+        bracket = _boundary_bracket(*data[j], *data[(j + 1) % 3])
+        total += _gbeta_polys(*bracket, *data[(j + 2) % 3], c0)
     return abs(total)
 
 

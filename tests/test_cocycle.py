@@ -54,6 +54,7 @@ from virbott.diffeo import (
 from virbott.errors import (
     DomainError,
     NotBoundaryTrivialError,
+    NumericError,
     SupportError,
 )
 from virbott.forms import (
@@ -459,6 +460,34 @@ def test_phi_correction_rejects_non_positive_normal_derivative():
     png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
     with pytest.raises(DomainError):
         phi_correction_integral(folded, png, CFG_SMALL)
+
+
+class NaNInside(PerturbedNormal):
+    """PerturbedNormal with NaN planted in one component of its jet
+    (0: the normal derivative, 1: its x-derivative) at the plane nodes with
+    r < 0.5, far inside the box, so no edge sample sees it."""
+
+    def __init__(self, component):
+        super().__init__(0.10, 0.90, 0.10, 1.0, 0.4)
+        self.component = component
+
+    def normal_derivative_jet(self, pts):
+        jet = [np.array(a, dtype=np.float64)
+               for a in super().normal_derivative_jet(pts)]
+        jet[self.component][np.hypot(*pts) < 0.5] = np.nan
+        return tuple(jet)
+
+
+def test_phi_correction_rejects_a_nan_normal_derivative():
+    png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
+    with pytest.raises(DomainError, match=r"must stay positive \(min nan\)"):
+        phi_correction_integral(NaNInside(0), png, CFG_SMALL)
+
+
+def test_phi_correction_rejects_a_nan_gradient_inside_the_box():
+    png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
+    with pytest.raises(NumericError, match="non-finite values in quadrature"):
+        phi_correction_integral(NaNInside(1), png, CFG_SMALL)
 
 
 def test_plane_edge_error_names_the_samples_and_the_worst_one():

@@ -50,7 +50,7 @@ from virbott.errors import (
     UnsupportedError,
 )
 from virbott.forms import DiscGrid
-from virbott.liealg import SeparableDiscField, _ScaledProfile, _UnitProfile
+from virbott.liealg import SeparableDiscField, _UnitProfile
 from virbott.trigpoly import TrigPoly
 
 RNG = np.random.default_rng(7)
@@ -135,7 +135,6 @@ EVERY_PROFILE = {
     "sine-pulse": (SinePulseProfile(cutoff_make(0.2, 0.15), 0.5), (0.2, 0.85)),
     "bump": (BumpProfile(0.3, 0.75, -0.7), (0.3, 0.75)),
     "unit": (_UnitProfile(), ()),
-    "scaled": (_ScaledProfile(BumpProfile(0.1, 0.9, 0.12), 0.37), (0.1, 0.9)),
 }
 
 

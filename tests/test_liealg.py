@@ -31,6 +31,7 @@ from virbott.diffeo import (
     PoweredCutoffProfile,
     RadialTwist,
     Rotation,
+    _DisplacementLink,
     cutoff_make,
     disc_invert,
 )
@@ -104,6 +105,9 @@ ALEX_FIELD = SeparableDiscField(
 ALEX_FIELD_B = SeparableDiscField(
     v4_terms=[(CutoffProfile(cutoff_make(0.25, 0.2)),
                TrigPoly(0.0, [0.0, -0.2], [0.3]))])
+# two V4 terms: no single rotation, twist or Alexander map has this shape
+ALEX_TWIST_FIELD = SeparableDiscField(
+    v4_terms=ALEX_FIELD.v4_terms + TWIST_FIELD.v4_terms)
 ZERO_TAIL = SeparableDiscField(
     v3_terms=[(BumpProfile(0.2, 0.8, 1.0), TrigPoly(0.0, [0.2]))],
     v4_terms=[(BumpProfile(0.2, 0.8, 1.0), TrigPoly(0.0, [], [0.1]))])
@@ -488,6 +492,12 @@ def test_beta_fd_matches_the_integral_on_closed_form_curves():
     assert abs(value - reference) < 1e-6  # closed-form curves do far better
 
 
+def test_beta_fd_matches_the_integral_on_a_two_term_angular_field():
+    reference = beta_integral(ALEX_TWIST_FIELD, ALEX_FIELD_B, CFG)
+    value = beta_from_gamma_fd(ALEX_TWIST_FIELD, ALEX_FIELD_B)
+    assert abs(value - reference) < 1e-6
+
+
 def test_beta_fd_through_the_flow_fallback():
     mixed = SeparableDiscField(
         v3_terms=[(CutoffProfile(XI), TrigPoly(0.0, [0.3]))])
@@ -509,9 +519,10 @@ def test_beta_fd_rejects_degenerate_steps():
 def test_curve_builder_dispatch_and_tangency():
     pts = np.array([[0.3, -0.1, 0.55], [0.2, 0.6, -0.35]])
     expected_links = {
-        "rotation": (ROT_FIELD, Rotation),
-        "twist": (TWIST_FIELD, RadialTwist),
-        "alexander": (ALEX_FIELD, AlexanderRadial),
+        "rotation": (ROT_FIELD, _DisplacementLink),
+        "twist": (TWIST_FIELD, _DisplacementLink),
+        "alexander": (ALEX_FIELD, _DisplacementLink),
+        "alexander-plus-twist": (ALEX_TWIST_FIELD, _DisplacementLink),
         "flow": (FIELD_V, FlowMap),
     }
     for field, link_type in expected_links.values():
@@ -569,6 +580,85 @@ def test_semidirect_jacobi_on_random_triples():
         assert np.max(np.abs(total_v(theta))) < 1e-10
         assert np.max(np.abs(total_w(theta))) < 1e-10
         assert abs(total_a) < 1e-10
+
+
+def _random_complex_poly(rng, degree=3):
+    return TrigPoly.from_exp_coeffs(
+        {k: complex(*rng.uniform(-0.5, 0.5, 2))
+         for k in range(-degree, degree + 1)})
+
+
+def test_semidirect_bracket_is_bilinear_over_c():
+    rng = np.random.default_rng(5)
+    theta = np.linspace(0.0, 2.0 * PI, 17)
+
+    def element():
+        return SemidirectElement(_random_complex_poly(rng),
+                                 _random_complex_poly(rng))
+
+    def combine(a, x, b, y):
+        return SemidirectElement(x.v.component * a + y.v.component * b,
+                                 x.w.component * a + y.w.component * b)
+
+    for _ in range(5):
+        x1, x2, y = element(), element(), element()
+        a, b = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
+        for bracket in (lambda u: semidirect_bracket(u, y, 1.3),
+                        lambda u: semidirect_bracket(y, u, 1.3)):
+            whole = bracket(combine(a, x1, b, x2))
+            b1, b2 = bracket(x1), bracket(x2)
+            for part in ("v", "w"):
+                want = (getattr(b1, part).component * a
+                        + getattr(b2, part).component * b)
+                got = getattr(whole, part).component
+                assert got.is_complex
+                assert np.max(np.abs(got(theta) - want(theta))) < 1e-12
+            assert isinstance(whole.a, complex)
+            assert abs(whole.a - (a * b1.a + b * b2.a)) < 1e-12 * abs(whole.a)
+
+
+def _generator_bracket_by_real_parts(pair, c0):
+    """[X_n, Y_m] by real arithmetic only: each generator i e^{i n theta}
+    is split into its real and imaginary parts, four real semidirect
+    brackets run, and their results recombine as rr - ii + i (ri + ir)."""
+
+    def parts(letter, n):
+        if n == 0:
+            re_part, im_part = TrigPoly.zero(), TrigPoly.const(1.0)
+        else:
+            re_part = TrigPoly.harmonic_sin(abs(n), -1.0 if n > 0 else 1.0)
+            im_part = TrigPoly.harmonic_cos(abs(n), 1.0)
+        zero = TrigPoly.zero()
+        return [SemidirectElement(p, zero) if letter == "L"
+                else SemidirectElement(zero, p) for p in (re_part, im_part)]
+
+    (x_re, x_im), (y_re, y_im) = (parts(pair.kind[0], pair.n),
+                                  parts(pair.kind[1], pair.m))
+    rr, ri, ir, ii = (semidirect_bracket(x, y, c0) for x, y in (
+        (x_re, y_re), (x_re, y_im), (x_im, y_re), (x_im, y_im)))
+    coeffs = {}
+    for letter, part in (("L", "v"), ("J", "w")):
+        rr_p, ri_p, ir_p, ii_p = (getattr(b, part).component
+                                  for b in (rr, ri, ir, ii))
+        for k, ck in ((rr_p - ii_p) + (ri_p + ir_p) * 1j).exp_coeffs().items():
+            if abs(ck) > 1e-12:
+                coeffs[(letter, k)] = -1j * ck
+    return coeffs, complex(rr.a - ii.a, ri.a + ir.a)
+
+
+@pytest.mark.parametrize("kind", ["LL", "LJ", "JJ"])
+def test_generator_bracket_matches_four_real_brackets(kind):
+    c0 = 1.7
+    for n in range(-12, 13):
+        for m in range(-12, 13):
+            pair = GeneratorIndexPair(n, m, kind)
+            coeffs, central = generator_bracket(pair, c0)
+            want_coeffs, want_central = _generator_bracket_by_real_parts(
+                pair, c0)
+            assert coeffs.keys() == want_coeffs.keys()
+            for key, want in want_coeffs.items():
+                assert abs(coeffs[key] - want) <= 1e-12 * abs(want)
+            assert abs(central - want_central) <= 1e-12 * abs(want_central)
 
 
 def test_generator_brackets_reproduce_the_classical_table():
