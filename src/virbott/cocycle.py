@@ -22,6 +22,14 @@ box-edge support guards, which sample a few hundred points and must see
 all of them, and the FD4 plan, whose stencils at a fixed node can reach
 into the support.  A chain subclass that overrides ``jet`` must override
 ``moves`` to match.
+
+The integrands are evaluated in contiguous blocks of at most ``_BLOCK``
+grid nodes, the FD4 plan's included, so the jets, MC stacks and wedge
+traces of one integral hold one block's worth of nodes however fine the
+grid.  The values still go to one ``math.fsum``, which rounds exactly, so
+the split moves no bit, with one exception: an ``InverseAngular`` link
+runs one Newton iteration over its whole batch until the slowest node
+converges, so a block split can move one of its roots by a rounding.
 """
 
 from __future__ import annotations
@@ -164,22 +172,31 @@ def _wedge_2form(g, hinv, plan):
                                          _mc_stack(hinv, pts, plan))
 
 
+# most grid nodes one density call sees (see _on_moved)
+_BLOCK = 2 ** 15
+
+
 def _on_moved(density, maps, pts, plan) -> np.ndarray:
     """density(pts), computed only where every map of ``maps`` moves.
 
     Elsewhere one MC form vanishes exactly and the value is exactly 0 (see
     the module docstring).  Under a finite-difference plan every node is
     computed, since a stencil at a fixed node may reach into the support.
+    The nodes go in contiguous blocks of at most ``_BLOCK``, so the jets of
+    one call never hold more than a block's worth of nodes.
     """
-    if plan.kind != "analytic":
-        return density(pts)
-    mask = maps[0].moves(pts)
-    for m in maps[1:]:
-        mask &= m.moves(pts)
-    if mask.all():
-        return density(pts)
-    out = np.zeros(pts.shape[1])
-    out[mask] = density(pts[:, mask])
+    n = pts.shape[1]
+    out = np.zeros(n)
+    for lo in range(0, n, _BLOCK):
+        block = pts[:, lo:lo + _BLOCK]
+        if plan.kind == "analytic":
+            mask = maps[0].moves(block)
+            for m in maps[1:]:
+                mask &= m.moves(block)
+        else:
+            mask = np.ones(block.shape[1], dtype=bool)
+        if mask.any():
+            out[lo:lo + _BLOCK][mask] = density(block[:, mask])
     return out
 
 

@@ -99,9 +99,12 @@ class BallGrid:
         self.L = float(L)
         rho, wrho = _gl_nodes(self.n_rho, 0.0, 1.0)
         x, wx = _gl_nodes(self.n_plane, -self.L, self.L)
-        RHO, X, Y = np.meshgrid(rho, x, x, indexing="ij")
+        nodes = np.empty((3, self.n_rho, self.n_plane, self.n_plane))
+        nodes[0] = rho[:, None, None]
+        nodes[1] = x[None, :, None]
+        nodes[2] = x[None, None, :]
         W = (wrho[:, None, None] * wx[None, :, None] * wx[None, None, :])
-        self.nodes = np.stack([RHO.ravel(), X.ravel(), Y.ravel()])
+        self.nodes = nodes.reshape(3, -1)
         self.weights = W.ravel()
         # box-edge samples for the compact-support check
         line = np.linspace(-self.L, self.L, 33)

@@ -231,6 +231,17 @@ def test_wz_extension_independence_rho_ladder_records_decay():
     assert all(row["n_plane"] == 32 for row in rows)
 
 
+def test_wz_extension_independence_ladder_values_are_pinned():
+    # W of the first two levels of the benchmark's wz ladder, bit for bit:
+    # node blocks and masks change which nodes one call sees, never a value
+    rows = convergence_study("wz-extension-independence",
+                             [{"n_rho": 12, "n_plane": 32},
+                              {"n_rho": 24, "n_plane": 64}],
+                             small_config())
+    assert [row["value"] for row in rows] == [0.19156873151698733,
+                                              0.1919087658427679]
+
+
 def test_exact_symbolic_check_is_grid_flat():
     rows = convergence_study("generator-bracket-ll",
                              [(16, 32), (32, 64), (64, 128)],

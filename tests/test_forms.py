@@ -27,6 +27,7 @@ from virbott.forms import (
     DiscGrid,
     MCFormSample,
     _check_edge,
+    _gl_nodes,
     eta_closedness_residual,
     integrate_ball,
     integrate_disc,
@@ -70,6 +71,16 @@ def test_disc_quadrature_order_independent():
     perm = rng.permutation(grid.npts)
     shuffled = math.fsum((vals * grid.weights)[perm].tolist())
     assert shuffled == ref                     # fsum is exactly rounded
+
+
+def test_ball_grid_nodes_are_the_tensor_product():
+    grid = BallGrid(5, 7, L=1.25)
+    rho, _ = _gl_nodes(5, 0.0, 1.0)
+    x, _ = _gl_nodes(7, -1.25, 1.25)
+    want = np.stack([g.ravel() for g in np.meshgrid(rho, x, x,
+                                                    indexing="ij")])
+    assert grid.nodes.shape == (3, 5 * 7 * 7)
+    assert np.array_equal(grid.nodes, want)
 
 
 def test_ball_quadrature_box_volume():
