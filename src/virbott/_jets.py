@@ -56,16 +56,11 @@ def compose(outer: Jet, inner: Jet) -> Jet:
 # chart jets
 # ---------------------------------------------------------------------------
 
-def polar_chart_jet(x, y, r=None, th=None) -> Jet:
-    """2-jet of (x, y) -> (r, theta) away from the origin.  A caller that
-    already holds hypot(x, y) and arctan2(y, x) may pass them as ``r`` and
-    ``th``."""
-    if r is None:
-        r = np.hypot(x, y)
+def polar_chart_jet(x, y, r, th) -> Jet:
+    """2-jet of (x, y) -> (r, theta) away from the origin, given the
+    point's r = hypot(x, y) and th = arctan2(y, x)."""
     if np.any(r <= 0):
         raise DegenerateError("polar chart evaluated at the origin")
-    if th is None:
-        th = np.arctan2(y, x)
     c = x / r
     s = y / r
     n = r.shape[0]

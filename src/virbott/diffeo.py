@@ -684,31 +684,17 @@ def _turn_jet(pts, r, start, theta, grad, hess) -> Jet:
     With q = J p (p turned by a quarter) and D, DD the Cartesian gradient
     and Hessian of delta, F_a = R (e_a + D_a q) and
     F_ab = R (J (e_a D_b + e_b D_a) + DD_ab q - D_a D_b p), with e_rho = 0
-    in the plane; the rho row is exact.  When every partial of delta is an
-    exact zero (a run of rotations) that is R itself and a zero Hessian.
-    Otherwise D and DD in the plane are delta's (r, t) jet composed with
-    the polar chart at (r, start), and the rho entries are read off.
-    Inside _LINK_GUARD only rotations act, so delta has no r or t partial
-    there, and the chart is taken at (1, 0): its entries only multiply
-    exact zeros.
+    in the plane; the rho row is exact.  D and DD in the plane are delta's
+    (r, t) jet composed with the polar chart at (r, start), and the rho
+    entries are read off.  Inside _LINK_GUARD only rotations act, so delta
+    has no r or t partial there, and the chart is taken at (1, 0): its
+    entries only multiply exact zeros.
     """
     d, n = pts.shape
     ir, it = d - 2, d - 1                       # the slots of r and t
-    delta = theta - start
-    c, s = np.cos(delta), np.sin(delta)
-    X = c * pts[-2] - s * pts[-1]               # R p = (X, Y), R q = (-Y, X)
-    Y = s * pts[-2] + c * pts[-1]
-    x = np.stack([*pts[:-2], X, Y])
-    j = np.zeros((d, d, n))
-    h = np.zeros((d, d, d, n))
-    if d == 3:
-        j[0, 0] = 1.0
-    if (isinstance(grad[it], float) and grad[it] == 1.0
-            and all(e is None for e in (*grad[:it], *hess.values()))):
-        j[-2, ir], j[-2, it], j[-1, ir], j[-1, it] = c, -s, s, c
-        return Jet(x, j, h)
     g = [0.0 if e is None else e for e in grad]
     H = {k: 0.0 if e is None else e for k, e in hess.items()}
+    delta = theta - start
     polar_j = np.empty((1, 2, n))
     polar_h = np.empty((1, 2, 2, n))
     polar_j[0, 0], polar_j[0, 1] = g[ir], g[it] - 1.0
@@ -725,8 +711,15 @@ def _turn_jet(pts, r, start, theta, grad, hess) -> Jet:
         DD[0, 0] = H[0, 0]
         for k in (0, 1):
             DD[0, 1 + k] = H[0, 1] * chart.j[0, k] + H[0, 2] * chart.j[1, k]
+    c, s = np.cos(delta), np.sin(delta)
+    X = c * pts[-2] - s * pts[-1]               # R p = (X, Y), R q = (-Y, X)
+    Y = s * pts[-2] + c * pts[-1]
     turned = {ir: (c, s), it: (-s, c)}          # R e_a of the plane axes
     quarter = {ir: (-s, c), it: (-c, -s)}       # R J e_a
+    j = np.zeros((d, d, n))
+    h = np.zeros((d, d, d, n))
+    if d == 3:
+        j[0, 0] = 1.0
     for a in range(d):
         j[-2, a] = -D[a] * Y
         j[-1, a] = D[a] * X
@@ -742,7 +735,7 @@ def _turn_jet(pts, r, start, theta, grad, hess) -> Jet:
                     h[-2, a, b] += quarter[e][0] * D[f]
                     h[-1, a, b] += quarter[e][1] * D[f]
             h[:, b, a] = h[:, a, b]
-    return Jet(x, j, h)
+    return Jet(np.stack([*pts[:-2], X, Y]), j, h)
 
 
 def _polar_run_jet(links, pts) -> Jet:

@@ -213,7 +213,8 @@ class DiscVectorField:
         The chart is singular at the origin, so a node at r = 0 raises
         DegenerateError, as every polar-chart evaluation does.
         """
-        chart = polar_chart_jet(*np.asarray(pts, dtype=np.float64))
+        x, y = np.asarray(pts, dtype=np.float64)
+        chart = polar_chart_jet(x, y, np.hypot(x, y), np.arctan2(y, x))
         r, theta = chart.x
         (a, ar, at, arr, art, att), (b, br, bt, brr, brt, btt) = \
             self.polar_jet2(r, theta)

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from virbott import cli
+from virbott import cli, cocycle
 from virbott.cli import (
     Report,
     SuiteConfig,
@@ -231,15 +231,24 @@ def test_wz_extension_independence_rho_ladder_records_decay():
     assert all(row["n_plane"] == 32 for row in rows)
 
 
-def test_wz_extension_independence_ladder_values_are_pinned():
-    # W of the first two levels of the benchmark's wz ladder, bit for bit:
-    # node blocks and masks change which nodes one call sees, never a value
-    rows = convergence_study("wz-extension-independence",
-                             [{"n_rho": 12, "n_plane": 32},
-                              {"n_rho": 24, "n_plane": 64}],
-                             small_config())
-    assert [row["value"] for row in rows] == [0.19156873151698733,
-                                              0.1919087658427679]
+def test_wz_extension_independence_ladder_is_block_independent(monkeypatch):
+    # W of the first two levels of the benchmark's wz ladder: the 24x64^2
+    # grid spans several node blocks, yet its sum equals one whole-grid
+    # batch bit for bit, since the twist's inverse needs no Newton step
+    levels = [{"n_rho": 12, "n_plane": 32}, {"n_rho": 24, "n_plane": 64}]
+
+    def ladder():
+        rows = convergence_study("wz-extension-independence", levels,
+                                 small_config())
+        return [row["value"] for row in rows]
+
+    blocked = ladder()
+    monkeypatch.setattr(cocycle, "_BLOCK", 24 * 64 * 64)
+    assert blocked == ladder()
+    # the values recorded before node blocks existed, up to a few ulps of
+    # platform-dependent libm rounding
+    assert blocked == pytest.approx([0.19156873151698733, 0.1919087658427679],
+                                    rel=1e-13, abs=0.0)
 
 
 def test_exact_symbolic_check_is_grid_flat():

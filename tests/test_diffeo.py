@@ -943,7 +943,7 @@ def polar_route_jet(pts, theta, grad, hess):
             both = grad[v] * grad[w]
             h[-2, v, w] = -s * sym - X * both - Y * hess[v][w]
             h[-1, v, w] = c * sym - Y * both + X * hess[v][w]
-    polar = polar_chart_jet(pts[-2], pts[-1])
+    polar = polar_chart_jet(pts[-2], pts[-1], r, np.arctan2(pts[-1], pts[-2]))
     cj = np.zeros((d, d, n))
     ch = np.zeros((d, d, d, n))
     cj[-2:, -2:] = polar.j
@@ -1005,48 +1005,13 @@ def test_rotation_link_jet_is_the_exact_rotation_jet(alpha):
     assert np.array_equal(jet.x[:, 0], [0.0, 0.0])      # the origin stays
 
 
-def forbid(monkeypatch, *names):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a rotation run must not reach this")
-    for name in names:
-        monkeypatch.setattr(diffeo, name, refuse)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_rotation_runs_skip_the_chart_and_match_the_general_turn(
-        d, monkeypatch):
-    plane = np.concatenate([DiscGrid(8, 16).xy, [[0.0, 2e-10], [0.0, 0.0]]],
-                           axis=1)
-    rho = np.linspace(0.0, 1.0, plane.shape[1])
-    pts = np.concatenate([rho[None], plane]) if d == 3 else plane
-    r = np.hypot(pts[-2], pts[-1])
-    start = np.where(r >= 1e-9, np.arctan2(pts[-1], pts[-2]), 0.0)
-    theta = start + 0.6 - 1.1
-    hess = {(a, b): None for a in range(d) for b in range(a, d)}
-    # an array of ones for the t slope takes the general path
-    general = diffeo._turn_jet(pts, r, start, theta, [None] * (d - 1)
-                               + [np.ones(r.size)], hess)
-    forbid(monkeypatch, "polar_chart_jet", "compose")
-    jet = diffeo._turn_jet(pts, r, start, theta, [None] * (d - 1) + [1.0],
-                           hess)
-    assert np.array_equal(jet.x, general.x)
-    assert np.array_equal(jet.j, general.j)
-    assert np.all(jet.h == 0.0) and np.all(general.h == 0.0)
-    # the chains reach the same path: two rotations, or a frozen ball layer
-    chain = DiscDiffeo((Rotation(0.6), Rotation(-1.1)))
-    if d == 3:
-        chain = BallDiffeo((BallLayerLink(Rotation(0.6)),
-                            BallLayerLink(Rotation(-1.1))))
-    assert np.array_equal(chain.jet(pts).x, jet.x)
-
-
 def test_turn_jet_takes_the_chart_at_the_run_radius_and_start_angle(
         monkeypatch):
     pts = np.concatenate([DiscGrid(8, 16).xy, [[0.0], [0.0]]], axis=1)
     g = DiscDiffeo((Rotation(0.6), every_disc_link()["alexander"]))
     seen = []
 
-    def given(x, y, r=None, th=None):
+    def given(x, y, r, th):
         seen.append((r, th))
         return polar_chart_jet(x, y, r, th)
 
@@ -1057,7 +1022,8 @@ def test_turn_jet_takes_the_chart_at_the_run_radius_and_start_angle(
     assert np.array_equal(th[:-1], np.arctan2(pts[1, :-1], pts[0, :-1]))
     assert (r[-1], th[-1]) == (1.0, 0.0)       # the origin guard
     monkeypatch.setattr(diffeo, "polar_chart_jet",
-                        lambda x, y, r=None, th=None: polar_chart_jet(x, y))
+                        lambda x, y, r, th: polar_chart_jet(
+                            x, y, np.hypot(x, y), np.arctan2(y, x)))
     again = g.jet(pts)
     for a, b in ((jet.x, again.x), (jet.j, again.j), (jet.h, again.h)):
         assert np.array_equal(a, b)
