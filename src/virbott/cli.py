@@ -14,6 +14,14 @@ Command line::
     virbott verify --suite liealg --out report.json
     virbott converge gamma-cocycle --levels 3 --out decay.csv
 
+Every flag can also come from ``--config PATH``, a file of ``key = value``
+lines whose keys are the long flag names.  Each line is read as the verb's
+own long flag (``--key=value``; a true ``timing`` is ``--timing``) and put
+before the command line's flags, so both sources share one parser: the
+same types, choices, errors, and precedence (the command line wins).  Keys
+of a flag only the other verb has (``levels`` in a ``verify`` file,
+``suite`` and ``timing`` in a ``converge`` file) are ignored.
+
 Exit status of ``verify`` is 0 exactly when every selected check passes.
 A failing check is recorded in the report (``"pass": false``); only broken
 configuration raises (``ConfigError``).
@@ -24,6 +32,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import math
 import sys
@@ -127,13 +136,18 @@ class SuiteConfig:
         self.L = float(L)
         self.c0 = float(c0)
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         self.jobs = int(jobs)
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         self.timing = bool(timing)
-        self.tolerances = dict(tolerances) if tolerances else {}
-        for key, val in self.tolerances.items():
+        self.tolerances = {}
+        for key, val in (tolerances or {}).items():
             self.tolerances[key] = float(val)
+            if not 0.0 <= self.tolerances[key] < math.inf:
+                raise ConfigError(f"tolerance for {key!r} must be finite and "
+                                  f"non-negative, got {val!r}")
         self.out_path = out_path
         # building the quadrature config validates c0 and the grid bounds
         self.cocycle_cfg = _wrap_config(
@@ -148,13 +162,9 @@ class SuiteConfig:
         for key in dims:
             if key not in _GRID_AXES:
                 raise ConfigError(f"unknown grid dimension {key!r}")
-        merged = {axis: getattr(self, axis) for axis in _GRID_AXES}
-        merged.update(dims)
-        return SuiteConfig(self.suite, self.c0, merged["n_r"],
-                           merged["n_theta"], merged["n_rho"],
-                           merged["n_plane"], self.L, self.plan, self.seed,
-                           self.tolerances, self.out_path, self.jobs,
-                           self.timing)
+        kwargs = {key: getattr(self, key) for key in self.__slots__
+                  if key != "cocycle_cfg"}
+        return SuiteConfig(**{**kwargs, **dims})
 
     def meta(self) -> dict:
         return {"c0": self.c0,
@@ -321,22 +331,16 @@ def _random_twist(rng) -> DiscDiffeo:
 # forms suite
 # ---------------------------------------------------------------------------
 
-@_register("eta-closed-2", "forms",
-           "eta_2 is a closed 3-form (antisymmetrized derivative vanishes)",
-           1e-12)
-def _chk_eta2(ctx):
+def _chk_eta(n, ctx):
     seed = int(ctx.rng.integers(0, 2**31 - 1))
-    res = eta_closedness_residual(2, samples=100, seed=seed)
+    res = eta_closedness_residual(n, samples=100, seed=seed)
     return res, res, {"samples": 100}
 
 
-@_register("eta-closed-3", "forms",
-           "eta_3 is a closed 3-form (antisymmetrized derivative vanishes)",
-           1e-12)
-def _chk_eta3(ctx):
-    seed = int(ctx.rng.integers(0, 2**31 - 1))
-    res = eta_closedness_residual(3, samples=100, seed=seed)
-    return res, res, {"samples": 100}
+for _n in (2, 3):
+    _register(f"eta-closed-{_n}", "forms",
+              f"eta_{_n} is a closed 3-form (antisymmetrized derivative "
+              f"vanishes)", 1e-12)(functools.partial(_chk_eta, _n))
 
 
 @_register("gelfand-fuchs-pin", "forms",
@@ -478,7 +482,7 @@ def _chk_delta_g(ctx):
 # liealg suite
 # ---------------------------------------------------------------------------
 
-def _generator_sweep(ctx, kind: str):
+def _generator_sweep(kind: str, ctx):
     """Worst deviation of measured structure constants from the closed
     forms over the window |n|, |m| <= 6."""
     c0 = ctx.cfg.c0
@@ -507,23 +511,13 @@ def _generator_sweep(ctx, kind: str):
     return probe, worst, {"window": 6}
 
 
-@_register("generator-bracket-ll", "liealg",
-           "[L_n, L_m] = (n - m) L_{n+m} - 12 pi i c0 (n^3 - 2n) d_{n+m,0}",
-           1e-10)
-def _chk_gen_ll(ctx):
-    return _generator_sweep(ctx, "LL")
-
-
-@_register("generator-bracket-lj", "liealg",
-           "[L_n, J_m] = -m J_{n+m} - 12 pi c0 n m d_{n+m,0}", 1e-10)
-def _chk_gen_lj(ctx):
-    return _generator_sweep(ctx, "LJ")
-
-
-@_register("generator-bracket-jj", "liealg",
-           "[J_n, J_m] = -36 pi i c0 n d_{n+m,0}", 1e-10)
-def _chk_gen_jj(ctx):
-    return _generator_sweep(ctx, "JJ")
+for _kind, _law in (
+        ("LL", "[L_n, L_m] = (n - m) L_{n+m} - 12 pi i c0 (n^3 - 2n) "
+               "d_{n+m,0}"),
+        ("LJ", "[L_n, J_m] = -m J_{n+m} - 12 pi c0 n m d_{n+m,0}"),
+        ("JJ", "[J_n, J_m] = -36 pi i c0 n d_{n+m,0}")):
+    _register(f"generator-bracket-{_kind.lower()}", "liealg", _law, 1e-10)(
+        functools.partial(_generator_sweep, _kind))
 
 
 @_register("gbeta-cyclic", "liealg",
@@ -602,24 +596,22 @@ def _chk_beta_fd(ctx):
 # suite runner
 # ---------------------------------------------------------------------------
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _run_check(check: _Check, cfg: SuiteConfig) -> CheckResult:
-    ctx = _CheckContext(cfg, _rng_for(check.name, cfg.seed))
+def _run_check(check: _Check, cfg: SuiteConfig):
+    """Run one check on ``cfg``; return its value and its ``CheckResult``."""
     params = {axis: getattr(cfg, axis) for axis in check.axes}
     try:
-        _, residual, extra = check.fn(ctx)
+        ctx = _CheckContext(cfg, _rng_for(check.name, cfg.seed))
+        value, residual, extra = check.fn(ctx)
+        value = float(value)
         params.update(extra)
     except Exception as exc:
-        # a check that crashes for any reason is recorded as the worst
-        # possible failure, with the reason preserved, so the report never
-        # loses a row and the suite never dies
-        residual = sys.float_info.max
-        params["error"] = _error_text(exc)
+        # a check that crashes for any reason, its set-up included, is
+        # recorded as the worst possible failure, with the reason preserved,
+        # so a report never loses a row and a suite or ladder never dies
+        value, residual = math.nan, sys.float_info.max
+        params["error"] = f"{type(exc).__name__}: {exc}"
     tol = cfg.tolerances.get(check.name, check.tolerance)
-    return CheckResult(check.name, check.law, residual, tol, params)
+    return value, CheckResult(check.name, check.law, residual, tol, params)
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -641,10 +633,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
     if cfg.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(
                 max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda c: _run_check(c, cfg), selected))
+            pairs = list(pool.map(lambda c: _run_check(c, cfg), selected))
     else:
-        results = [_run_check(check, cfg) for check in selected]
-    results.sort(key=lambda r: r.name)
+        pairs = [_run_check(check, cfg) for check in selected]
+    results = sorted((result for _, result in pairs), key=lambda r: r.name)
     wall = time.perf_counter() - start
     meta = cfg.meta()
     meta["wall_time_seconds"] = wall if cfg.timing else None
@@ -695,17 +687,12 @@ def convergence_study(check_name: str, grid_series, cfg: SuiteConfig) -> list:
     rows = []
     for entry in grid_series:
         sub = cfg.with_grids(**_series_entry(entry))
-        ctx = _CheckContext(sub, _rng_for(check.name, sub.seed))
+        value, result = _run_check(check, sub)
         row = {"check": check.name}
         row.update({axis: getattr(sub, axis) for axis in _GRID_AXES})
-        try:
-            value, residual, _ = check.fn(ctx)
-            row["value"] = float(value)
-            row["residual"] = float(residual)
-        except Exception as exc:
-            row["value"] = float("nan")
-            row["residual"] = sys.float_info.max
-            row["error"] = _error_text(exc)
+        row.update(value=value, residual=result.residual)
+        if "error" in result.params:
+            row["error"] = result.params["error"]
         rows.append(row)
     return rows
 
@@ -727,25 +714,19 @@ _FILE_KEYS = ("suite", "c0", "grid-r", "grid-theta", "ball-rho", "ball-xy",
               "plane-box", "plan", "seed", "tol", "timing", "out", "jobs",
               "levels")
 
-_DEFAULTS = {"suite": "all", "c0": 1.0, "grid-r": 96, "grid-theta": 256,
-             "ball-rho": 24, "ball-xy": 64, "plane-box": 1.25,
-             "plan": "analytic", "seed": 0, "timing": False, "out": None,
-             "jobs": 1, "levels": 3}
-
-_INT_KEYS = ("grid-r", "grid-theta", "ball-rho", "ball-xy", "seed", "jobs",
-             "levels")
-_FLOAT_KEYS = ("c0", "plane-box")
+# keys of a flag only one verb has; the other verb's files may hold them
+_VERB_OF_KEY = {"suite": "verify", "timing": "verify", "levels": "converge"}
 
 
-def _load_config_file(path: str) -> list:
-    """Parse ``key = value`` lines (# comments allowed) into ordered
-    (key, value) string pairs; keys are the long flag names."""
+def _load_config_file(path: str, verb: str) -> list:
+    """Read ``key = value`` lines (# comments allowed) as ``verb``'s long
+    flags, in file order; keys of the other verb's flags are skipped."""
     try:
         with open(path) as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")
-    pairs = []
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -756,28 +737,16 @@ def _load_config_file(path: str) -> list:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        pairs.append((key, value))
-    return pairs
-
-
-def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
-    if key == "timing":
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"timing needs true or false, got {value!r}")
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} needs a number, got {value!r}")
-    return value
+        if _VERB_OF_KEY.get(key, verb) != verb:
+            continue
+        if key != "timing":
+            flags.append(f"--{key}={value}")
+        elif value.lower() in ("true", "yes", "1"):
+            flags.append("--timing")
+        elif value.lower() not in ("false", "no", "0"):
+            raise ConfigError(f"{path}:{lineno}: timing needs true or false, "
+                              f"got {value!r}")
+    return flags
 
 
 def _parse_tol_item(item: str):
@@ -791,46 +760,34 @@ def _parse_tol_item(item: str):
                           f"got {value!r}")
 
 
-def _settings_from(args) -> dict:
-    """Layer defaults, then the config file, then explicit flags."""
-    merged = dict(_DEFAULTS)
-    tol_items = []
-    if args.config is not None:
-        for key, value in _load_config_file(args.config):
-            if key == "tol":
-                tol_items.append(value)
-            else:
-                merged[key] = _coerce(key, value)
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key.replace("-", "_"), None)
-        if flag_value is not None:
-            merged[key] = _coerce(key, flag_value)
-    tol_items.extend(args.tol or [])
-    merged["tolerances"] = dict(_parse_tol_item(item) for item in tol_items)
-    return merged
-
-
 def _add_common_flags(sp):
+    # dests are SuiteConfig's fields, and None (not given) leaves its default
     sp.add_argument("--config", metavar="PATH",
                     help="config file with 'key = value' lines (same keys "
                          "as the long flags); flags override it")
     sp.add_argument("--c0", type=float, help="coupling constant")
-    sp.add_argument("--grid-r", type=int, help="radial disc nodes")
-    sp.add_argument("--grid-theta", type=int, help="angular disc nodes")
-    sp.add_argument("--ball-rho", type=int, help="layer nodes of the ball")
-    sp.add_argument("--ball-xy", type=int, help="plane nodes per axis")
-    sp.add_argument("--plane-box", type=float,
+    sp.add_argument("--grid-r", dest="n_r", metavar="GRID_R", type=int,
+                    help="radial disc nodes")
+    sp.add_argument("--grid-theta", dest="n_theta", metavar="GRID_THETA",
+                    type=int, help="angular disc nodes")
+    sp.add_argument("--ball-rho", dest="n_rho", metavar="BALL_RHO", type=int,
+                    help="layer nodes of the ball")
+    sp.add_argument("--ball-xy", dest="n_plane", metavar="BALL_XY", type=int,
+                    help="plane nodes per axis")
+    sp.add_argument("--plane-box", dest="L", metavar="PLANE_BOX", type=float,
                     help="half-width of the plane chart box")
     sp.add_argument("--plan", choices=("analytic", "fd4"),
                     help="derivative plan for map jets")
     sp.add_argument("--seed", type=int, help="seed for sampled families")
-    sp.add_argument("--tol", action="append", metavar="KEY=VAL",
+    sp.add_argument("--tol", action="append", default=[], metavar="KEY=VAL",
                     help="override one check tolerance (repeatable)")
-    sp.add_argument("--out", metavar="PATH", help="output file")
+    sp.add_argument("--out", dest="out_path", metavar="PATH",
+                    help="output file")
     sp.add_argument("--jobs", type=int, help="concurrent checks")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The ``virbott`` parser and its subparser of each verb, by name."""
     parser = argparse.ArgumentParser(
         prog="virbott",
         description="Verify the cocycle identities behind the Virasoro-Bott "
@@ -850,46 +807,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_converge.add_argument("check", choices=sorted(_REGISTRY),
                              metavar="CHECK",
                              help="check name (see 'verify' report)")
-    sp_converge.add_argument("--levels", type=int,
+    sp_converge.add_argument("--levels", type=int, default=3,
                              help="ladder length (default 3)")
     _add_common_flags(sp_converge)
-    return parser
-
-
-def _config_from_settings(settings: dict, suite: str,
-                          out_path) -> SuiteConfig:
-    return SuiteConfig(suite=suite, c0=settings["c0"],
-                       n_r=settings["grid-r"], n_theta=settings["grid-theta"],
-                       n_rho=settings["ball-rho"], n_plane=settings["ball-xy"],
-                       L=settings["plane-box"], plan=settings["plan"],
-                       seed=settings["seed"],
-                       tolerances=settings["tolerances"],
-                       out_path=out_path, jobs=settings["jobs"],
-                       timing=settings["timing"])
+    return parser, {"verify": sp_verify, "converge": sp_converge}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, verbs = _build_parser()
+    args = parser.parse_args(argv)
+    verb = args.verb
     try:
-        settings = _settings_from(args)
-        if args.verb == "verify":
-            cfg = _config_from_settings(settings, settings["suite"],
-                                        settings["out"])
+        if args.config is not None:
+            # the file's flags go first, so the command line's win
+            args = verbs[verb].parse_args(
+                _load_config_file(args.config, verb)
+                + argv[argv.index(verb) + 1:])
+        given = {key: val for key, val in vars(args).items()
+                 if key in SuiteConfig.__slots__ and val is not None}
+        cfg = SuiteConfig(tolerances=dict(map(_parse_tol_item, args.tol)),
+                          **given)
+        if verb == "verify":
             report = run_suite(cfg)
             for line in report.summary_lines():
                 print(line)
             return 0 if report.passed else 1
-        # converge
-        cfg = _config_from_settings(settings, "all", None)
-        levels = int(settings["levels"])
-        if levels < 1:
-            raise ConfigError(f"levels must be at least 1, got {levels}")
+        if args.levels < 1:
+            raise ConfigError(f"levels must be at least 1, got {args.levels}")
         check = _REGISTRY[args.check]
         series = [{axis: getattr(cfg, axis) * 2**i for axis in check.axes}
-                  for i in range(levels)]
+                  for i in range(args.levels)]
         rows = convergence_study(args.check, series, cfg)
-        if settings["out"]:
-            with open(settings["out"], "w", newline="") as handle:
+        if cfg.out_path:
+            with open(cfg.out_path, "w", newline="") as handle:
                 write_convergence_csv(rows, handle)
         else:
             write_convergence_csv(rows, sys.stdout)

@@ -76,6 +76,29 @@ def test_with_grids_rejects_unknown_dimensions():
         small_config().with_grids(n_z=10)
 
 
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        SuiteConfig(seed=-1)
+    assert main(["verify", "--suite", "forms", "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-6])
+def test_non_finite_or_negative_tolerance_is_a_config_error(bad):
+    with pytest.raises(ConfigError, match="eta-closed-2"):
+        SuiteConfig(tolerances={"eta-closed-2": bad})
+
+
+def test_with_grids_keeps_every_other_setting():
+    cfg = small_config(suite="forms", c0=0.5, plan="fd4", seed=4, jobs=2,
+                       timing=True, out_path="r.json",
+                       tolerances={"eta-closed-2": 0.1})
+    sub = cfg.with_grids(n_r=16)
+    assert (sub.n_r, sub.n_theta) == (16, cfg.n_theta)
+    for key in SuiteConfig.__slots__:
+        if key not in ("n_r", "cocycle_cfg"):
+            assert getattr(sub, key) == getattr(cfg, key), key
+
+
 def test_check_names_cover_the_suites():
     names = check_names("all")
     assert set(names) == {n for s in ("cocycle", "wz", "liealg", "forms")
@@ -198,6 +221,17 @@ def test_crashed_ladder_level_is_a_failing_row(monkeypatch, tmp_path,
                  "--out", str(out)]) == 1
     assert "ZeroDivisionError: level too fine" in capsys.readouterr().err
     assert len(out.read_text().strip().splitlines()) == 3
+
+
+def test_check_set_up_crash_is_a_failing_row(monkeypatch):
+    def no_stream(name, seed):
+        raise ValueError(f"no stream for {name}")
+    monkeypatch.setattr(cli, "_rng_for", no_stream)
+    report = run_suite(small_config(suite="forms"))
+    assert len(report.checks) == len(check_names("forms"))
+    for row in report.checks:
+        assert not row.passed
+        assert row.params["error"] == f"ValueError: no stream for {row.name}"
 
 
 def test_report_overall_pass_means_every_check_passed():
@@ -355,3 +389,79 @@ def test_cli_rejects_broken_configuration(tmp_path, capsys):
     assert main(["verify", "--suite", "forms", "--grid-r", "2"]) == 2
     assert main(["verify", "--suite", "forms",
                  "--tol", "gamma-cocycle=fast"]) == 2
+
+
+def test_cli_non_finite_tolerance_from_flag_or_file_is_rejected(tmp_path,
+                                                              capsys):
+    assert main(["verify", "--suite", "forms",
+                 "--tol", "eta-closed-2=nan"]) == 2
+    assert "eta-closed-2" in capsys.readouterr().err
+    config = tmp_path / "inf.cfg"
+    config.write_text("tol = eta-closed-2=inf\n")
+    assert main(["verify", "--suite", "forms", "--config", str(config)]) == 2
+    assert "eta-closed-2" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# config files are read as the verb's own flags
+# ----------------------------------------------------------------------
+
+# one small forms run, as config lines and as the same flags
+FORMS_LINES = ("suite = forms\ngrid-r = 12\ngrid-theta = 24\nball-rho = 6\n"
+               "ball-xy = 16\nseed = 2\nplan = fd4\n")
+FORMS_FLAGS = ["--suite", "forms", "--grid-r", "12", "--grid-theta", "24",
+               "--ball-rho", "6", "--ball-xy", "16", "--seed", "2",
+               "--plan", "fd4"]
+
+
+def test_cli_bad_file_value_is_an_argument_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("grid-r = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(config)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "grid-r" in err and "Traceback" not in err
+
+
+def test_cli_tol_flag_beats_the_file_tol_line(tmp_path):
+    config = tmp_path / "tol.cfg"
+    config.write_text(FORMS_LINES + "tol = eta-closed-2 = 1e-3\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(config),
+                 "--tol", "eta-closed-2=0.5", "--out", str(out)]) == 0
+    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert rows["eta-closed-2"]["tolerance"] == 0.5
+
+
+def test_cli_converge_reads_levels_and_out_and_ignores_verify_keys(
+        tmp_path):
+    out = tmp_path / "ladder.csv"
+    config = tmp_path / "ladder.cfg"
+    config.write_text(f"levels = 2\nout = {out}\nsuite = nonsense\n"
+                      f"timing = maybe\ngrid-r = 8\ngrid-theta = 16\n")
+    assert main(["converge", "generator-bracket-jj",
+                 "--config", str(config)]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["n_r"] for row in rows] == ["8", "16"]
+
+
+def test_cli_verify_ignores_the_file_levels(tmp_path):
+    config = tmp_path / "verify.cfg"
+    config.write_text(FORMS_LINES + "levels = 0\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["suite"] == "forms"
+
+
+def test_cli_config_file_report_matches_the_flags_report(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(FORMS_LINES + "tol = eta-closed-3=1e-9\n"
+                      "timing = false\njobs = 2\n")
+    from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+    assert main(["verify", "--config", str(config),
+                 "--out", str(from_file)]) == 0
+    assert main(["verify", *FORMS_FLAGS, "--tol", "eta-closed-3=1e-9",
+                 "--jobs", "2", "--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
