@@ -614,6 +614,14 @@ def _run_check(check: _Check, cfg: SuiteConfig):
     return value, CheckResult(check.name, check.law, residual, tol, params)
 
 
+def _check_tolerance_names(cfg: SuiteConfig):
+    """Raise ConfigError if a tolerance override names no check."""
+    for key in cfg.tolerances:
+        if key not in _REGISTRY:
+            raise ConfigError(f"tolerance override names unknown check "
+                              f"{key!r}")
+
+
 def run_suite(cfg: SuiteConfig) -> Report:
     """Run every check of ``cfg.suite`` and assemble the report.
 
@@ -624,10 +632,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
     otherwise — so two runs of the same configuration produce
     byte-identical reports.  The summary lines always show the real time.
     """
-    for key in cfg.tolerances:
-        if key not in _REGISTRY:
-            raise ConfigError(f"tolerance override names unknown check "
-                              f"{key!r}")
+    _check_tolerance_names(cfg)
     selected = [_REGISTRY[name] for name in check_names(cfg.suite)]
     start = time.perf_counter()
     if cfg.jobs > 1:
@@ -678,12 +683,14 @@ def convergence_study(check_name: str, grid_series, cfg: SuiteConfig) -> list:
     makes the residual column a quadrature-decay measurement.  A level
     whose check crashes becomes a failing row (value NaN, residual
     ``sys.float_info.max``) with the reason under ``error``; the ladder
-    goes on.
+    goes on.  Tolerance overrides are checked as ``run_suite`` checks
+    them, though the rows carry no tolerance.
     """
     check = _REGISTRY.get(check_name)
     if check is None:
         raise ConfigError(f"unknown check {check_name!r}; available: "
                           f"{', '.join(sorted(_REGISTRY))}")
+    _check_tolerance_names(cfg)
     rows = []
     for entry in grid_series:
         sub = cfg.with_grids(**_series_entry(entry))
@@ -720,7 +727,8 @@ _VERB_OF_KEY = {"suite": "verify", "timing": "verify", "levels": "converge"}
 
 def _load_config_file(path: str, verb: str) -> list:
     """Read ``key = value`` lines (# comments allowed) as ``verb``'s long
-    flags, in file order; keys of the other verb's flags are skipped."""
+    flags, in file order, each with its ``path:line``; keys of the other
+    verb's flags are skipped."""
     try:
         with open(path) as handle:
             text = handle.read()
@@ -739,12 +747,13 @@ def _load_config_file(path: str, verb: str) -> list:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if _VERB_OF_KEY.get(key, verb) != verb:
             continue
+        where = f"{path}:{lineno}"
         if key != "timing":
-            flags.append(f"--{key}={value}")
+            flags.append((where, f"--{key}={value}"))
         elif value.lower() in ("true", "yes", "1"):
-            flags.append("--timing")
+            flags.append((where, "--timing"))
         elif value.lower() not in ("false", "no", "0"):
-            raise ConfigError(f"{path}:{lineno}: timing needs true or false, "
+            raise ConfigError(f"{where}: timing needs true or false, "
                               f"got {value!r}")
     return flags
 
@@ -786,6 +795,21 @@ def _add_common_flags(sp):
     sp.add_argument("--jobs", type=int, help="concurrent checks")
 
 
+def _add_verb_flags(sp, verb: str):
+    """Add the options of ``verb`` (not its CHECK argument) to ``sp``."""
+    if verb == "verify":
+        sp.add_argument("--suite", choices=SUITES,
+                        help="which checks to run")
+        sp.add_argument("--timing", action="store_true", default=None,
+                        help="record real wall time in the JSON report "
+                             "(volatile; leave off to keep reports "
+                             "diffable)")
+    else:
+        sp.add_argument("--levels", type=int, default=3,
+                        help="ladder length (default 3)")
+    _add_common_flags(sp)
+
+
 def _build_parser():
     """The ``virbott`` parser and its subparser of each verb, by name."""
     parser = argparse.ArgumentParser(
@@ -795,22 +819,26 @@ def _build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
     sp_verify = sub.add_parser(
         "verify", help="run a check suite and report pass/fail")
-    sp_verify.add_argument("--suite", choices=SUITES,
-                           help="which checks to run")
-    sp_verify.add_argument("--timing", action="store_true", default=None,
-                           help="record real wall time in the JSON report "
-                                "(volatile; leave off to keep reports "
-                                "diffable)")
-    _add_common_flags(sp_verify)
+    _add_verb_flags(sp_verify, "verify")
     sp_converge = sub.add_parser(
         "converge", help="rerun one check over doubling grids, emit CSV")
     sp_converge.add_argument("check", choices=sorted(_REGISTRY),
                              metavar="CHECK",
                              help="check name (see 'verify' report)")
-    sp_converge.add_argument("--levels", type=int, default=3,
-                             help="ladder length (default 3)")
-    _add_common_flags(sp_converge)
+    _add_verb_flags(sp_converge, "converge")
     return parser, {"verify": sp_verify, "converge": sp_converge}
+
+
+def _check_file_flags(sp, verb: str, lines):
+    """Parse each config-file flag alone, so that a value its flag's type
+    or choices refuse is reported, through ``sp``, with its file and line."""
+    alone = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_verb_flags(alone, verb)
+    for where, flag in lines:
+        try:
+            alone.parse_args([flag])
+        except argparse.ArgumentError as exc:
+            sp.error(f"{where}: {exc}")
 
 
 def main(argv=None) -> int:
@@ -820,10 +848,11 @@ def main(argv=None) -> int:
     verb = args.verb
     try:
         if args.config is not None:
+            lines = _load_config_file(args.config, verb)
+            _check_file_flags(verbs[verb], verb, lines)
             # the file's flags go first, so the command line's win
             args = verbs[verb].parse_args(
-                _load_config_file(args.config, verb)
-                + argv[argv.index(verb) + 1:])
+                [flag for _, flag in lines] + argv[argv.index(verb) + 1:])
         given = {key: val for key, val in vars(args).items()
                  if key in SuiteConfig.__slots__ and val is not None}
         cfg = SuiteConfig(tolerances=dict(map(_parse_tol_item, args.tol)),

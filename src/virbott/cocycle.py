@@ -15,21 +15,26 @@ analytic jet is exactly the identity (see :mod:`virbott.diffeo`); there
 its Maurer-Cartan form is exactly 0, and so is any wedge trace that
 contains it.  ``gamma_m`` and the surface term of
 ``w_coboundary_residual`` compute jets, MC forms and wedge traces only
-where both factors move, ``wz_term`` only where the ball map moves, and
-scatter the result into zeros for the same quadrature call, so every
-value is bit-identical to a full-grid sum.  Two things stay unmasked: the
-box-edge support guards, which sample a few hundred points and must see
-all of them, and the FD4 plan, whose stencils at a fixed node can reach
-into the support.  A chain subclass that overrides ``jet`` must override
-``moves`` to match.
+where both factors move, and scatter the result into zeros for the same
+quadrature call.  ``wz_term`` masks its ball map once per plane point (a
+layered map's mask does not depend on rho, and every rho layer of the
+grid repeats the same plane points bit for bit), gathers the moved nodes
+of each group of whole rho layers and streams their weighted values into
+``integrate_ball``.  Every value is bit-identical to a full-grid sum.
+Two things stay unmasked: the box-edge support guards, which sample a few
+hundred points and must see all of them, and the FD4 plan, whose
+stencils at a fixed node can reach into the support.  A chain subclass
+that overrides ``jet`` must override ``moves`` to match.
 
-The integrands are evaluated in contiguous blocks of at most ``_BLOCK``
-grid nodes, the FD4 plan's included, so the jets, MC stacks and wedge
-traces of one integral hold one block's worth of nodes however fine the
-grid.  The values still go to one ``math.fsum``, which rounds exactly, so
-the split moves no bit, with one exception: an ``InverseAngular`` link
-runs one Newton iteration over its whole batch until the slowest node
-converges, so a block split can move one of its roots by a rounding.
+Each density call sees at most ``_BLOCK`` grid nodes, the FD4 plan's
+included: contiguous blocks on the disc and plane, groups of whole rho
+layers in the ball (a layer of more nodes is split).  So the jets, MC
+stacks and wedge traces of one integral hold one block's worth of nodes
+however fine the grid.  The values still go to one ``math.fsum``, which
+rounds exactly, so the split moves no bit, with one exception: an
+``InverseAngular`` link runs one Newton iteration over its whole batch
+until the slowest node converges, so a block split can move one of its
+roots by a rounding.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ def _wedge_2form(g, hinv, plan):
                                          _mc_stack(hinv, pts, plan))
 
 
-# most grid nodes one density call sees (see _on_moved)
+# most grid nodes one density call sees (see _on_moved and _ball_products)
 _BLOCK = 2 ** 15
 
 
@@ -253,6 +258,31 @@ def ext_mul(e1: ExtElement, e2: ExtElement, cfg: CocycleConfig) -> ExtElement:
 # the Wess-Zumino term and the 1-cochain omega0
 # ---------------------------------------------------------------------------
 
+def _ball_products(B: BallDiffeo, density, grid: BallGrid, plan):
+    """density times weight at the nodes where ``B`` moves, one array per
+    group of whole rho layers of at most ``_BLOCK`` grid nodes (a layer of
+    more is split into pieces of ``_BLOCK`` plane points).
+
+    The mask is taken once, on the plane points of layer 0 (see the module
+    docstring); the node of layer i and plane point k is i n^2 + k.  Under
+    a finite-difference plan every node counts as moved.
+    """
+    n2 = grid.n_plane ** 2
+    if plan.kind == "analytic":
+        plane = np.flatnonzero(B.moves(grid.nodes[:, :n2]))
+    else:
+        plane = np.arange(n2)
+    per = max(1, _BLOCK // n2)                  # whole layers per group
+    span = min(n2, _BLOCK)                      # plane points per piece
+    cuts = np.searchsorted(plane, np.arange(0, n2 + span, span))
+    for lo in range(0, grid.n_rho, per):
+        starts = np.arange(lo, min(lo + per, grid.n_rho))[:, None] * n2
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if a < b:
+                idx = (starts + plane[a:b]).ravel()
+                yield density(grid.nodes[:, idx]) * grid.weights[idx]
+
+
 def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
     """W(B) = integral_{B^3} tr(theta(B)^{wedge 3}) over the layered chart.
 
@@ -269,8 +299,7 @@ def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
 
     _check_edge(density(grid.edge_points), grid.edge_points,
                 "Wess-Zumino integrand", "box")
-    return integrate_ball(_on_moved(density, (B,), grid.nodes, cfg.plan),
-                          grid)
+    return integrate_ball(_ball_products(B, density, grid, cfg.plan), grid)
 
 
 def omega0(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -239,13 +240,25 @@ def _check_edge(vals: np.ndarray, pts: np.ndarray, what: str, edge: str):
             f"worst of {vals.size} edge samples)")
 
 
-def _fsum_weighted(values, weights):
-    """Exactly rounded sum of the products; the zero ones are left out,
-    which changes nothing (an exactly zero sum comes out +0.0 either way)."""
-    prods = np.asarray(values, dtype=np.float64) * weights
+def _nonzero_finite(prods) -> list:
+    """The nonzero weighted products of one block, as floats; raises
+    NumericError on a non-finite one."""
     if np.any(~np.isfinite(prods)):
         raise NumericError("non-finite values in quadrature")
-    return math.fsum(prods[prods != 0.0].tolist())
+    return prods[prods != 0.0].tolist()
+
+
+def _fsum_products(blocks) -> float:
+    """Exactly rounded sum of the weighted products of ``blocks``, taken
+    one block at a time; the zero ones are left out, which changes nothing
+    (an exactly zero sum comes out +0.0 either way)."""
+    return math.fsum(itertools.chain.from_iterable(
+        map(_nonzero_finite, blocks)))
+
+
+def _fsum_weighted(values, weights):
+    """Exactly rounded sum of the products values * weights."""
+    return _fsum_products((np.asarray(values, dtype=np.float64) * weights,))
 
 
 def integrate_disc(density, grid: DiscGrid) -> float:
@@ -261,10 +274,17 @@ def integrate_ball(density, grid: BallGrid) -> float:
     """Integrate density(rho, x, y) over the chart box with the flat
     measure d rho dx dy.
 
+    ``density`` is a callable, the values at ``grid.nodes``, or an
+    iterator of weighted products (values times their ``grid.weights``),
+    one array per block of nodes; nodes left out count as 0.  The blocks
+    are summed as they come, so no array over the whole grid is formed.
+
     Raises SupportError when a callable density is visibly nonzero, or not
     a number, on the box edge (the construction demands compact support
     inside the plane box); see :func:`_check_edge`.
     """
+    if isinstance(density, Iterator):
+        return _fsum_products(density)
     if callable(density):
         edge = grid.edge_points
         vals = np.asarray(density(*edge), dtype=np.float64)
@@ -305,18 +325,18 @@ def eta_closedness_residual(n: int, samples: int = 100, seed: int = 0) -> float:
     if n not in (2, 3):
         raise DimensionError("matrix dimension must be 2 or 3")
     rng = np.random.default_rng(seed)
-    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(4))]
-    worst = 0.0
-    for _ in range(samples):
-        A = rng.standard_normal((n, n))
-        g = np.eye(n) + 0.4 * A / np.linalg.norm(A, 2)
-        Ms = []
-        for _k in range(4):
-            T = rng.standard_normal((n, n))
-            Ms.append(np.linalg.solve(g, T / np.linalg.norm(T, 2)))
-        total = 0.0
-        for p, s in perms:
-            prod = Ms[p[0]] @ Ms[p[1]] @ Ms[p[2]] @ Ms[p[3]]
-            total += s * np.trace(prod)
-        worst = max(worst, abs(total))
-    return worst
+    # sample by sample: A, then the four T (the stream of one draw each)
+    A, T = np.split(rng.standard_normal((samples, 5, n, n)), [1], axis=1)
+    g = np.eye(n) + 0.4 * A / _spectral_norm(A)
+    M = np.linalg.solve(g, T / _spectral_norm(T))
+    total = np.zeros(samples)
+    for p in itertools.permutations(range(4)):
+        prod = M[:, p[0]] @ M[:, p[1]] @ M[:, p[2]] @ M[:, p[3]]
+        total += _perm_sign(p) * np.trace(prod, axis1=-2, axis2=-1)
+    return float(np.max(np.abs(total), initial=0.0))
+
+
+def _spectral_norm(stack):
+    """Largest singular value of each matrix of a (..., n, n) stack, shaped
+    to divide it."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))[..., None, None]

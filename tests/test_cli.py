@@ -416,12 +416,43 @@ FORMS_FLAGS = ["--suite", "forms", "--grid-r", "12", "--grid-theta", "24",
 
 def test_cli_bad_file_value_is_an_argument_error(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("grid-r = abc\n")
+    config.write_text("suite = forms\ngrid-r = abc\n")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--config", str(config)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "grid-r" in err and "Traceback" not in err
+    # the file and line are named, as for an unknown key
+    assert f"{config}:2: argument --grid-r: invalid int value: 'abc'" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("plan = fd5", "argument --plan: invalid choice: 'fd5'"),
+    ("levels = two", "argument --levels: invalid int value: 'two'"),
+])
+def test_cli_bad_converge_file_value_names_its_line(tmp_path, capsys, line,
+                                                    message):
+    config = tmp_path / "ladder.cfg"
+    config.write_text(f"grid-r = 8\n# a comment\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "generator-bracket-jj", "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"{config}:3: {message}" in capsys.readouterr().err
+
+
+def test_cli_converge_checks_the_tolerance_names(capsys):
+    ladder = ["converge", "generator-bracket-jj", "--grid-r", "8",
+              "--grid-theta", "16", "--levels", "1"]
+    assert main(ladder + ["--tol", "no-such-check=1"]) == 2
+    assert "no-such-check" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="no-such-check"):
+        convergence_study("generator-bracket-jj", [(8, 16)],
+                          small_config(tolerances={"no-such-check": 1.0}))
+    # a known name is accepted, and the CSV does not show it
+    assert main(ladder) == 0
+    plain = capsys.readouterr().out
+    assert main(ladder + ["--tol", "generator-bracket-jj=1"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_cli_tol_flag_beats_the_file_tol_line(tmp_path):

@@ -689,6 +689,53 @@ def test_no_density_call_sees_more_than_a_block(cold_gamma, jet_nodes,
     assert sum(interior) == np.count_nonzero(B.moves(CFG_SMALL.ball_grid.nodes))
 
 
+def test_wz_masks_each_plane_point_once(monkeypatch):
+    # a layered map's mask depends on the plane point only, so W takes it
+    # on one layer's plane points, not on every node of the grid
+    seen = []
+
+    def recording(self, pts, _orig=BallDiffeo.moves):
+        seen.append(pts.shape[1])
+        return _orig(self, pts)
+
+    monkeypatch.setattr(BallDiffeo, "moves", recording)
+    for name in ("twist", "conj-alexander"):
+        seen.clear()
+        wz_term(ball_maps()[name], CFG_SMALL)
+        assert seen == [CFG_SMALL.ball_grid.n_plane ** 2]
+
+
+# CFG_SMALL's layers hold 24^2 = 576 nodes: 256 splits each in three
+# pieces, 576 and 1000 take one layer per call, 1729 three
+@pytest.mark.parametrize("block", [256, 576, 1000, 1729])
+def test_ball_groups_hold_whole_layers_or_layer_pieces(block, jet_nodes,
+                                                       monkeypatch):
+    monkeypatch.setattr(cocycle, "_BLOCK", block)
+    grid = CFG_SMALL.ball_grid
+    n2 = grid.n_plane ** 2
+    B = ball_extend(TW1, XI)
+    val = wz_term(B, CFG_SMALL)
+    plane = B.moves(grid.nodes[:, :n2])
+    span, per = min(block, n2), max(1, block // n2)
+    pieces = [np.count_nonzero(plane[lo:lo + span])
+              for lo in range(0, n2, span)]
+    groups = [min(per, grid.n_rho - lo) for lo in range(0, grid.n_rho, per)]
+    _, *interior = jet_nodes["ball"]            # after the edge samples
+    assert interior == [m * k for m in groups for k in pieces if k]
+    assert max(interior) <= block
+    assert val == full_wz(B, CFG_SMALL)
+
+
+def test_fd4_wz_counts_every_node_in_layer_pieces(jet_nodes, monkeypatch):
+    # a 12^2 = 144-node layer goes in pieces of 100 and 44 plane points
+    monkeypatch.setattr(cocycle, "_BLOCK", 100)
+    cfg = CocycleConfig(1.0, DiscGrid(16, 32), BallGrid(6, 12), plan=FD4)
+    B = ball_extend(TW1, XI)
+    val = wz_term(B, cfg)
+    assert jet_nodes["ball"][1:] == [100, 44] * 6
+    assert val == full_wz(B, cfg)
+
+
 def test_fd4_plan_integrates_every_node_in_blocks(cold_gamma, jet_nodes,
                                                   monkeypatch):
     # the twist's inverse needs no Newton step: FD4 would magnify one
@@ -710,5 +757,7 @@ def test_wz_working_set_does_not_grow_with_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one batch over the 150,912 moved nodes peaked at 118.6 MB
-    assert peak <= 40e6
+    # one batch over the 150,912 moved nodes peaked at 118.6 MB, contiguous
+    # 2^15-node blocks with a full-grid mask and value array at 16.7 MB,
+    # and the moved nodes of two-layer groups, gathered, at 4.7 MB
+    assert peak <= 10e6
