@@ -18,12 +18,12 @@ reordering of the nodes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from ._jets import inv_batched
 from .errors import DimensionError, DomainError, NumericError, SupportError
@@ -36,9 +36,20 @@ _TWO_PI = 2.0 * math.pi
 # grids
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _gl_rule(n):
+    """The n-point Gauss-Legendre rule on (-1, 1), numpy's ``leggauss``
+    (Golub-Welsch eigenvalues plus a Newton step), cached per order; both
+    arrays are read-only, so no caller can change the cached rule."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _gl_nodes(n, lo, hi):
-    """Gauss-Legendre nodes/weights mapped to (lo, hi)."""
-    x, w = roots_legendre(n)
+    """Gauss-Legendre nodes/weights mapped to (lo, hi), as new arrays."""
+    x, w = _gl_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -48,6 +59,7 @@ class DiscGrid:
 
     Gauss-Legendre with ``n_r`` nodes on (0, 1) crossed with ``n_theta``
     uniform angles; node weights include the polar area element r dr dtheta.
+    The radial rule is numpy's ``leggauss``, cached per order (``_gl_rule``).
     """
 
     __slots__ = ("n_r", "n_theta", "r", "theta", "weights", "xy")
@@ -82,7 +94,8 @@ class BallGrid:
     """Tensor grid on the layered ball chart (rho, x, y).
 
     Gauss-Legendre in rho on (0, 1) and in each plane coordinate on
-    [-L, L]; the measure is the flat d rho dx dy of the chart (any area
+    [-L, L], each numpy's ``leggauss`` rule cached per order
+    (``_gl_rule``); the measure is the flat d rho dx dy of the chart (any area
     factor of the layered parametrization belongs to the integrand, not the
     measure).  Integrands must be compactly supported inside the box; the
     integrator spot-checks the box edge.

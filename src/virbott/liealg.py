@@ -110,12 +110,14 @@ def _sample_asymptotic_flags(v3, v4, ar_epsilon: float):
     theta = np.arange(24) * (2.0 * np.pi / 24.0)
     rr, tt = [a.ravel() for a in np.meshgrid(radii, theta, indexing="ij")]
     h = 0.05 * ar_epsilon
+    # the whole (5 offsets x 96 points) stencil as one flat call: general
+    # callables take only 1-D arrays
+    r5 = (rr + FD4_OFFSETS[:, None] * h).ravel()
+    t5 = np.tile(tt, FD4_OFFSETS.size)
 
     def band_eval(fn):
-        stack = np.stack([np.broadcast_to(
-            np.asarray(fn(rr + off * h, tt), dtype=np.float64), rr.shape)
-            for off in FD4_OFFSETS])
-        return stack
+        return np.broadcast_to(np.asarray(fn(r5, t5), dtype=np.float64),
+                               r5.shape).reshape(FD4_OFFSETS.size, rr.size)
 
     s3, s4 = band_eval(v3), band_eval(v4)
     value_max = max(float(np.max(np.abs(s3[2]))), float(np.max(np.abs(s4[2]))))

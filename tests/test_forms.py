@@ -7,10 +7,15 @@ wedge-trace shortcuts.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import virbott
 from virbott.diffeo import (
     BumpProfile,
     CircleIsotopy,
@@ -28,6 +33,7 @@ from virbott.forms import (
     MCFormSample,
     _check_edge,
     _gl_nodes,
+    _gl_rule,
     eta_closedness_residual,
     integrate_ball,
     integrate_disc,
@@ -52,6 +58,76 @@ def test_grid_validation():
         BallGrid(2, 16)
     with pytest.raises(DomainError):
         BallGrid(8, 16, L=0.5)
+
+
+def _mp_gauss_legendre(n, dps=40):
+    """Gauss-Legendre nodes and weights on (-1, 1) to ``dps`` digits: Newton
+    on the three-term recurrence from the Tricomi start, in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        tol = mpmath.mpf(10) ** (-dps)
+        nodes, weights = [], []
+        for i in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (4 * i - 1) / (4 * n + 2))
+            for _ in range(100):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                step = p1 / dp
+                x -= step
+                if abs(step) < tol:
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        order = sorted(range(n), key=lambda j: nodes[j])
+        return [nodes[j] for j in order], [weights[j] for j in order]
+
+
+@pytest.mark.parametrize("n", [4, 12, 24, 64, 96])
+def test_gl_rule_matches_a_40_digit_reference(n):
+    nodes, weights = _mp_gauss_legendre(n)
+    x, w = _gl_rule(n)
+    assert max(abs(float(a - b)) for a, b in zip(nodes, x)) <= 2e-16
+    assert max(abs(float(a - b)) for a, b in zip(weights, w)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 12, 24, 64, 96])
+def test_gl_rule_integrates_every_monomial_up_to_degree_2n_minus_1(n):
+    x, w = _gl_rule(n)
+    for k in range(2 * n):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(math.fsum(w * x ** k) - exact) <= 1e-14, k
+
+
+def test_gl_rule_is_cached_read_only_and_grids_copy_it():
+    x, w = _gl_rule(96)
+    assert _gl_rule(96)[0] is x and _gl_rule(96)[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    a, b = DiscGrid(96, 256), DiscGrid(96, 256)
+    assert np.array_equal(a.r, b.r) and np.array_equal(a.weights, b.weights)
+    for grid in (a, b):
+        for arr in (grid.r, grid.weights):
+            assert not np.shares_memory(arr, x)
+            assert not np.shares_memory(arr, w)
+    mapped = _gl_nodes(96, -1.0, 1.0)
+    assert not any(np.shares_memory(m, c) for m in mapped for c in (x, w))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # virbott's only runtime dependency is numpy
+    src = str(Path(virbott.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, virbott.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_disc_quadrature_reference_values():

@@ -20,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+from virbott._jets import FD4_D1, FD4_OFFSETS
 from virbott.cocycle import CocycleConfig, gamma_m
 from virbott.diffeo import (
     AlexanderRadial,
@@ -58,7 +59,7 @@ from virbott.liealg import (
     wf_field,
     write_generator_table,
 )
-from virbott.liealg import _UNIT_PROFILE
+from virbott.liealg import _UNIT_PROFILE, _sample_asymptotic_flags
 from virbott.trigpoly import (
     TrigPoly,
     tp_derivative,
@@ -254,6 +255,52 @@ def test_flags_catch_a_field_that_keeps_radial_slope():
         restrict_to_circle(field)
     with pytest.raises(FlagError):
         ar_split(field, XI)
+
+
+def _per_offset_band(fn, eps):
+    """The outer-band stencil evaluated one FD4 radial offset at a time."""
+    radii = 1.0 - eps * np.array([0.15, 0.35, 0.55, 0.75])
+    theta = np.arange(24) * (2.0 * PI / 24.0)
+    rr, tt = [a.ravel() for a in np.meshgrid(radii, theta, indexing="ij")]
+    h = 0.05 * eps
+    return np.stack([np.broadcast_to(
+        np.asarray(fn(rr + off * h, tt), dtype=np.float64), rr.shape)
+        for off in FD4_OFFSETS]), h
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FIELD_V,
+    lambda: disc_bracket(FIELD_V, FIELD_W),
+    lambda: DiscVectorField(lambda r, t: r ** 2 * np.cos(t),
+                            lambda r, t: np.zeros_like(r + t)),
+], ids=["separable", "bracket-callable", "radial-slope-callable"])
+def test_band_flags_sample_the_stencil_in_one_flat_call(make):
+    field = make()
+    calls = []
+
+    def recorded(fn):
+        def call(r, t):
+            assert r.ndim == 1 and t.shape == r.shape
+            out = fn(r, t)
+            calls.append((fn, out))
+            return out
+        return call
+
+    flags = _sample_asymptotic_flags(recorded(field.v3), recorded(field.v4),
+                                     field.ar_epsilon)
+    assert [fn for fn, _ in calls] == [field.v3, field.v4]
+    stacks = []
+    for fn, out in calls:
+        expect, h = _per_offset_band(fn, field.ar_epsilon)
+        got = np.broadcast_to(np.asarray(out, np.float64),
+                              (expect.size,)).reshape(expect.shape)
+        assert np.array_equal(got, expect)
+        stacks.append(expect)
+    value_max = max(float(np.max(np.abs(s[2]))) for s in stacks)
+    deriv_max = max(float(np.max(np.abs(
+        np.tensordot(FD4_D1, s, axes=(0, 0)) / h))) for s in stacks)
+    assert flags == (deriv_max <= 1e-6, value_max <= 1e-12)
+    assert field.asymptotically_radial == (flags[0] or flags[1])
 
 
 # ---------------------------------------------------------------------------
