@@ -16,8 +16,8 @@ Layout
     Composable disc/ball diffeomorphism links (rotations, radial twists,
     Alexander isotopies, flows) with exact or FD4 2-jets.
 ``forms``
-    Quadrature grids, Maurer-Cartan samples, wedge-trace densities, and
-    the closed 3-forms eta_n.
+    Quadrature grids, batched Maurer-Cartan components, wedge-trace
+    densities, and the closed 3-forms eta_n.
 ``cocycle``
     The group 2-cocycle gamma, Wess-Zumino ball terms, omega0, and the
     coboundary/normality residuals.

@@ -5,9 +5,8 @@ group 2-cocycle on asymptotically radial disc diffeomorphisms, and the
 Wess-Zumino 1-cochain omega0(h) = c0 * W(ball extension of h) trivializes
 it on the boundary-trivial subgroup.  Each identity of that construction
 is exposed here as a residual: the 2-cocycle property, normalization,
-the coboundary of omega0, the conjugation (normality) defect Delta_g, the
-coboundary of W with its boundary-sphere surface term, and the vanishing
-correction integral of the boundary normal derivatives.
+the coboundary of omega0, the conjugation (normality) defect Delta_g, and
+the coboundary of W with its boundary-sphere surface term.
 
 The integrals skip the nodes where their integrand is exactly zero.  Every
 map answers ``moves(pts)``, a mask that may be False only where its
@@ -80,9 +79,7 @@ __all__ = [
     "ext_mul",
     "gamma",
     "gamma_m",
-    "iota",
     "omega0",
-    "phi_correction_integral",
     "w_coboundary_residual",
     "wz_term",
 ]
@@ -106,11 +103,6 @@ class CocycleConfig:
         self.disc_grid = disc_grid if disc_grid is not None else DiscGrid()
         self.ball_grid = ball_grid if ball_grid is not None else BallGrid()
         self.plan = plan
-
-    def refined(self, factor: int = 2) -> "CocycleConfig":
-        """Same c0 and plan on factor-refined grids (decay checks)."""
-        return CocycleConfig(self.c0, self.disc_grid.refined(factor),
-                             self.ball_grid.refined(factor), self.plan)
 
     def signature(self):
         return ("cocycle-config", self.c0, self.disc_grid.signature(),
@@ -317,12 +309,6 @@ def omega0(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,
     return cfg.c0 * wz_term(ball, cfg)
 
 
-def iota(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,
-         profile=None, bt_eps: float = _BT_EPS) -> ExtElement:
-    """The section h -> (h, omega0(h)) over the boundary-trivial subgroup."""
-    return ExtElement(h, omega0(h, cfg, xi, profile, bt_eps))
-
-
 def delta_g_residual(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
                      xi: CutoffFn | None = None, profile=None,
                      bt_eps: float = _BT_EPS) -> float:
@@ -362,12 +348,6 @@ def _plane_quad(grid: BallGrid):
     return pts, w, np.concatenate(edges, axis=1)
 
 
-def _plane_integral(vals: np.ndarray, w: np.ndarray, edge_vals: np.ndarray,
-                    edge: np.ndarray, what: str) -> float:
-    _check_edge(edge_vals, edge, what, "plane-box")
-    return _fsum_weighted(vals, w)
-
-
 def w_coboundary_residual(g: BallDiffeo, h: BallDiffeo,
                           cfg: CocycleConfig) -> float:
     """|W(gh) - W(g) - W(h) - 3 S| with the surface term S equal to
@@ -380,37 +360,7 @@ def w_coboundary_residual(g: BallDiffeo, h: BallDiffeo,
     hb_inv = disc_invert(h.boundary_map())
     pts, w, edge = _plane_quad(cfg.ball_grid)
     density = _wedge_2form(gb, hb_inv, cfg.plan)
+    _check_edge(density(edge), edge, "boundary surface term", "plane-box")
     vals = _on_moved(density, (gb, hb_inv), pts, cfg.plan)
-    surface = _plane_integral(vals, w, density(edge), edge,
-                              "boundary surface term")
-    return abs(Wgh - Wg - Wh - 3.0 * surface)
+    return abs(Wgh - Wg - Wh - 3.0 * _fsum_weighted(vals, w))
 
-
-def _phi_gradient(m, pts):
-    """Plane gradient of phi = log of the boundary normal derivative."""
-    d, dx, dy = (np.asarray(a, dtype=np.float64)
-                 for a in m.normal_derivative_jet(pts))
-    low = float(np.min(d))
-    if not low > 0.0:  # NaN included
-        raise DomainError(
-            f"boundary normal derivative must stay positive (min {low:.3e})")
-    return dx / d, dy / d
-
-
-def phi_correction_integral(g, h, cfg: CocycleConfig) -> float:
-    """integral_plane (d_x phi^g d_y phi^h - d_x phi^h d_y phi^g) dx dy
-    with phi = log of the outward normal derivative of the first output
-    component on the boundary sphere.
-
-    The integrand is an exact 2-form on the boundary sphere, so the value
-    is a pure discretization residual (exactly zero for layered maps,
-    whose normal derivative is identically one).
-    """
-    pts, w, edge = _plane_quad(cfg.ball_grid)
-    gx, gy = _phi_gradient(g, pts)
-    hx, hy = _phi_gradient(h, pts)
-    egx, egy = _phi_gradient(g, edge)
-    ehx, ehy = _phi_gradient(h, edge)
-    vals = gx * hy - hx * gy
-    ev = egx * ehy - ehx * egy
-    return _plane_integral(vals, w, ev, edge, "normal-derivative correction")

@@ -1,4 +1,4 @@
-"""Diffeomorphisms of the circle, disc, sphere and ball used by the cocycle
+"""Diffeomorphisms of the circle, disc and ball used by the cocycle
 construction.
 
 The building blocks are:
@@ -9,9 +9,9 @@ The building blocks are:
   straight-line isotopy to the identity (``CircleIsotopy``);
 * disc diffeomorphisms assembled as chains of elementary links — rigid
   rotations, radial Alexander extensions of circle maps, compactly
-  supported radial twists, and flow maps of vector fields;
-* sphere maps (disc maps that are the identity near the boundary circle,
-  extended by the identity across the chart); and
+  supported radial twists, and flow maps of vector fields; one that is
+  the identity near the boundary circle is a sphere map in the chart
+  (``require_boundary_trivial`` checks it); and
 * layered ball maps (rho, p) -> (rho, m_{c(rho)}(p)) built from disc links
   graded by a radial profile.
 
@@ -329,7 +329,7 @@ class CircleDiffeoLift:
         dp = tp_derivative(periodic_part)
         slope = 1.0 + dp(_ORIENT_SAMPLES)
         k = int(np.argmin(slope))
-        if slope[k] <= 0.0:
+        if not slope[k] > 0.0:  # NaN included
             raise DomainError(
                 f"circle map is not orientation-preserving (min 1 + p' = "
                 f"{slope[k]:.3e} at theta={_ORIENT_SAMPLES[k]:.4g}; worst of "
@@ -823,7 +823,7 @@ class _AngularLinkBase(_PolarLink):
         _, slope = self.displacement.value_and_slope(
             self.displacement.weights(R), T)
         k = int(np.argmin(slope))
-        if slope[k] <= 0.0:
+        if not slope[k] > 0.0:  # NaN included
             raise DomainError(
                 f"angular link is not orientation-preserving (min 1 + A_theta "
                 f"= {slope[k]:.3e} at r={R[k]:.4g}, theta={T[k]:.4g}; worst "
@@ -1170,52 +1170,17 @@ def _boundary_offset(g: DiscDiffeo, eps: float):
     return off[k], r[k], off.size
 
 
-def is_boundary_trivial(g: DiscDiffeo, eps: float, tol: float = 1e-12) -> bool:
-    """Is g the identity (to ``tol``) on the annulus radii 1-eps/2, 1-eps/4?"""
-    return bool(_boundary_offset(g, eps)[0] <= tol)
-
-
 def require_boundary_trivial(g: DiscDiffeo, eps: float, what: str,
                              tol: float = 1e-12):
     """Raise NotBoundaryTrivialError saying ``what`` and naming the worst
-    sample unless ``is_boundary_trivial(g, eps, tol)``."""
+    sample unless g is the identity (to ``tol``) on the annulus radii
+    1-eps/2 and 1-eps/4: the test that g is a sphere map, one that the
+    identity extends across the chart."""
     off, r, n = _boundary_offset(g, eps)
     if not off <= tol:
         raise NotBoundaryTrivialError(
             f"{what} (a coordinate moves by {off:.3e} at r={r:.4g}; worst of "
             f"{n} samples)")
-
-
-class SphereDiffeo:
-    """A sphere diffeomorphism presented in the disc chart: a disc chain that
-    is the identity near the boundary circle, extended by the identity."""
-
-    __slots__ = ("disc", "eps")
-
-    def __init__(self, disc: DiscDiffeo, eps: float):
-        self.disc = disc
-        self.eps = float(eps)
-
-    def apply(self, pts):
-        return self.disc.apply(pts)
-
-
-def sphere_extend(h: DiscDiffeo, eps: float = 0.1) -> SphereDiffeo:
-    """Wrap a boundary-trivial disc chain as a sphere map.
-
-    Raises NotBoundaryTrivialError when h fails the identity check near the
-    boundary circle.
-    """
-    require_boundary_trivial(
-        h, eps, "disc map is not the identity near the boundary circle")
-    return SphereDiffeo(h, eps)
-
-
-def alexander_extend(isotopy: CircleIsotopy, cutoff: CutoffFn,
-                     t: float = 1.0) -> DiscDiffeo:
-    """Disc extension of a circle isotopy by the cutoff-graded Alexander
-    construction; the boundary annulus carries isotopy.path(t)."""
-    return DiscDiffeo.from_link(AlexanderRadial(isotopy, cutoff, t))
 
 
 # ---------------------------------------------------------------------------
@@ -1284,13 +1249,6 @@ class BallDiffeo(_Chain):
                      else float(layer.profile.value(one)[0]))
             for layer in self.links))
 
-    def normal_derivative_jet(self, plane_pts):
-        """(d, dx, dy) with d the rho-derivative of the first output
-        component on the boundary sphere and dx, dy its plane partials.
-        Layered maps preserve rho, so this is exactly (1, 0, 0)."""
-        n = np.asarray(plane_pts).shape[1]
-        return np.ones(n), np.zeros(n), np.zeros(n)
-
     def parameter_zero_map(self) -> DiscDiffeo:
         """The planar chain at parameter u = 0 (must evaluate to the
         identity for a valid extension of an isotopy)."""
@@ -1327,18 +1285,17 @@ def _check_parameter_zero_identity(ball: BallDiffeo, tol: float = 1e-12):
             f"{off.size} samples)")
 
 
-def ball_extend(h, xi: CutoffFn, profile=None) -> BallDiffeo:
-    """Layered ball extension of a boundary map.
+def ball_extend(h: DiscDiffeo, xi: CutoffFn, profile=None) -> BallDiffeo:
+    """Layered ball extension of a boundary map, a disc chain (a sphere map
+    in the chart when it is boundary-trivial).
 
-    ``h`` may be a DiscDiffeo (sphere map in the chart) or a SphereDiffeo.
     Each link with a turn is graded by the radial profile (default: the
     cutoff itself) and the inverse links are frozen, so the ball map is the
     identity near rho = 0 (when the frozen layers cancel, which is checked)
     and equals the given map on the boundary sphere rho = 1.
     """
-    disc = h.disc if isinstance(h, SphereDiffeo) else h
     prof = profile if profile is not None else CutoffProfile(xi)
-    ball = BallDiffeo(_layers(disc.links, prof))
+    ball = BallDiffeo(_layers(h.links, prof))
     _check_parameter_zero_identity(ball)
     return ball
 

@@ -13,7 +13,7 @@ class VirbottError(Exception):
 class DomainError(VirbottError, ValueError):
     """Input outside the mathematical domain of an operation
     (bad cutoff window, non-orientation-preserving circle data,
-    nonpositive boundary normal derivative, grid too coarse, ...)."""
+    grid too coarse, plane box not containing the unit disc, ...)."""
 
 
 class ConvergenceError(VirbottError, RuntimeError):

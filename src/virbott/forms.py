@@ -5,7 +5,7 @@ matrix one-form
 
     theta_i(g) = J(g)^{-1} * d_i J(g),
 
-one square matrix per chart direction.  This module samples it from the
+one square matrix per chart direction.  This module computes it from the
 2-jets produced by :mod:`virbott.diffeo`, forms the wedge+trace densities
 that enter the cocycle integrals, and integrates them over tensor grids:
 Gauss-Legendre in the radial/box directions crossed with a uniform
@@ -27,7 +27,6 @@ import numpy as np
 
 from ._jets import inv_batched
 from .errors import DimensionError, DomainError, NumericError, SupportError
-from .diffeo import ANALYTIC, DerivativePlan
 
 _TWO_PI = 2.0 * math.pi
 
@@ -83,9 +82,6 @@ class DiscGrid:
     def npts(self):
         return self.r.size
 
-    def refined(self, factor: int = 2) -> "DiscGrid":
-        return DiscGrid(self.n_r * factor, self.n_theta * factor)
-
     def signature(self):
         return ("disc-grid", self.n_r, self.n_theta)
 
@@ -106,8 +102,10 @@ class BallGrid:
     def __init__(self, n_rho: int = 24, n_plane: int = 64, L: float = 1.25):
         if n_rho < 4 or n_plane < 4:
             raise DomainError(f"ball grid too coarse: {n_rho} x {n_plane}^2")
-        if L < 1.0:
-            raise DomainError("plane box must contain the unit disc (L >= 1)")
+        if not 1.0 <= L < math.inf:  # NaN included
+            raise DomainError(
+                "plane box must be finite and contain the unit disc "
+                f"(1 <= L < inf), got L={L!r}")
         self.n_rho = int(n_rho)
         self.n_plane = int(n_plane)
         self.L = float(L)
@@ -136,39 +134,13 @@ class BallGrid:
     def npts(self):
         return self.nodes.shape[1]
 
-    def refined(self, factor: int = 2) -> "BallGrid":
-        return BallGrid(self.n_rho * factor, self.n_plane * factor, self.L)
-
     def signature(self):
         return ("ball-grid", self.n_rho, self.n_plane, self.L)
 
 
 # ---------------------------------------------------------------------------
-# Maurer-Cartan samples
+# Maurer-Cartan forms and wedge traces
 # ---------------------------------------------------------------------------
-
-class MCFormSample:
-    """theta(g) at one point: a tuple of d matrices, one per direction."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        components = tuple(np.asarray(c, dtype=np.float64) for c in components)
-        d = len(components)
-        for c in components:
-            if c.shape != (d, d):
-                raise DimensionError(
-                    f"need {d} square {d}x{d} components, got {c.shape}")
-        self.components = components
-
-    @property
-    def dim(self):
-        return len(self.components)
-
-    def stack(self) -> np.ndarray:
-        """The components as a (d, d, d, 1) stack of the batched routines."""
-        return np.stack(self.components)[..., np.newaxis]
-
 
 def mc_components(jet) -> np.ndarray:
     """Batched MC components from a 2-jet: out[b] = J^{-1} d_b J.
@@ -181,24 +153,11 @@ def mc_components(jet) -> np.ndarray:
     return np.einsum("jln,lkbn->bjkn", inv, jet.h)
 
 
-def mc_form(g, p, plan: DerivativePlan = ANALYTIC) -> MCFormSample:
-    """Maurer-Cartan sample of a disc/ball map at a single point ``p``."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1, 1)
-    jet = g.jet(p, plan)
-    comps = mc_components(jet)
-    return MCFormSample(tuple(comps[b, :, :, 0] for b in range(comps.shape[0])))
-
-
 def wedge_trace_2form(a, b):
     """tr(a_x b_y - a_y b_x) for two matrix one-forms on a plane chart.
 
-    Accepts batched (2, d, d, N) stacks, or MCFormSample pairs, for which
-    the value at the one point is returned as a float.
+    Takes two batched (2, d, d, N) stacks.
     """
-    if isinstance(a, MCFormSample):
-        if not isinstance(b, MCFormSample) or a.dim != b.dim:
-            raise DimensionError("mismatched one-form samples")
-        return float(wedge_trace_2form(a.stack(), b.stack())[0])
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape or a.shape[0] != 2:
@@ -214,13 +173,8 @@ def wedge_trace_cube(a):
 
     This shortcut equals the full antisymmetrization over S3 because the
     trace is cyclic; the tests check that against the permutation sum.
-    Accepts a (3, d, d, N) stack, or an MCFormSample, for which the value
-    at the one point is returned as a float.
+    Takes a batched (3, d, d, N) stack.
     """
-    if isinstance(a, MCFormSample):
-        if a.dim != 3:
-            raise DimensionError("cube wedge needs 3 components (rho, x, y)")
-        return float(wedge_trace_cube(a.stack())[0])
     a = np.asarray(a)
     if a.shape[0] != 3:
         raise DimensionError(f"need (3,d,d,N) stack, got {a.shape}")

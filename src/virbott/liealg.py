@@ -19,7 +19,6 @@ for every separable field without a V3 part.
 
 from __future__ import annotations
 
-import csv
 import itertools
 
 import numpy as np
@@ -31,7 +30,7 @@ from .diffeo import (AngleDisplacement, CutoffFn, CutoffProfile, DiscDiffeo,
                      FlowMap, _DisplacementLink, _Profile, disc_compose,
                      disc_invert)
 from .errors import DomainError, FlagError, StepError, UnsupportedError
-from .forms import integrate_disc, mc_form
+from .forms import integrate_disc, mc_components
 from .trigpoly import (CircleField, TrigPoly, tp_derivative,
                        tp_integrate_product, tp_multiply)
 
@@ -54,7 +53,6 @@ __all__ = [
     "semidirect_bracket",
     "theta_variation_residual",
     "wf_field",
-    "write_generator_table",
 ]
 
 _N_BOUNDARY_ANGLES = 64
@@ -602,16 +600,6 @@ def generator_table_rows(pairs, c0=1.0):
     return rows
 
 
-def write_generator_table(path, pairs, c0=1.0) -> None:
-    """Write the generator bracket table as CSV."""
-    rows = generator_table_rows(pairs, c0)
-    fields = ["n", "m", "kind", "coefficient", "central-real", "central-imag"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def gbeta_cyclic_residual(V0: DiscVectorField, V1: DiscVectorField,
                           V2: DiscVectorField, c0=1.0) -> float:
     """|sum_{cyclic} G(beta)([V_j, V_{j+1}], V_{j+2})| on boundary data,
@@ -640,8 +628,7 @@ def theta_variation_residual(g: DiscDiffeo, V: DiscVectorField, p,
              else default_curve_builder)(V)
 
     def theta_stack(s):
-        sample = mc_form(disc_compose(g, curve(s)), p, plan)
-        return np.stack(sample.components)
+        return mc_components(disc_compose(g, curve(s)).jet(p, plan))[..., 0]
 
     lhs = (theta_stack(fd_step) - theta_stack(-fd_step)) / (2.0 * fd_step)
 

@@ -402,6 +402,20 @@ def test_cli_non_finite_tolerance_from_flag_or_file_is_rejected(tmp_path,
     assert "eta-closed-2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", ["nan", "inf"])
+def test_non_finite_plane_box_is_a_config_error(box, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="plane box"):
+        SuiteConfig(L=float(box))
+    assert main(["verify", "--suite", "wz", "--plane-box", box]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"L={box}" in err
+    config = tmp_path / "box.cfg"
+    config.write_text(f"suite = wz\nplane-box = {box}\n")
+    assert main(["verify", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"L={box}" in err
+
+
 # ----------------------------------------------------------------------
 # config files are read as the verb's own flags
 # ----------------------------------------------------------------------

@@ -28,9 +28,7 @@ from virbott.cocycle import (
     ext_mul,
     gamma,
     gamma_m,
-    iota,
     omega0,
-    phi_correction_integral,
     w_coboundary_residual,
     wz_term,
 )
@@ -55,7 +53,6 @@ from virbott.diffeo import (
 from virbott.errors import (
     DomainError,
     NotBoundaryTrivialError,
-    NumericError,
     SupportError,
 )
 from virbott.forms import (
@@ -98,9 +95,9 @@ def test_config_defaults_and_refined():
     cfg = CocycleConfig()
     assert (cfg.disc_grid.n_r, cfg.disc_grid.n_theta) == (96, 256)
     assert (cfg.ball_grid.n_rho, cfg.ball_grid.n_plane) == (24, 64)
-    ref = cfg.refined()
-    assert (ref.disc_grid.n_r, ref.ball_grid.n_plane) == (192, 128)
-    assert ref.c0 == cfg.c0
+    # a config on a refined grid keys its cached values apart
+    assert CocycleConfig(cfg.c0, DiscGrid(192, 512)).signature() \
+        != cfg.signature()
     with pytest.raises(DomainError):
         CocycleConfig(float("nan"))
 
@@ -217,7 +214,7 @@ def test_gamma_cache_stays_bounded_under_concurrent_eviction(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# extension multiplication and the section iota
+# extension multiplication and the section h -> (h, omega0(h))
 # ----------------------------------------------------------------------
 
 def test_ext_mul_central_coordinate_law():
@@ -236,26 +233,29 @@ def test_ext_mul_is_associative():
     assert abs(left.a - right.a) <= 1e-7
 
 
+def section(h, cfg):
+    """The section h -> (h, omega0(h)) over the boundary-trivial subgroup."""
+    return ExtElement(h, omega0(h, cfg, xi=XI))
+
+
 def test_iota_of_identity_is_zero():
-    e = iota(DiscDiffeo.identity(), CFG_SMALL, xi=XI)
-    assert e.a == 0.0
+    assert section(DiscDiffeo.identity(), CFG_SMALL).a == 0.0
 
 
 def test_iota_central_coordinate_is_c0_times_wz():
     cfg = CocycleConfig(1.7, CFG_SMALL.disc_grid, CFG_SMALL.ball_grid)
-    e = iota(TW1, cfg, xi=XI)
-    assert e.a == 1.7 * wz_term(ball_extend(TW1, XI), cfg)
+    assert section(TW1, cfg).a == 1.7 * wz_term(ball_extend(TW1, XI), cfg)
 
 
 def test_iota_is_a_homomorphism_on_gentle_pairs():
-    prod = ext_mul(iota(TW1, CFG, xi=XI), iota(TW2, CFG, xi=XI), CFG)
-    direct = iota(disc_compose(TW1, TW2), CFG, xi=XI)
+    prod = ext_mul(section(TW1, CFG), section(TW2, CFG), CFG)
+    direct = section(disc_compose(TW1, TW2), CFG)
     assert abs(prod.a - direct.a) <= 1e-5
 
 
 def test_iota_rejects_non_boundary_trivial_elements():
     with pytest.raises(NotBoundaryTrivialError):
-        iota(ROT, CFG_SMALL)
+        omega0(ROT, CFG_SMALL)
     with pytest.raises(NotBoundaryTrivialError):
         omega0(ALEX, CFG_SMALL)
 
@@ -407,99 +407,17 @@ def test_w_coboundary_generic_pair_with_decay():
         <= at_default / 4.0
 
 
-# ----------------------------------------------------------------------
-# the phi correction term
-# ----------------------------------------------------------------------
-
-class PerturbedNormal:
-    """Test double whose boundary normal derivative is 1 + amp*B(r)*p(theta).
-
-    Supplies only the ``normal_derivative_jet`` hook the phi integral
-    consumes; the gradient is assembled from the polar chain rule.
-    """
-
-    def __init__(self, a, b, amp, c1, s1):
-        self.bump = BumpProfile(a, b, 1.0)
-        self.amp, self.c1, self.s1 = amp, c1, s1
-
-    def normal_derivative_jet(self, pts):
-        x, y = pts
-        r = np.hypot(x, y)
-        th = np.arctan2(y, x)
-        bump, dbump = self.bump.value(r), self.bump.d1(r)
-        ang = self.c1 * np.cos(th) + self.s1 * np.sin(th)
-        dang = -self.c1 * np.sin(th) + self.s1 * np.cos(th)
-        eta_r = self.amp * dbump * ang
-        eta_th = self.amp * bump * dang
-        with np.errstate(invalid="ignore", divide="ignore"):
-            inv_r = np.where(r > 0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        c, s = np.cos(th), np.sin(th)
-        return (1.0 + self.amp * bump * ang,
-                c * eta_r - s * inv_r * eta_th,
-                s * eta_r + c * inv_r * eta_th)
-
-
-def test_phi_correction_layered_maps_give_exact_zero():
+def test_plane_edge_error_names_the_samples_and_the_worst_one(monkeypatch):
+    # a surface density of 1 everywhere reaches the plane-box edge
+    monkeypatch.setattr(
+        cocycle, "_wedge_2form",
+        lambda g, hinv, plan: lambda pts: np.ones(pts.shape[1]))
     ba = ball_extend(TW1, XI)
-    bb = ball_extend(TW2, XI)
-    assert phi_correction_integral(ba, bb, CFG_SMALL) == 0.0
-
-
-def test_phi_correction_equal_arguments_give_exact_zero():
-    png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
-    assert phi_correction_integral(png, png, CFG_SMALL) == 0.0
-
-
-def test_phi_correction_stokes_vanishing_on_refined_grid():
-    png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
-    pnh = PerturbedNormal(0.12, 0.88, -0.12, 0.3, -1.0)
-    assert abs(phi_correction_integral(png, pnh, CFG_BALL_REFINED)) <= 1e-8
-
-
-def test_phi_correction_rejects_non_positive_normal_derivative():
-    folded = PerturbedNormal(0.10, 0.90, 1.4, 1.0, 0.0)
-    png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
-    with pytest.raises(DomainError):
-        phi_correction_integral(folded, png, CFG_SMALL)
-
-
-class NaNInside(PerturbedNormal):
-    """PerturbedNormal with NaN planted in one component of its jet
-    (0: the normal derivative, 1: its x-derivative) at the plane nodes with
-    r < 0.5, far inside the box, so no edge sample sees it."""
-
-    def __init__(self, component):
-        super().__init__(0.10, 0.90, 0.10, 1.0, 0.4)
-        self.component = component
-
-    def normal_derivative_jet(self, pts):
-        jet = [np.array(a, dtype=np.float64)
-               for a in super().normal_derivative_jet(pts)]
-        jet[self.component][np.hypot(*pts) < 0.5] = np.nan
-        return tuple(jet)
-
-
-def test_phi_correction_rejects_a_nan_normal_derivative():
-    png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
-    with pytest.raises(DomainError, match=r"must stay positive \(min nan\)"):
-        phi_correction_integral(NaNInside(0), png, CFG_SMALL)
-
-
-def test_phi_correction_rejects_a_nan_gradient_inside_the_box():
-    png = PerturbedNormal(0.10, 0.90, 0.10, 1.0, 0.4)
-    with pytest.raises(NumericError, match="non-finite values in quadrature"):
-        phi_correction_integral(NaNInside(1), png, CFG_SMALL)
-
-
-def test_plane_edge_error_names_the_samples_and_the_worst_one():
-    # bumps reaching r = 2 leave the plane box [-1.25, 1.25]^2
-    png = PerturbedNormal(0.10, 2.0, 0.10, 1.0, 0.4)
-    pnh = PerturbedNormal(0.12, 2.0, -0.12, 0.3, -1.0)
     with pytest.raises(SupportError,
-                       match=r"normal-derivative correction reaches the "
+                       match=r"boundary surface term reaches the "
                              r"plane-box edge \(\S+ at x=\S+, y=\S+; "
                              r"worst of 260 edge samples\)"):
-        phi_correction_integral(png, pnh, CFG_SMALL)
+        w_coboundary_residual(ba, ba, CFG_SMALL)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for circle/disc/sphere/ball diffeomorphisms.
+"""Tests for circle/disc/ball diffeomorphisms.
 
 The load-bearing checks here compare every analytic jet path against the
 FD4 finite-difference plan — the two derivative pipelines are fully
@@ -30,7 +30,6 @@ from virbott.diffeo import (
     RadialTwist,
     Rotation,
     SinePulseProfile,
-    alexander_extend,
     ball_extend,
     ball_jacobian,
     circle_invert,
@@ -39,8 +38,7 @@ from virbott.diffeo import (
     disc_compose,
     disc_invert,
     disc_jacobian,
-    is_boundary_trivial,
-    sphere_extend,
+    require_boundary_trivial,
 )
 from virbott.errors import (
     ConvergenceError,
@@ -244,7 +242,7 @@ def test_isotopy_path_endpoints():
 def test_alexander_boundary_and_core():
     iso = CircleIsotopy(0, TrigPoly(0.0, [0.4], [0.2]))
     xi = cutoff_make(0.2, 0.1)
-    g = alexander_extend(iso, xi, t=0.7)
+    g = DiscDiffeo.from_link(AlexanderRadial(iso, xi, 0.7))
     th = np.linspace(0, 2 * math.pi, 40, endpoint=False)
     # on the boundary annulus the map is iso.path(t)
     lift = iso.path(0.7)
@@ -469,20 +467,19 @@ def test_disc_jacobian_orientation_guard():
 
 
 # ----------------------------------------------------------------------
-# sphere maps
+# sphere maps: disc maps that are the identity near the boundary circle
 # ----------------------------------------------------------------------
 
 def test_sphere_extend_accepts_twists_rejects_alexander():
     tw = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.3, 0.7, 0.8)))
-    s = sphere_extend(tw, eps=0.1)
+    require_boundary_trivial(tw, 0.1, "twist")
     pts = disc_points(20, 1.0, 1.3, seed=37)   # outside the unit disc
-    assert np.max(np.abs(s.apply(pts) - pts)) == 0.0
+    assert np.max(np.abs(tw.apply(pts) - pts)) == 0.0
 
     iso = CircleIsotopy(0, TrigPoly(0.0, [0.4]))
-    alex = alexander_extend(iso, cutoff_make(0.2, 0.1))
-    assert not is_boundary_trivial(alex, 0.1)
+    alex = DiscDiffeo.from_link(AlexanderRadial(iso, cutoff_make(0.2, 0.1)))
     with pytest.raises(NotBoundaryTrivialError):
-        sphere_extend(alex, eps=0.1)
+        require_boundary_trivial(alex, 0.1, "Alexander map")
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +539,7 @@ def test_ball_jacobian_top_row():
 
 def test_conjugated_extension_boundary_value():
     iso = CircleIsotopy(0, TrigPoly(0.05, [0.3], [0.1]))
-    g = alexander_extend(iso, cutoff_make(0.2, 0.1), t=0.9)
+    g = DiscDiffeo.from_link(AlexanderRadial(iso, cutoff_make(0.2, 0.1), 0.9))
     h = sample_sphere_map()
     xi = cutoff_make(0.2, 0.1)
     B = conjugated_extension(g, h, xi)
@@ -918,6 +915,15 @@ def test_orientation_errors_name_the_worst_sample():
                        match=r"min 1 \+ A_theta = -8\.000e-01 at r=[0-9.]+, "
                              r"theta=3\.142; worst of 8192 samples"):
         AlexanderRadial(iso, cutoff_make(0.2, 0.1), 3.0)
+    # a NaN slope is no orientation either
+    with pytest.raises(DomainError,
+                       match=r"min 1 \+ p' = nan at theta=0; "
+                             r"worst of 512 samples"):
+        CircleDiffeoLift(0, TrigPoly(0.0, [math.nan]))
+    with pytest.raises(DomainError,
+                       match=r"min 1 \+ A_theta = nan at r=[0-9.]+, "
+                             r"theta=0; worst of 8192 samples"):
+        AlexanderRadial(iso, cutoff_make(0.2, 0.1), math.nan)
 
 
 # ----------------------------------------------------------------------
@@ -1045,10 +1051,11 @@ def test_parameter_zero_error_names_the_worst_sample():
 
 
 def test_sphere_extend_error_names_the_worst_sample():
-    alex = alexander_extend(CircleIsotopy(0, TrigPoly(0.0, [0.4])),
-                            cutoff_make(0.2, 0.1))
+    alex = DiscDiffeo.from_link(AlexanderRadial(
+        CircleIsotopy(0, TrigPoly(0.0, [0.4])), cutoff_make(0.2, 0.1)))
     with pytest.raises(NotBoundaryTrivialError,
                        match=r"boundary circle \(a coordinate moves by "
                              r"\d\.\d{3}e-01 at r=0\.975; worst of 512 "
                              r"samples\)"):
-        sphere_extend(alex, eps=0.1)
+        require_boundary_trivial(
+            alex, 0.1, "disc map is not the identity near the boundary circle")

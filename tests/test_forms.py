@@ -1,13 +1,15 @@
-"""Tests for one-form sampling, wedge traces and quadrature.
+"""Tests for Maurer-Cartan components, wedge traces and quadrature.
 
 Oracles: closed-form integrals for the grids, FD differentiation of the
-Jacobian for the Maurer-Cartan samples, and full permutation sums for both
-wedge-trace shortcuts.
+Jacobian for the Maurer-Cartan components, and full permutation sums for
+both wedge-trace shortcuts.
 """
 
+import importlib
 import itertools
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +19,12 @@ import pytest
 
 import virbott
 from virbott.diffeo import (
+    AlexanderRadial,
     BumpProfile,
     CircleIsotopy,
     DiscDiffeo,
     RadialTwist,
     Rotation,
-    alexander_extend,
     cutoff_make,
     disc_compose,
 )
@@ -30,7 +32,6 @@ from virbott.errors import DimensionError, DomainError, NumericError, SupportErr
 from virbott.forms import (
     BallGrid,
     DiscGrid,
-    MCFormSample,
     _check_edge,
     _gl_nodes,
     _gl_rule,
@@ -38,7 +39,6 @@ from virbott.forms import (
     integrate_ball,
     integrate_disc,
     mc_components,
-    mc_form,
     wedge_trace_2form,
     wedge_trace_cube,
 )
@@ -116,18 +116,40 @@ def test_gl_rule_is_cached_read_only_and_grids_copy_it():
     assert not any(np.shares_memory(m, c) for m in mapped for c in (x, w))
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # virbott's only runtime dependency is numpy
+def loaded_after_import(module, package):
+    """Names of ``package`` and its submodules that a fresh interpreter has
+    loaded after importing ``module``, as one printed list."""
     src = str(Path(virbott.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, virbott.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code = (f"import sys, {module}; "
+            f"print(sorted(m for m in sys.modules "
+            f"if m == {package!r} or m.startswith({package + '.'!r})))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # virbott's only runtime dependency is numpy
+    assert loaded_after_import("virbott.cli", "scipy") == "[]"
+
+
+def test_forms_sits_below_diffeo():
+    # the forms layer works on jets and grids and knows no map type
+    loaded = loaded_after_import("virbott.forms", "virbott")
+    assert "'virbott.forms'" in loaded
+    assert "'virbott.diffeo'" not in loaded
+
+
+def test_every_exported_name_resolves():
+    modules = [virbott] + [importlib.import_module(f"virbott.{info.name}")
+                           for info in pkgutil.iter_modules(virbott.__path__)]
+    exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert {m.__name__ for m, _ in exported} >= {
+        "virbott", "virbott.cli", "virbott.cocycle", "virbott.liealg"}
+    assert [f"{m.__name__}.{name}" for m, name in exported
+            if not hasattr(m, name)] == []
 
 
 def test_disc_quadrature_reference_values():
@@ -208,20 +230,23 @@ def test_numeric_error_on_nan():
 
 
 # ----------------------------------------------------------------------
-# Maurer-Cartan samples
+# Maurer-Cartan components
 # ----------------------------------------------------------------------
 
 def sample_map():
     iso = CircleIsotopy(0, TrigPoly(0.1, [0.3], [0.2]))
-    alex = alexander_extend(iso, cutoff_make(0.2, 0.1), t=0.8)
+    alex = DiscDiffeo.from_link(AlexanderRadial(iso, cutoff_make(0.2, 0.1),
+                                                0.8))
     twist = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.3, 0.7, 0.6)))
     return disc_compose(alex, twist)
 
 
 def test_mc_form_vanishes_for_isometries():
+    p = np.array([[0.4], [0.2]])
     for g in (DiscDiffeo.identity(), DiscDiffeo.from_link(Rotation(0.7))):
-        s = mc_form(g, (0.4, 0.2))
-        assert all(np.max(np.abs(c)) < 1e-14 for c in s.components)
+        comps = mc_components(g.jet(p))
+        assert comps.shape == (2, 2, 2, 1)
+        assert np.max(np.abs(comps)) < 1e-14
 
 
 def test_mc_form_matches_fd_of_jacobian():
@@ -264,65 +289,43 @@ def test_mc_form_composition_law():
         assert np.max(np.abs(th_gh[b] - want)) < 1e-10
 
 
-def test_mc_sample_container_validation():
-    with pytest.raises(DimensionError):
-        MCFormSample((np.zeros((2, 2)), np.zeros((3, 3))))
-
-
 # ----------------------------------------------------------------------
 # wedge traces
 # ----------------------------------------------------------------------
 
-def random_sample_2(rng):
-    return MCFormSample(tuple(rng.standard_normal((2, 2)) for _ in range(2)))
-
-
-def random_sample_3(rng):
-    return MCFormSample(tuple(rng.standard_normal((3, 3)) for _ in range(3)))
+def random_stack(rng, d):
+    """A one-form at one point: a (d, d, d, 1) stack of random matrices."""
+    return rng.standard_normal((d, d, d, 1))
 
 
 def test_wedge2_antisymmetry():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        a = random_sample_2(rng)
-        b = random_sample_2(rng)
-        assert abs(wedge_trace_2form(a, b) + wedge_trace_2form(b, a)) < 1e-12
+        a = random_stack(rng, 2)
+        b = random_stack(rng, 2)
+        assert abs(wedge_trace_2form(a, b)[0]
+                   + wedge_trace_2form(b, a)[0]) < 1e-12
 
 
 def test_wedge_cube_vs_permutation_oracle():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        a = random_sample_3(rng)
-        comps = a.components
+        a = random_stack(rng, 3)
+        comps = a[..., 0]
         total = 0.0
         for perm in itertools.permutations(range(3)):
             sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
             total += sign * np.trace(
                 comps[perm[0]] @ comps[perm[1]] @ comps[perm[2]])
-        assert abs(wedge_trace_cube(a) - total) < 1e-12
+        assert abs(wedge_trace_cube(a)[0] - total) < 1e-12
 
 
 def test_wedge_dimension_errors():
     rng = np.random.default_rng(2)
     with pytest.raises(DimensionError):
-        wedge_trace_cube(random_sample_2(rng))
+        wedge_trace_cube(random_stack(rng, 2))
     with pytest.raises(DimensionError):
         wedge_trace_2form(np.zeros((2, 2, 2, 4)), np.zeros((2, 2, 2, 5)))
-
-
-def test_sample_wedge_traces_are_the_batched_traces_at_one_point():
-    rng = np.random.default_rng(4)
-    a, b, c = random_sample_2(rng), random_sample_2(rng), random_sample_3(rng)
-    assert a.stack().shape == (2, 2, 2, 1)
-    two = wedge_trace_2form(a, b)
-    cube = wedge_trace_cube(c)
-    assert type(two) is float and type(cube) is float
-    assert two == wedge_trace_2form(a.stack(), b.stack())[0]
-    assert cube == wedge_trace_cube(c.stack())[0]
-    with pytest.raises(DimensionError, match="mismatched one-form samples"):
-        wedge_trace_2form(a, c)
-    with pytest.raises(DimensionError, match="cube wedge needs 3 components"):
-        wedge_trace_cube(a)
 
 
 # ----------------------------------------------------------------------
