@@ -306,12 +306,11 @@ def _random_poly(rng, max_harmonic: int, scale: float) -> TrigPoly:
                     scale * rng.uniform(-1.0, 1.0, max_harmonic))
 
 
-def _random_field(rng, max_harmonic: int = 3,
-                  scale: float = 0.25) -> SeparableDiscField:
+def _random_field(rng, max_harmonic: int = 3) -> SeparableDiscField:
     prof = CutoffProfile(_FIELD_XI)
     return SeparableDiscField(
-        v3_terms=[(prof, _random_poly(rng, max_harmonic, scale))],
-        v4_terms=[(prof, _random_poly(rng, max_harmonic, scale))])
+        v3_terms=[(prof, _random_poly(rng, max_harmonic, 0.25))],
+        v4_terms=[(prof, _random_poly(rng, max_harmonic, 0.25))])
 
 
 def _random_alexander(rng) -> DiscDiffeo:
@@ -455,6 +454,9 @@ def _chk_wz_trivial(ctx):
 def _chk_wz_extension(ctx):
     w_a = wz_term(ball_extend(_TW_A, _XI), ctx.ccfg)
     w_b = wz_term(ball_extend(_TW_A, _XI_B), ctx.ccfg)
+    if 0.0 in (w_a, w_b):       # W is 0.19: no node of the plane moved
+        raise DomainError(f"W reads exactly 0 ({w_a!r}, {w_b!r}): no plane "
+                          f"node of the box L = {ctx.cfg.L!r} is moved")
     return w_a, abs(w_a - w_b), {}
 
 

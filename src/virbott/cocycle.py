@@ -12,32 +12,31 @@ The integrals skip the nodes where their integrand is exactly zero.  Every
 map answers ``moves(pts)``, a mask that may be False only where its
 analytic jet is exactly the identity (see :mod:`virbott.diffeo`); there
 its Maurer-Cartan form is exactly 0, and so is any wedge trace that
-contains it.  ``gamma_m`` and the surface term of
-``w_coboundary_residual`` compute jets, MC forms and wedge traces only
-where both factors move, and scatter the result into zeros for the same
-quadrature call.  ``wz_term`` masks its ball map once per plane point (a
-layered map's mask does not depend on rho, and every rho layer of the
-grid repeats the same plane points bit for bit), gathers the moved nodes
-of each group of whole rho layers and streams their weighted values into
-``integrate_ball``.  Every value is bit-identical to a full-grid sum.
-Two things stay unmasked: the box-edge support guards, which sample a few
-hundred points and must see all of them, and the FD4 plan, whose
-stencils at a fixed node can reach into the support.  A chain subclass
-that overrides ``jet`` must override ``moves`` to match.
+contains it.  One generator, ``_moved_products``, feeds every quadrature:
+gamma, W, the surface term of ``w_coboundary_residual`` and, with no maps
+to mask, beta in :mod:`virbott.liealg`.  It sees a grid as a stack of
+layers of the same points (the disc grid and the plane are one layer; the
+ball grid has one per rho, and a layered map's mask does not depend on
+rho), takes the AND of the maps' masks once on layer 0, gathers the moved
+nodes and yields their weighted values for one ``math.fsum``.  Every value
+is bit-identical to a full-grid sum.  Two things stay unmasked: the
+box-edge support guards, which sample a few hundred points and must see
+all of them, and the FD4 plan, whose stencils at a fixed node can reach
+into the support.  A chain subclass that overrides ``jet`` must override
+``moves`` to match.
 
 Each density call sees at most ``_BLOCK`` grid nodes, the FD4 plan's
-included: contiguous blocks on the disc and plane, groups of whole rho
-layers in the ball (a layer of more nodes is split).  So the jets, MC
-stacks and wedge traces of one integral hold one block's worth of nodes
-however fine the grid.  The values still go to one ``math.fsum``, which
-rounds exactly, so the split moves no bit, with one exception: an
-``InverseAngular`` link runs one Newton iteration over its whole batch
-until the slowest node converges, so a block split can move one of its
-roots by a rounding.
+included: groups of whole layers, or pieces of one layer if it holds more.
+So the jets, MC stacks and wedge traces of one integral hold one block's
+worth of nodes however fine the grid.  The sum rounds exactly, so the
+split moves no bit, with one exception: an ``InverseAngular`` link runs
+one Newton iteration over its whole batch until the slowest node
+converges, so a block split can move one of its roots by a rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -62,7 +61,7 @@ from .forms import (
     BallGrid,
     DiscGrid,
     _check_edge,
-    _fsum_weighted,
+    _fsum_products,
     _gl_nodes,
     integrate_ball,
     integrate_disc,
@@ -169,32 +168,36 @@ def _wedge_2form(g, hinv, plan):
                                          _mc_stack(hinv, pts, plan))
 
 
-# most grid nodes one density call sees (see _on_moved and _ball_products)
+# most grid nodes one density call sees (see _moved_products)
 _BLOCK = 2 ** 15
 
 
-def _on_moved(density, maps, pts, plan) -> np.ndarray:
-    """density(pts), computed only where every map of ``maps`` moves.
+def _moved_products(density, maps, nodes, weights, plane, plan):
+    """density times weight at the nodes where every map of ``maps`` moves,
+    one array per batch of whole layers of at most ``_BLOCK`` nodes (a
+    layer of more is split into pieces of ``_BLOCK`` points).
 
-    Elsewhere one MC form vanishes exactly and the value is exactly 0 (see
-    the module docstring).  Under a finite-difference plan every node is
-    computed, since a stencil at a fixed node may reach into the support.
-    The nodes go in contiguous blocks of at most ``_BLOCK``, so the jets of
-    one call never hold more than a block's worth of nodes.
+    ``nodes`` is a stack of layers of ``plane`` points each, the node of
+    layer i and point k being i * plane + k: the disc grid and the plane
+    are one layer, the ball grid one layer per rho.  The mask is taken
+    once, on layer 0 (see the module docstring).  Under a
+    finite-difference plan, or with no maps, every node counts as moved.
     """
-    n = pts.shape[1]
-    out = np.zeros(n)
-    for lo in range(0, n, _BLOCK):
-        block = pts[:, lo:lo + _BLOCK]
-        if plan.kind == "analytic":
-            mask = maps[0].moves(block)
-            for m in maps[1:]:
-                mask &= m.moves(block)
-        else:
-            mask = np.ones(block.shape[1], dtype=bool)
-        if mask.any():
-            out[lo:lo + _BLOCK][mask] = density(block[:, mask])
-    return out
+    if plan.kind == "analytic" and maps:
+        moved = np.flatnonzero(functools.reduce(
+            np.logical_and, (m.moves(nodes[:, :plane]) for m in maps)))
+    else:
+        moved = np.arange(plane)
+    layers = nodes.shape[1] // plane
+    per = max(1, _BLOCK // plane)               # whole layers per batch
+    span = min(plane, _BLOCK)                   # points per layer piece
+    cuts = np.searchsorted(moved, np.arange(0, plane + span, span))
+    for lo in range(0, layers, per):
+        starts = np.arange(lo, min(lo + per, layers))[:, None] * plane
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if a < b:
+                idx = (starts + moved[a:b]).ravel()
+                yield density(nodes[:, idx]) * weights[idx]
 
 
 # gamma values kept by the least-recently-used cache below
@@ -223,9 +226,9 @@ def gamma_m(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
             return _GAMMA_CACHE[key]
     grid = cfg.disc_grid
     hinv = disc_invert(h) if h_inv is None else h_inv
-    vals = _on_moved(_wedge_2form(g, hinv, cfg.plan), (g, hinv), grid.xy,
-                     cfg.plan)
-    out = integrate_disc(vals, grid)
+    out = integrate_disc(_moved_products(
+        _wedge_2form(g, hinv, cfg.plan), (g, hinv), grid.xy, grid.weights,
+        grid.npts, cfg.plan), grid)
     with _GAMMA_LOCK:
         _GAMMA_CACHE[key] = out
         _GAMMA_CACHE.move_to_end(key)      # another thread may have stored it
@@ -250,31 +253,6 @@ def ext_mul(e1: ExtElement, e2: ExtElement, cfg: CocycleConfig) -> ExtElement:
 # the Wess-Zumino term and the 1-cochain omega0
 # ---------------------------------------------------------------------------
 
-def _ball_products(B: BallDiffeo, density, grid: BallGrid, plan):
-    """density times weight at the nodes where ``B`` moves, one array per
-    group of whole rho layers of at most ``_BLOCK`` grid nodes (a layer of
-    more is split into pieces of ``_BLOCK`` plane points).
-
-    The mask is taken once, on the plane points of layer 0 (see the module
-    docstring); the node of layer i and plane point k is i n^2 + k.  Under
-    a finite-difference plan every node counts as moved.
-    """
-    n2 = grid.n_plane ** 2
-    if plan.kind == "analytic":
-        plane = np.flatnonzero(B.moves(grid.nodes[:, :n2]))
-    else:
-        plane = np.arange(n2)
-    per = max(1, _BLOCK // n2)                  # whole layers per group
-    span = min(n2, _BLOCK)                      # plane points per piece
-    cuts = np.searchsorted(plane, np.arange(0, n2 + span, span))
-    for lo in range(0, grid.n_rho, per):
-        starts = np.arange(lo, min(lo + per, grid.n_rho))[:, None] * n2
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if a < b:
-                idx = (starts + plane[a:b]).ravel()
-                yield density(grid.nodes[:, idx]) * grid.weights[idx]
-
-
 def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
     """W(B) = integral_{B^3} tr(theta(B)^{wedge 3}) over the layered chart.
 
@@ -291,11 +269,13 @@ def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
 
     _check_edge(density(grid.edge_points), grid.edge_points,
                 "Wess-Zumino integrand", "box")
-    return integrate_ball(_ball_products(B, density, grid, cfg.plan), grid)
+    return integrate_ball(_moved_products(
+        density, (B,), grid.nodes, grid.weights, grid.n_plane ** 2,
+        cfg.plan), grid)
 
 
 def omega0(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,
-           profile=None, bt_eps: float = _BT_EPS) -> float:
+           profile=None) -> float:
     """c0 * W of the layered ball extension of a boundary-trivial element.
 
     The extension follows h's own canonical isotopy (every link with a
@@ -303,15 +283,14 @@ def omega0(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,
     graded by ``profile`` (default: the plain cutoff profile of ``xi``).
     """
     require_boundary_trivial(
-        h, bt_eps, "omega0 is defined on the boundary-trivial subgroup only")
+        h, _BT_EPS, "omega0 is defined on the boundary-trivial subgroup only")
     ball = ball_extend(h, xi if xi is not None else _DEFAULT_BALL_CUTOFF,
                        profile)
     return cfg.c0 * wz_term(ball, cfg)
 
 
 def delta_g_residual(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
-                     xi: CutoffFn | None = None, profile=None,
-                     bt_eps: float = _BT_EPS) -> float:
+                     xi: CutoffFn | None = None, profile=None) -> float:
     """|omega0(h) + gamma(g, h) + gamma(gh, g^{-1}) - omega0(g h g^{-1})|.
 
     The conjugate's omega0 runs along the conjugated isotopy
@@ -319,13 +298,13 @@ def delta_g_residual(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
     vanishing of this residual is what makes the extended subgroup normal.
     """
     require_boundary_trivial(
-        h, bt_eps, "Delta_g is defined for boundary-trivial h only")
+        h, _BT_EPS, "Delta_g is defined for boundary-trivial h only")
     require_boundary_trivial(
-        disc_compose(disc_compose(g, h), disc_invert(g)), bt_eps,
+        disc_compose(disc_compose(g, h), disc_invert(g)), _BT_EPS,
         "conjugate g h g^{-1} fails the boundary-triviality check")
     xi_ = xi if xi is not None else _DEFAULT_BALL_CUTOFF
     gh = disc_compose(g, h)
-    total = (omega0(h, cfg, xi_, profile, bt_eps)
+    total = (omega0(h, cfg, xi_, profile)
              + gamma(g, h, cfg) + gamma(gh, disc_invert(g), cfg))
     om_conj = cfg.c0 * wz_term(conjugated_extension(g, h, xi_, profile), cfg)
     return abs(total - om_conj)
@@ -361,6 +340,7 @@ def w_coboundary_residual(g: BallDiffeo, h: BallDiffeo,
     pts, w, edge = _plane_quad(cfg.ball_grid)
     density = _wedge_2form(gb, hb_inv, cfg.plan)
     _check_edge(density(edge), edge, "boundary surface term", "plane-box")
-    vals = _on_moved(density, (gb, hb_inv), pts, cfg.plan)
-    return abs(Wgh - Wg - Wh - 3.0 * _fsum_weighted(vals, w))
+    surface = _fsum_products(_moved_products(
+        density, (gb, hb_inv), pts, w, pts.shape[1], cfg.plan))
+    return abs(Wgh - Wg - Wh - 3.0 * surface)
 

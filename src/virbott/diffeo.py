@@ -443,26 +443,25 @@ class CircleIsotopy:
 # derivative plans
 # ---------------------------------------------------------------------------
 
+# relative step of the FD4 plan's stencils
+_FD_REL_STEP = 1e-4
+
+
 class DerivativePlan:
     """How chain derivatives are produced: exact jets or FD4 stencils."""
 
-    __slots__ = ("kind", "fd_rel_step")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, fd_rel_step: float = 1e-4):
+    def __init__(self, kind: str):
         if kind not in ("analytic", "fd4"):
             raise DomainError(f"unknown derivative plan {kind!r}")
-        step = float(fd_rel_step)
-        if not (math.isfinite(step) and step > 0.0):
-            raise DomainError(
-                f"FD step must be finite and positive: {fd_rel_step}")
         self.kind = kind
-        self.fd_rel_step = step
 
     def signature(self):
-        return ("plan", self.kind, self.fd_rel_step)
+        return ("plan", self.kind)
 
     def __repr__(self):
-        return f"DerivativePlan({self.kind!r}, fd_rel_step={self.fd_rel_step})"
+        return f"DerivativePlan({self.kind!r})"
 
 
 ANALYTIC = DerivativePlan("analytic")
@@ -1100,14 +1099,13 @@ class _Chain:
                     _polar_run_jet(run, x)
                 current = step if current is None else compose(step, current)
             return Jet.identity(pts) if current is None else current
-        step = plan.fd_rel_step
         d, n = pts.shape
-        J = fd4_jacobian(self.apply, pts, step)
+        J = fd4_jacobian(self.apply, pts, _FD_REL_STEP)
 
         def jfn(q):
-            return fd4_jacobian(self.apply, q, step).reshape(d * d, -1)
+            return fd4_jacobian(self.apply, q, _FD_REL_STEP).reshape(d * d, -1)
 
-        H = fd4_jacobian(jfn, pts, step).reshape(d, d, d, n)
+        H = fd4_jacobian(jfn, pts, _FD_REL_STEP).reshape(d, d, d, n)
         H = 0.5 * (H + H.transpose(0, 2, 1, 3))       # symmetrize FD noise
         return Jet(self.apply(pts), J, H)
 

@@ -102,10 +102,10 @@ class BallGrid:
     def __init__(self, n_rho: int = 24, n_plane: int = 64, L: float = 1.25):
         if n_rho < 4 or n_plane < 4:
             raise DomainError(f"ball grid too coarse: {n_rho} x {n_plane}^2")
-        if not 1.0 <= L < math.inf:  # NaN included
+        if not (1.0 <= L and math.isfinite(2.0 * L)):
             raise DomainError(
-                "plane box must be finite and contain the unit disc "
-                f"(1 <= L < inf), got L={L!r}")
+                "plane box must contain the unit disc and have a finite "
+                f"width (1 <= L, 2 L < inf), got L={L!r}")
         self.n_rho = int(n_rho)
         self.n_plane = int(n_plane)
         self.L = float(L)
@@ -230,7 +230,11 @@ def _fsum_weighted(values, weights):
 
 def integrate_disc(density, grid: DiscGrid) -> float:
     """Integrate density(r, theta) over the unit disc (area element
-    included in the grid weights)."""
+    included in the grid weights).  ``density`` is a callable, the values
+    at the grid nodes, or an iterator of weighted products, one array per
+    block of nodes, as for :func:`integrate_ball`."""
+    if isinstance(density, Iterator):
+        return _fsum_products(density)
     values = density(grid.r, grid.theta) if callable(density) else density
     values = np.broadcast_to(np.asarray(values, dtype=np.float64),
                              grid.r.shape)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._jets import (FD4_D1, FD4_D2, FD4_OFFSETS, Jet, compose, fd4_jacobian,
                     polar_chart_jet)
-from .cocycle import CocycleConfig, gamma
+from .cocycle import CocycleConfig, _moved_products, gamma
 from .diffeo import (AngleDisplacement, CutoffFn, CutoffProfile, DiscDiffeo,
                      FlowMap, _DisplacementLink, _Profile, disc_compose,
                      disc_invert)
@@ -64,6 +64,7 @@ _GENERATOR_PRUNE = 1e-12
 _AR_DERIV_TOL = 1e-6
 _AZ_VALUE_TOL = 1e-12
 _DEFAULT_FD_STEP = 1e-3
+_THETA_FD_STEP = 1e-4
 _TINY_RADIUS = 1e-30
 
 # ---------------------------------------------------------------------------
@@ -390,14 +391,18 @@ def ar_split(V: DiscVectorField, xi: CutoffFn):
 def beta_integral(V: DiscVectorField, W: DiscVectorField,
                   cfg: CocycleConfig | None = None) -> float:
     """beta(V, W) = -6 c0 int_{D^2} tr(dJ(V) ^ dJ(W)) on the config disc
-    grid (the integrand is evaluated vectorized across the whole grid)."""
+    grid, its density taken in the node blocks of gamma with no mask."""
     cfg = cfg if cfg is not None else CocycleConfig()
-    pts = cfg.disc_grid.xy
-    _, _, d2v = V.cartesian_jet2(pts)
-    _, _, d2w = W.cartesian_jet2(pts)
-    vals = (np.einsum("ikn,kin->n", d2v[:, :, 0], d2w[:, :, 1])
-            - np.einsum("ikn,kin->n", d2v[:, :, 1], d2w[:, :, 0]))
-    return -6.0 * cfg.c0 * integrate_disc(vals, cfg.disc_grid)
+    grid = cfg.disc_grid
+
+    def density(pts):
+        _, _, d2v = V.cartesian_jet2(pts)
+        _, _, d2w = W.cartesian_jet2(pts)
+        return (np.einsum("ikn,kin->n", d2v[:, :, 0], d2w[:, :, 1])
+                - np.einsum("ikn,kin->n", d2v[:, :, 1], d2w[:, :, 0]))
+
+    return -6.0 * cfg.c0 * integrate_disc(_moved_products(
+        density, (), grid.xy, grid.weights, grid.npts, cfg.plan), grid)
 
 
 def _is_zero_poly(p: TrigPoly) -> bool:
@@ -618,7 +623,7 @@ def gbeta_cyclic_residual(V0: DiscVectorField, V1: DiscVectorField,
 
 def theta_variation_residual(g: DiscDiffeo, V: DiscVectorField, p,
                              cfg: CocycleConfig | None = None,
-                             curve_builder=None, fd_step: float = 1e-4) -> float:
+                             curve_builder=None) -> float:
     """Residual of d/ds theta(g o h_s)|_0 = -J(g)^{-1} J(U) theta(g)
     + J(g)^{-1} dJ(U) with U = J(g) V, at a single point ``p``."""
     cfg = cfg if cfg is not None else CocycleConfig()
@@ -630,7 +635,8 @@ def theta_variation_residual(g: DiscDiffeo, V: DiscVectorField, p,
     def theta_stack(s):
         return mc_components(disc_compose(g, curve(s)).jet(p, plan))[..., 0]
 
-    lhs = (theta_stack(fd_step) - theta_stack(-fd_step)) / (2.0 * fd_step)
+    step = _THETA_FD_STEP
+    lhs = (theta_stack(step) - theta_stack(-step)) / (2.0 * step)
 
     def ju_flat(q):
         jet_q = g.jet(q, plan)
@@ -643,7 +649,7 @@ def theta_variation_residual(g: DiscDiffeo, V: DiscVectorField, p,
     jg = jet_g.j[:, :, 0]
     jg_inv = np.linalg.inv(jg)
     ju_p = ju_flat(p).reshape(2, 2)
-    dju = fd4_jacobian(ju_flat, p, fd_step).reshape(2, 2, 2)
+    dju = fd4_jacobian(ju_flat, p, step).reshape(2, 2, 2)
     theta_g = theta_stack(0.0)
     residual = 0.0
     for b in range(2):

@@ -402,18 +402,28 @@ def test_cli_non_finite_tolerance_from_flag_or_file_is_rejected(tmp_path,
     assert "eta-closed-2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("box", ["nan", "inf"])
+# a box of half-width 1e308 is finite, but its width 2 L overflows to inf
+@pytest.mark.parametrize("box", ["nan", "inf", "1e308"])
 def test_non_finite_plane_box_is_a_config_error(box, tmp_path, capsys):
     with pytest.raises(ConfigError, match="plane box"):
         SuiteConfig(L=float(box))
     assert main(["verify", "--suite", "wz", "--plane-box", box]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"L={box}" in err
+    assert out == "" and f"L={float(box)!r}" in err
     config = tmp_path / "box.cfg"
     config.write_text(f"suite = wz\nplane-box = {box}\n")
     assert main(["verify", "--config", str(config)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"L={box}" in err
+    assert out == "" and f"L={float(box)!r}" in err
+
+
+def test_wz_extension_independence_fails_when_w_reads_zero():
+    # no node of a 16^2 plane grid on [-100, 100]^2 lands where the twist
+    # moves, so W reads exactly 0 on both extensions: not a pass
+    report = run_suite(small_config(suite="wz", L=100.0))
+    row, = [r for r in report.checks if r.name == "wz-extension-independence"]
+    assert not row.passed
+    assert row.params["error"].startswith("DomainError: W reads exactly 0")
 
 
 # ----------------------------------------------------------------------

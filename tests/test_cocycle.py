@@ -623,6 +623,21 @@ def test_wz_masks_each_plane_point_once(monkeypatch):
         assert seen == [CFG_SMALL.ball_grid.n_plane ** 2]
 
 
+def test_gamma_masks_each_factor_once_over_the_grid(cold_gamma, monkeypatch,
+                                                   small_blocks):
+    # the disc grid is one layer, so its 3072 nodes are masked in one call
+    # per factor however many blocks the density takes
+    seen = []
+
+    def recording(self, pts, _orig=DiscDiffeo.moves):
+        seen.append(pts.shape[1])
+        return _orig(self, pts)
+
+    monkeypatch.setattr(DiscDiffeo, "moves", recording)
+    gamma_m(TW1, ALEX, CFG_SMALL)
+    assert seen == [CFG_SMALL.disc_grid.npts] * 2
+
+
 # CFG_SMALL's layers hold 24^2 = 576 nodes: 256 splits each in three
 # pieces, 576 and 1000 take one layer per call, 1729 three
 @pytest.mark.parametrize("block", [256, 576, 1000, 1729])

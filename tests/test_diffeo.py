@@ -23,7 +23,6 @@ from virbott.diffeo import (
     CircleIsotopy,
     CutoffFn,
     CutoffProfile,
-    DerivativePlan,
     DiscDiffeo,
     FlowMap,
     PoweredCutoffProfile,
@@ -388,12 +387,6 @@ def test_ball_extension_through_a_rotation_layer():
     pts2 = disc_points(50, seed=73)
     assert np.max(np.abs(B.boundary_map().apply(pts2)
                          - disc.apply(pts2))) < 1e-15
-
-
-@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
-def test_derivative_plan_rejects_a_bad_fd_step(step):
-    with pytest.raises(DomainError):
-        DerivativePlan("fd4", step)
 
 
 def test_jet_composition_consistency():

@@ -171,6 +171,18 @@ def test_disc_quadrature_order_independent():
     assert shuffled == ref                     # fsum is exactly rounded
 
 
+def test_disc_quadrature_of_weighted_blocks_equals_the_values():
+    # blocks of weighted products, a node left out where its value is 0
+    grid = DiscGrid(16, 32)
+    rng = np.random.default_rng(1)
+    vals = rng.standard_normal(grid.npts)
+    vals[rng.permutation(grid.npts)[:100]] = 0.0
+    moved = np.flatnonzero(vals)
+    blocks = (vals[idx] * grid.weights[idx]
+              for idx in np.array_split(moved, 7))
+    assert integrate_disc(blocks, grid) == integrate_disc(vals, grid)
+
+
 def test_ball_grid_nodes_are_the_tensor_product():
     grid = BallGrid(5, 7, L=1.25)
     rho, _ = _gl_nodes(5, 0.0, 1.0)

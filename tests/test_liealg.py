@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from virbott import cocycle
 from virbott._jets import FD4_D1, FD4_OFFSETS
 from virbott.cocycle import CocycleConfig, gamma_m
 from virbott.diffeo import (
@@ -435,6 +436,27 @@ def test_beta_is_antisymmetric():
 def test_beta_matches_the_polynomial_oracle():
     value = beta_integral(POLY_V, POLY_W, CFG)
     assert abs(value - POLY_BETA) < 1e-7
+
+
+def test_blocked_beta_equals_the_whole_grid_sum(monkeypatch):
+    # beta goes through the node blocks of gamma, so no field jet holds
+    # more than a block, and the exactly rounded sum moves no bit
+    grid = CFG_SMALL.disc_grid
+    _, _, d2v = FIELD_V.cartesian_jet2(grid.xy)
+    _, _, d2w = FIELD_W.cartesian_jet2(grid.xy)
+    vals = (np.einsum("ikn,kin->n", d2v[:, :, 0], d2w[:, :, 1])
+            - np.einsum("ikn,kin->n", d2v[:, :, 1], d2w[:, :, 0]))
+    whole = -6.0 * CFG_SMALL.c0 * integrate_disc(vals, grid)
+    seen = []
+
+    def recording(self, pts, _orig=DiscVectorField.cartesian_jet2):
+        seen.append(pts.shape[1])
+        return _orig(self, pts)
+
+    monkeypatch.setattr(DiscVectorField, "cartesian_jet2", recording)
+    monkeypatch.setattr(cocycle, "_BLOCK", 256)
+    assert beta_integral(FIELD_V, FIELD_W, CFG_SMALL) == whole
+    assert max(seen) <= 256 and sum(seen) == 2 * grid.npts
 
 
 def test_beta_quadrature_is_safe_to_run_concurrently():
