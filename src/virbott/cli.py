@@ -82,6 +82,7 @@ from .trigpoly import (
     TrigPoly,
     circle_bracket,
     gelfand_fuchs,
+    heisenberg_cocycle,
     tp_derivative,
     tp_integrate_period,
     tp_multiply,
@@ -443,6 +444,15 @@ def _chk_wz_trivial(ctx):
     b1 = ball_extend(_TW_SHARP, cutoff_make(0.2, 0.15),
                      profile=BumpProfile(0.2, 0.8, 0.9))
     b2 = ball_extend(_TW_A, _XI, profile=BumpProfile(0.3, 0.7, -0.6))
+    # W = 0 is the identity itself, so a W that reads 0 because no node
+    # moves would pass unchecked; a layered map's mask does not depend on
+    # rho, so layer 0 of the grid stands for every layer
+    grid = ctx.ccfg.ball_grid
+    layer0 = grid.nodes[:, :grid.n_plane ** 2]
+    for i, b in enumerate((b1, b2), 1):
+        if not b.moves(layer0).any():
+            raise DomainError(f"ball map {i} moves no plane node of the box "
+                              f"L = {ctx.cfg.L!r}, so W reads 0 unchecked")
     val = wz_term(b1, ctx.ccfg)
     res = max(abs(val), abs(wz_term(b2, ctx.ccfg)))
     return val, res, {"maps": 2}
@@ -578,6 +588,23 @@ def _chk_restricted(ctx):
     return first, worst, {"pairs": 4}
 
 
+@_register("heisenberg-display", "liealg",
+           "G(beta) = 18 c0 int v3' w3 on fields with no V4 part", 1e-12)
+def _chk_heisenberg(ctx):
+    c0 = ctx.cfg.c0
+    prof = CutoffProfile(_FIELD_XI)
+    worst = 0.0
+    first = None
+    for _ in range(4):
+        v3, w3 = (_random_poly(ctx.rng, 3, 0.25) for _ in range(2))
+        full = gbeta_boundary(SeparableDiscField(v3_terms=[(prof, v3)]),
+                              SeparableDiscField(v3_terms=[(prof, w3)]), c0)
+        worst = max(worst, abs(full - 18.0 * c0 * heisenberg_cocycle(v3, w3)))
+        if first is None:
+            first = full
+    return first, worst, {"pairs": 4}
+
+
 @_register("beta-fd-bridge", "liealg",
            "the mixed t,s derivative of gamma differences reproduces beta",
            1e-3)
@@ -599,8 +626,10 @@ def _chk_beta_fd(ctx):
 # ---------------------------------------------------------------------------
 
 def _run_check(check: _Check, cfg: SuiteConfig):
-    """Run one check on ``cfg``; return its value and its ``CheckResult``."""
+    """Run one check on ``cfg``; return its value and its ``CheckResult``,
+    which carries the check's wall time when ``cfg.timing`` is set."""
     params = {axis: getattr(cfg, axis) for axis in check.axes}
+    start = time.perf_counter()
     try:
         ctx = _CheckContext(cfg, _rng_for(check.name, cfg.seed))
         value, residual, extra = check.fn(ctx)
@@ -612,8 +641,10 @@ def _run_check(check: _Check, cfg: SuiteConfig):
         # so a report never loses a row and a suite or ladder never dies
         value, residual = math.nan, sys.float_info.max
         params["error"] = f"{type(exc).__name__}: {exc}"
+    wall = time.perf_counter() - start if cfg.timing else None
     tol = cfg.tolerances.get(check.name, check.tolerance)
-    return value, CheckResult(check.name, check.law, residual, tol, params)
+    return value, CheckResult(check.name, check.law, residual, tol, params,
+                              wall_time=wall)
 
 
 def _check_tolerance_names(cfg: SuiteConfig):

@@ -126,26 +126,34 @@ class CheckResult:
 
     ``law`` states the identity in one line; ``params`` records whatever
     is needed to reproduce the check (seeds, grid sizes, indices).
+    ``wall_time``, the seconds the check took, is left out of the row
+    when it is None, so a row without it is reproducible byte for byte.
     """
 
-    __slots__ = ("name", "law", "residual", "tolerance", "params")
+    __slots__ = ("name", "law", "residual", "tolerance", "params",
+                 "wall_time")
 
     def __init__(self, name: str, law: str, residual: float,
-                 tolerance: float, params: dict | None = None):
+                 tolerance: float, params: dict | None = None,
+                 wall_time: float | None = None):
         self.name = str(name)
         self.law = str(law)
         self.residual = float(residual)
         self.tolerance = float(tolerance)
         self.params = dict(params) if params else {}
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "law": self.law,
-                "residual": self.residual, "tolerance": self.tolerance,
-                "pass": self.passed, "params": self.params}
+        row = {"name": self.name, "law": self.law,
+               "residual": self.residual, "tolerance": self.tolerance,
+               "pass": self.passed, "params": self.params}
+        if self.wall_time is not None:
+            row["wall_time_seconds"] = self.wall_time
+        return row
 
     def __repr__(self):
         tag = "pass" if self.passed else "FAIL"

@@ -12,13 +12,18 @@ The boundary Lie algebra is stated once: ``_boundary_bracket`` is the
 quotient bracket of boundary data, shared by the disc bracket, the
 semidirect bracket and the cyclic identity, and ``_gbeta_polys`` is
 G(beta).  Both are bilinear over C, so a generator bracket [X_n, Y_m] is
-one semidirect bracket of the complex generators i e^{i n theta}.  The
-curve behind the FD rederivation is closed-form, theta -> theta + t V4,
-for every separable field without a V3 part.
+one semidirect bracket of the complex generators i e^{i n theta}.  Half
+the boundary data of a generator is the zero polynomial, and both skip
+every product with an identically-zero factor: a bracket of two J's
+forms no product at all.  Each generator polynomial is built once per
+index and shared, since a TrigPoly is immutable.  The curve behind the
+FD rederivation is closed-form, theta -> theta + t V4, for every
+separable field without a V3 part.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -31,7 +36,7 @@ from .diffeo import (AngleDisplacement, CutoffFn, CutoffProfile, DiscDiffeo,
                      disc_invert)
 from .errors import DomainError, FlagError, StepError, UnsupportedError
 from .forms import integrate_disc, mc_components
-from .trigpoly import (CircleField, TrigPoly, tp_derivative,
+from .trigpoly import (CircleField, TrigPoly, _product_cap, tp_derivative,
                        tp_integrate_product, tp_multiply)
 
 __all__ = [
@@ -313,13 +318,32 @@ def polar_components(v1, v2, ar_epsilon: float = 0.05) -> DiscVectorField:
     return DiscVectorField(v3, v4, ar_epsilon=ar_epsilon)
 
 
+def _is_zero_poly(p: TrigPoly) -> bool:
+    return p.degree == 0 and p.constant == 0
+
+
+def _times_derivative(p: TrigPoly, q: TrigPoly) -> TrigPoly:
+    """p q'.  With an identically-zero factor neither q' nor the product
+    is formed: the result is the zero polynomial with the product's flag
+    and cap, which is what ``tp_multiply`` returns there, bit for bit."""
+    if _is_zero_poly(p) or _is_zero_poly(q):
+        return TrigPoly._from_vector(np.zeros(1, np.complex128),
+                                     p.real and q.real, _product_cap(p, q))
+    return tp_multiply(p, tp_derivative(q))
+
+
 def _boundary_bracket(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly):
     """The quotient bracket of boundary data (v3, v4) and (w3, w4):
     (v4 w3' - w4 v3', v4 w4' - w4 v4'), exact in trig-poly arithmetic and
-    bilinear over C."""
-    d = tp_derivative
-    return (tp_multiply(v4, d(w3)) - tp_multiply(w4, d(v3)),
-            tp_multiply(v4, d(w4)) - tp_multiply(w4, d(v4)))
+    bilinear over C.
+
+    A product with an identically-zero factor is skipped, as in
+    ``_gbeta_polys``, so [L_n, L_m] forms two of the four products,
+    [L_n, J_m] one and [J_n, J_m] none; every coefficient and flag is
+    the one the full expression gives.
+    """
+    return (_times_derivative(v4, w3) - _times_derivative(w4, v3),
+            _times_derivative(v4, w4) - _times_derivative(w4, v4))
 
 
 def disc_bracket(V: DiscVectorField, W: DiscVectorField) -> DiscVectorField:
@@ -403,10 +427,6 @@ def beta_integral(V: DiscVectorField, W: DiscVectorField,
 
     return -6.0 * cfg.c0 * integrate_disc(_moved_products(
         density, (), grid.xy, grid.weights, grid.npts, cfg.plan), grid)
-
-
-def _is_zero_poly(p: TrigPoly) -> bool:
-    return p.degree == 0 and p.constant == 0
 
 
 def _gbeta_polys(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly, c0):
@@ -559,12 +579,21 @@ class GeneratorIndexPair:
         return f"GeneratorIndexPair({self.n}, {self.m}, {self.kind!r})"
 
 
+_ZERO_POLY = TrigPoly.zero()
+
+
+@functools.lru_cache(maxsize=256)
+def _generator_poly(n: int) -> TrigPoly:
+    """i e^{i n theta}, built once per index n and shared (immutable)."""
+    return TrigPoly.exp_harmonic(n, 1j)
+
+
 def _generator(letter: str, n: int) -> SemidirectElement:
     """L_n = (i e^{i n theta}, 0) or J_n = (0, i e^{i n theta})."""
-    poly, zero = TrigPoly.exp_harmonic(n, 1j), TrigPoly.zero()
+    poly = _generator_poly(n)
     if letter == "L":
-        return SemidirectElement(poly, zero)
-    return SemidirectElement(zero, poly)
+        return SemidirectElement(poly, _ZERO_POLY)
+    return SemidirectElement(_ZERO_POLY, poly)
 
 
 def generator_bracket(pair: GeneratorIndexPair, c0=1.0):

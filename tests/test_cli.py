@@ -151,6 +151,15 @@ def test_timing_opt_in_records_the_measured_wall_time():
     assert recorded == report.wall_time > 0.0
 
 
+def test_timing_records_each_check_wall_time():
+    timed = run_suite(small_config(suite="liealg", timing=True))
+    for row in json.loads(timed.to_json())["checks"]:
+        assert math.isfinite(row["wall_time_seconds"]), row["name"]
+        assert row["wall_time_seconds"] > 0.0, row["name"]
+    untimed = run_suite(small_config(suite="liealg"))
+    assert all("wall_time_seconds" not in c.as_dict() for c in untimed.checks)
+
+
 def test_parallel_jobs_produce_the_serial_report():
     serial = run_suite(small_config(suite="all", seed=3))
     parallel = run_suite(small_config(suite="all", seed=3, jobs=4))
@@ -424,6 +433,29 @@ def test_wz_extension_independence_fails_when_w_reads_zero():
     row, = [r for r in report.checks if r.name == "wz-extension-independence"]
     assert not row.passed
     assert row.params["error"].startswith("DomainError: W reads exactly 0")
+
+
+def test_wz_boundary_trivial_fails_when_no_plane_node_moves():
+    # W = 0 is what the row expects, so W reading 0 on a box whose plane
+    # nodes all miss the maps' supports must not pass
+    cfg = small_config(suite="wz", L=100.0)
+    _, row = cli._run_check(cli._REGISTRY["wz-boundary-trivial"], cfg)
+    assert not row.passed
+    assert row.params["error"].startswith(
+        "DomainError: ball map 1 moves no plane node")
+    _, row = cli._run_check(cli._REGISTRY["wz-boundary-trivial"],
+                            small_config(suite="wz"))
+    assert row.passed and "error" not in row.params
+
+
+@pytest.mark.parametrize("c0", [1.0, 1.7])
+def test_heisenberg_display_is_a_passing_liealg_row(c0):
+    assert "heisenberg-display" in check_names("liealg")
+    value, row = cli._run_check(cli._REGISTRY["heisenberg-display"],
+                                small_config(suite="liealg", c0=c0))
+    assert row.passed and row.tolerance == 1e-12
+    assert row.params == {"n_r": 12, "n_theta": 24, "pairs": 4}
+    assert abs(value) > 0.1         # not 0 = 0
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,14 @@ boundary integral), so the tests assert the real value.  Exact-zero cases
 
 import concurrent.futures
 import gc
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from virbott import cocycle
+from virbott import cocycle, liealg
 from virbott._jets import FD4_D1, FD4_OFFSETS
 from virbott.cocycle import CocycleConfig, gamma_m
 from virbott.diffeo import (
@@ -36,7 +38,8 @@ from virbott.diffeo import (
     cutoff_make,
     disc_invert,
 )
-from virbott.errors import DegenerateError, DomainError, FlagError, StepError
+from virbott.errors import (DegenerateError, DomainError, FlagError,
+                            HarmonicCapError, StepError)
 from virbott.forms import DiscGrid, integrate_disc, mc_components, wedge_trace_2form
 from virbott.liealg import (
     DiscVectorField,
@@ -777,6 +780,93 @@ def test_generator_table_csv_round_trip():
     assert rows[1]["coefficient"] == -3.0         # -m at (1, 3)
     assert rows[1]["central-real"] == 0.0
     assert rows[2]["central-imag"] == pytest.approx(-12.0 * PI * 12.0)
+
+
+def _boundary_bracket_unskipped(v3, v4, w3, w4):
+    """The boundary bracket with every product formed by tp_multiply."""
+    d = tp_derivative
+    return (tp_multiply(v4, d(w3)) - tp_multiply(w4, d(v3)),
+            tp_multiply(v4, d(w4)) - tp_multiply(w4, d(v4)))
+
+
+def _bits(bracket, *operands):
+    """Coefficient bytes, flag and cap of both parts, or the error type."""
+    try:
+        parts = bracket(*operands)
+    except HarmonicCapError:
+        return HarmonicCapError
+    return [(p.coeffs.tobytes(), p.real, p.max_harmonic) for p in parts]
+
+
+def test_boundary_bracket_skips_zero_factors_bit_for_bit():
+    rng = np.random.default_rng(11)
+    zeros = [TrigPoly.zero(), TrigPoly(-0.0), TrigPoly.exp_harmonic(2, 0.0),
+             TrigPoly(0.0, max_harmonic=2)]      # real, -0, complex, capped
+    pool = zeros + [
+        TrigPoly(*rng.uniform(-0.5, 0.5, 3), max_harmonic=40),  # degree 1
+        TrigPoly(0.1, rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)),
+        _random_complex_poly(rng, 2), _random_complex_poly(rng, 4),
+        TrigPoly.exp_harmonic(-3, 1j), TrigPoly.exp_harmonic(0, 1j),
+        TrigPoly.exp_harmonic(4, 1j)]
+    capped = 0
+    for ops in itertools.product(pool, repeat=4):
+        want = _bits(_boundary_bracket_unskipped, *ops)
+        assert _bits(liealg._boundary_bracket, *ops) == want
+        capped += want is HarmonicCapError
+    assert capped                  # the capped zero still checks the cap
+    # the operands of [L_n, L_m], [L_n, J_m] and [J_n, J_m], ordered
+    # (x_w, x_v, y_w, y_v) as semidirect_bracket passes them
+    zero = TrigPoly.zero()
+    for n, m in itertools.product(range(-4, 5), repeat=2):
+        x, y = TrigPoly.exp_harmonic(n, 1j), TrigPoly.exp_harmonic(m, 1j)
+        for ops in ((zero, x, zero, y), (zero, x, y, zero),
+                    (x, zero, y, zero)):
+            assert (_bits(liealg._boundary_bracket, *ops)
+                    == _bits(_boundary_bracket_unskipped, *ops))
+
+
+def test_generator_table_builds_each_generator_once(monkeypatch):
+    liealg._generator_poly.cache_clear()
+    built = []
+    exp_harmonic = TrigPoly.exp_harmonic
+
+    def counting(n, c=1.0):
+        built.append(n)
+        return exp_harmonic(n, c)
+
+    monkeypatch.setattr(TrigPoly, "exp_harmonic", counting)
+    span = range(-12, 13)
+    pairs = [GeneratorIndexPair(n, m, kind) for kind in ("LL", "LJ", "JJ")
+             for n in span for m in span]
+    generator_table_rows(pairs, 1.3)
+    assert sorted(built) == list(span)
+
+
+# sha256 of repr(generator_table_rows(...)) over |n|, |m| <= 20, n outer
+# and m inner; a float's repr keeps its sign, so signed zeros count
+GENERATOR_ROW_DIGESTS = {
+    (1.0, "LL"): "136d9d8e5e643e835407558b1b5875a1"
+                 "adf65cfdbd405268712104e33327b1ea",
+    (1.0, "LJ"): "54a3681cf3c1b6cb983eb6b43e2e5c2d"
+                 "89fad2eea73e4ffaa6337c54f5252623",
+    (1.0, "JJ"): "73995159718d92cb26f96229f11fb7cc"
+                 "0556cc32f738dd77f82dcff21d42f7bb",
+    (1.7, "LL"): "b5f510c08027f17d03fcff97505f9958"
+                 "96b3dfa39d92928e8cbff91b087527aa",
+    (1.7, "LJ"): "36ec82a4a16f9a369dab9b4e637f5959"
+                 "1a866afd9d677285054767045465cb64",
+    (1.7, "JJ"): "5c125eea3ef4444ada8c3971701d1f54"
+                 "d269d23baea9e709200512ce8f28583b",
+}
+
+
+@pytest.mark.parametrize(("c0", "kind"), sorted(GENERATOR_ROW_DIGESTS))
+def test_generator_rows_match_their_stored_repr(c0, kind):
+    span = range(-20, 21)
+    rows = generator_table_rows(
+        [GeneratorIndexPair(n, m, kind) for n in span for m in span], c0)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == GENERATOR_ROW_DIGESTS[c0, kind]
 
 
 # ---------------------------------------------------------------------------
