@@ -11,10 +11,12 @@ Layout
 ------
 ``trigpoly``
     Trigonometric polynomials on the circle with exact products,
-    derivatives, and period integrals; the Gelfand-Fuchs pairing.
+    derivatives, and period integrals; the circle bracket and the
+    Gelfand-Fuchs pairing.
 ``diffeo``
-    Composable disc/ball diffeomorphism links (rotations, radial twists,
-    Alexander isotopies, flows) with exact or FD4 2-jets.
+    Composable disc/ball diffeomorphism links (rotations, angular links
+    such as radial twists and Alexander isotopies, flows) with exact or
+    FD4 2-jets.
 ``forms``
     Quadrature grids, batched Maurer-Cartan components, wedge-trace
     densities, and the closed 3-forms eta_n.

@@ -267,19 +267,27 @@ def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
     The integrand must vanish on the chart-box edge (layer supports stay
     inside the unit disc of the plane); a visible value at one of the
     grid's edge samples raises SupportError before any integration happens.
+    A map with links that moves no plane node of the box reads W = 0
+    unchecked and raises DomainError; the mask is taken again only when
+    the sum took none (FD4) or W is exactly 0.
     """
     if not isinstance(B, BallDiffeo):
         raise DomainError("wz_term expects a layered ball map")
     grid = cfg.ball_grid
+    plane = grid.n_plane ** 2
 
     def density(pts):
         return wedge_trace_cube(_mc_stack(B, pts, cfg.plan))
 
     _check_edge(density(grid.edge_points), grid.edge_points,
                 "Wess-Zumino integrand", "box")
-    return integrate_ball(_moved_products(
-        density, (B,), grid.nodes, grid.weights, grid.n_plane ** 2,
-        cfg.plan), grid)
+    W = integrate_ball(_moved_products(
+        density, (B,), grid.nodes, grid.weights, plane, cfg.plan), grid)
+    if (B.links and (W == 0.0 or cfg.plan.kind != "analytic")
+            and not B.moves(grid.nodes[:, :plane]).any()):
+        raise DomainError(f"ball map moves no plane node of the box "
+                          f"L = {grid.L!r}, so W reads 0 unchecked")
+    return W
 
 
 def omega0(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,

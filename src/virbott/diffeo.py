@@ -8,10 +8,11 @@ The building blocks are:
   trigonometric-polynomial periodic part (``CircleDiffeoLift``), with the
   straight-line isotopy to the identity (``CircleIsotopy``);
 * disc diffeomorphisms assembled as chains of elementary links — rigid
-  rotations, radial Alexander extensions of circle maps, compactly
-  supported radial twists, and flow maps of vector fields; one that is
-  the identity near the boundary circle is a sphere map in the chart
-  (``require_boundary_trivial`` checks it); and
+  rotations, angular links (r, theta) -> (r, theta + A(r, theta)) with
+  their inverses (radial Alexander extensions of circle maps and compactly
+  supported radial twists among them), and flow maps of vector fields; one
+  that is the identity near the boundary circle is a sphere map in the
+  chart (``require_boundary_trivial`` checks it); and
 * layered ball maps (rho, p) -> (rho, m_{c(rho)}(p)) built from disc links
   graded by a radial profile.
 
@@ -32,7 +33,8 @@ unchanged as it is, bit for bit.  A forward disc link states its hook as
 an increment, ``turn(r, th)`` -> (a, [a_r, a_th], [[a_rr, a_rth],
 [a_rth, a_thth]]) with None for an exact zero, from which ``_PolarLink``
 derives phi = theta + a; it also gives ``scaled(u)``, the link with its
-turn scaled by u.  ``InverseAngular`` solves for its own hook.
+turn scaled by u.  ``AngularLink`` turns by its displacement A and
+``InverseAngular`` solves for its own hook; both sign with A.
 
 A chain's analytic jet splits its links into maximal runs of
 radius-preserving links and single flows, composed through
@@ -354,10 +356,6 @@ class CircleDiffeoLift:
     def d2(self, theta):
         return self._ddp(theta)
 
-    def signature(self):
-        return ("circle-lift", self.winding_offset,
-                self.periodic_part.signature())
-
 
 def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
                      what="root solve"):
@@ -433,10 +431,6 @@ class CircleIsotopy:
     def displacement_poly(self) -> TrigPoly:
         """2 pi k + p(theta) as a single TrigPoly (the isotopy velocity)."""
         return self.periodic_part + _TWO_PI * self.winding_offset
-
-    def signature(self):
-        return ("circle-isotopy", self.winding_offset,
-                self.periodic_part.signature())
 
 
 # ---------------------------------------------------------------------------
@@ -809,18 +803,20 @@ class _PolarLink:
         return _polar_run_jet((self,), pts)
 
 
-class _AngularLinkBase(_PolarLink):
-    """Shared machinery for the links (r, th) -> (r, th + A(r, th)): their
-    turn is the displacement A."""
+class AngularLink(_PolarLink):
+    """The link (r, theta) -> (r, theta + A(r, theta)) of an angular
+    displacement A, which is its turn; orientation (1 + A_theta > 0) is
+    checked on a sample grid at construction.  It signs itself with its
+    displacement, so equal maps share one signature."""
 
-    displacement: AngleDisplacement
+    __slots__ = ("displacement",)
 
-    def _check_orientation(self):
-        rs = np.linspace(max(self.displacement.support_min, 1e-3), 1.2, 64)
+    def __init__(self, displacement: AngleDisplacement):
+        self.displacement = displacement
+        rs = np.linspace(max(displacement.support_min, 1e-3), 1.2, 64)
         ths = np.linspace(0.0, _TWO_PI, 128, endpoint=False)
         R, T = (g.ravel() for g in np.meshgrid(rs, ths, indexing="ij"))
-        _, slope = self.displacement.value_and_slope(
-            self.displacement.weights(R), T)
+        _, slope = displacement.value_and_slope(displacement.weights(R), T)
         k = int(np.argmin(slope))
         if not slope[k] > 0.0:  # NaN included
             raise DomainError(
@@ -836,65 +832,47 @@ class _AngularLinkBase(_PolarLink):
         return A, [Ar, At], [[Arr, Art], [Art, Att]]
 
     def scaled(self, u: float):
-        return _DisplacementLink(self.displacement.scaled(u))
+        return AngularLink(self.displacement.scaled(u))
 
     def inverse_link(self):
-        return InverseAngular(self.displacement, self.signature())
+        return InverseAngular(self.displacement)
+
+    def signature(self):
+        return ("angular", self.displacement.signature())
 
 
-class AlexanderRadial(_AngularLinkBase):
+def AlexanderRadial(isotopy: CircleIsotopy, cutoff: CutoffFn,
+                    t: float = 1.0) -> AngularLink:
     """Radial (Alexander-style) extension of a circle isotopy over the disc.
 
     (r, theta) -> (r, theta + t * xi(r) * (2 pi k + p(theta)));  agrees with
     ``isotopy.path(t)`` on the boundary annulus where xi = 1 and with the
     identity below the cutoff window.
     """
-
-    __slots__ = ("isotopy", "cutoff", "t", "displacement")
-
-    def __init__(self, isotopy: CircleIsotopy, cutoff: CutoffFn, t: float = 1.0):
-        self.isotopy = isotopy
-        self.cutoff = cutoff
-        self.t = float(t)
-        disp = isotopy.displacement_poly() * float(t)
-        self.displacement = AngleDisplacement([(CutoffProfile(cutoff), disp)])
-        self._check_orientation()
-
-    def signature(self):
-        return ("alexander", self.isotopy.signature(),
-                self.cutoff.signature(), self.t)
+    disp = isotopy.displacement_poly() * float(t)
+    return AngularLink(AngleDisplacement([(CutoffProfile(cutoff), disp)]))
 
 
-class RadialTwist(_AngularLinkBase):
+def RadialTwist(profile) -> AngularLink:
     """Compactly supported rotation by a radial angle: (r,th)->(r, th+tau(r)).
 
     The twist profile must be supported in a closed subinterval of (0, 1),
     so the link is a boundary-trivial (sphere-type) diffeomorphism.
     """
-
-    __slots__ = ("profile", "displacement")
-
-    def __init__(self, profile):
-        lo, hi = profile.support
-        if not (0.0 < lo and hi < 1.0):
-            raise DomainError("twist profile must be supported inside (0, 1)")
-        self.profile = profile
-        self.displacement = AngleDisplacement([(profile, TrigPoly(1.0))])
-        # tau depends on r only; orientation is automatic
-
-    def signature(self):
-        return ("twist", self.profile.signature())
+    lo, hi = profile.support
+    if not (0.0 < lo and hi < 1.0):
+        raise DomainError("twist profile must be supported inside (0, 1)")
+    return AngularLink(AngleDisplacement([(profile, TrigPoly(1.0))]))
 
 
 class InverseAngular(_PolarLink):
-    """Inverse of a radius-preserving angular link, solved per point; it
-    has its own angle hook and no turn."""
+    """Inverse of an angular link, solved per point; it has its own angle
+    hook and no turn, and signs itself with the forward displacement."""
 
-    __slots__ = ("displacement", "_fwd_sig")
+    __slots__ = ("displacement",)
 
-    def __init__(self, fwd_displacement: AngleDisplacement, fwd_sig):
-        self.displacement = fwd_displacement
-        self._fwd_sig = fwd_sig
+    def __init__(self, displacement: AngleDisplacement):
+        self.displacement = displacement
 
     def radial_moves(self, r):
         return self.displacement.radial_moves(r)
@@ -925,23 +903,10 @@ class InverseAngular(_PolarLink):
         return (psi,) + _invert_angle_jets(self.displacement.jets(r, psi), psi)
 
     def inverse_link(self):
-        return _DisplacementLink(self.displacement)
+        return AngularLink(self.displacement)
 
     def signature(self):
-        return ("inverse-angular", self._fwd_sig)
-
-
-class _DisplacementLink(_AngularLinkBase):
-    """Plain angular link from a bare displacement (scaled links)."""
-
-    __slots__ = ("displacement",)
-
-    def __init__(self, displacement: AngleDisplacement):
-        self.displacement = displacement
-        self._check_orientation()
-
-    def signature(self):
-        return ("displacement-link", self.displacement.signature())
+        return ("inverse-angular", self.displacement.signature())
 
 
 class Rotation(_PolarLink):

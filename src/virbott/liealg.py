@@ -11,14 +11,16 @@ central term, and the exact Virasoro/Heisenberg structure constants.
 The boundary Lie algebra is stated once: ``_boundary_bracket`` is the
 quotient bracket of boundary data, shared by the disc bracket, the
 semidirect bracket and the cyclic identity, and ``_gbeta_polys`` is
-G(beta).  Both are bilinear over C, so a generator bracket [X_n, Y_m] is
-one semidirect bracket of the complex generators i e^{i n theta}.  Half
-the boundary data of a generator is the zero polynomial, and both skip
-every product with an identically-zero factor: a bracket of two J's
-forms no product at all.  Each generator polynomial is built once per
-index and shared, since a TrigPoly is immutable.  The curve behind the
-FD rederivation is closed-form, theta -> theta + t V4, for every
-separable field without a V3 part.
+G(beta).  Boundary data are plain TrigPolys, and the V4 part of the
+bracket is ``trigpoly.circle_bracket``.  Both are bilinear over C, so a
+generator bracket [X_n, Y_m] is one semidirect bracket of the complex
+generators i e^{i n theta}.  Half the boundary data of a generator is
+the zero polynomial, and both skip every product with an
+identically-zero factor: a bracket of two J's forms no product at all.
+Each generator polynomial is built once per index and shared, since a
+TrigPoly is immutable.  The curve behind the FD rederivation is
+closed-form, theta -> theta + t V4, for every separable field without a
+V3 part.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ import numpy as np
 from ._jets import (FD4_D1, FD4_D2, FD4_OFFSETS, Jet, compose, fd4_jacobian,
                     polar_chart_jet)
 from .cocycle import CocycleConfig, _moved_products, gamma
-from .diffeo import (AngleDisplacement, CutoffFn, CutoffProfile, DiscDiffeo,
-                     FlowMap, _DisplacementLink, _Profile, disc_compose,
-                     disc_invert)
+from .diffeo import (AngleDisplacement, AngularLink, CutoffFn, CutoffProfile,
+                     DiscDiffeo, FlowMap, disc_compose, disc_invert)
 from .errors import DomainError, FlagError, StepError, UnsupportedError
 from .forms import integrate_disc, mc_components
-from .trigpoly import (CircleField, TrigPoly, _product_cap, tp_derivative,
-                       tp_integrate_product, tp_multiply)
+from .trigpoly import (TrigPoly, _is_zero_poly, _times_derivative,
+                       circle_bracket, tp_derivative, tp_integrate_product)
 
 __all__ = [
     "DiscVectorField",
@@ -243,27 +244,6 @@ class DiscVectorField:
         return ("discfield", self._serial)
 
 
-class _UnitProfile(_Profile):
-    """Constant-1 radial profile (rotation-type angular terms)."""
-
-    @property
-    def support(self):
-        return (0.0, np.inf)
-
-    def value(self, r):
-        return np.ones_like(np.asarray(r, dtype=np.float64))
-
-    def jets(self, r):
-        zero = np.zeros_like(np.asarray(r, dtype=np.float64))
-        return self.value(r), zero, zero
-
-    def signature(self):
-        return ("unit",)
-
-
-_UNIT_PROFILE = _UnitProfile()
-
-
 class SeparableDiscField(DiscVectorField):
     """Field whose components are sums of profile(r) * poly(theta) terms;
     boundary polys and polar 2-jets are exact."""
@@ -318,24 +298,10 @@ def polar_components(v1, v2, ar_epsilon: float = 0.05) -> DiscVectorField:
     return DiscVectorField(v3, v4, ar_epsilon=ar_epsilon)
 
 
-def _is_zero_poly(p: TrigPoly) -> bool:
-    return p.degree == 0 and p.constant == 0
-
-
-def _times_derivative(p: TrigPoly, q: TrigPoly) -> TrigPoly:
-    """p q'.  With an identically-zero factor neither q' nor the product
-    is formed: the result is the zero polynomial with the product's flag
-    and cap, which is what ``tp_multiply`` returns there, bit for bit."""
-    if _is_zero_poly(p) or _is_zero_poly(q):
-        return TrigPoly._from_vector(np.zeros(1, np.complex128),
-                                     p.real and q.real, _product_cap(p, q))
-    return tp_multiply(p, tp_derivative(q))
-
-
 def _boundary_bracket(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly):
     """The quotient bracket of boundary data (v3, v4) and (w3, w4):
-    (v4 w3' - w4 v3', v4 w4' - w4 v4'), exact in trig-poly arithmetic and
-    bilinear over C.
+    (v4 w3' - w4 v3', circle_bracket(v4, w4)), exact in trig-poly
+    arithmetic and bilinear over C.
 
     A product with an identically-zero factor is skipped, as in
     ``_gbeta_polys``, so [L_n, L_m] forms two of the four products,
@@ -343,7 +309,7 @@ def _boundary_bracket(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly):
     the one the full expression gives.
     """
     return (_times_derivative(v4, w3) - _times_derivative(w4, v3),
-            _times_derivative(v4, w4) - _times_derivative(w4, v4))
+            circle_bracket(v4, w4))
 
 
 def disc_bracket(V: DiscVectorField, W: DiscVectorField) -> DiscVectorField:
@@ -372,12 +338,12 @@ def disc_bracket(V: DiscVectorField, W: DiscVectorField) -> DiscVectorField:
                            **boundary)
 
 
-def restrict_to_circle(V: DiscVectorField) -> CircleField:
+def restrict_to_circle(V: DiscVectorField) -> TrigPoly:
     """Boundary restriction V4(1, theta) d/dtheta of an asymptotically
-    radial field."""
+    radial field, as its component V4(1, theta)."""
     if not V.asymptotically_radial:
         raise FlagError("restriction needs an asymptotically radial field")
-    return CircleField(V.boundary_v4)
+    return V.boundary_v4
 
 
 def wf_field(f: TrigPoly, xi: CutoffFn) -> DiscVectorField:
@@ -474,7 +440,7 @@ def default_curve_builder(field: DiscVectorField, flow_steps: int = 64):
         if not field.v4_terms:
             return lambda t: DiscDiffeo.identity()
         v4 = field._sums[1]
-        return lambda t: DiscDiffeo.from_link(_DisplacementLink(v4.scaled(t)))
+        return lambda t: DiscDiffeo.from_link(AngularLink(v4.scaled(t)))
 
     def flow_curve(t):
         if t == 0.0:
@@ -533,14 +499,14 @@ def beta_from_gamma_fd(V: DiscVectorField, W: DiscVectorField,
 # ---------------------------------------------------------------------------
 
 class SemidirectElement:
-    """(v, w, a): a Vect(S^1) part, an abelian copy, and an optional central
-    coordinate."""
+    """(v, w, a): a Vect(S^1) part and an abelian copy, each a TrigPoly,
+    and an optional central coordinate."""
 
     __slots__ = ("v", "w", "a")
 
-    def __init__(self, v, w, a=None):
-        self.v = v if isinstance(v, CircleField) else CircleField(v)
-        self.w = w if isinstance(w, CircleField) else CircleField(w)
+    def __init__(self, v: TrigPoly, w: TrigPoly, a=None):
+        self.v = v
+        self.w = w
         self.a = a
 
 
@@ -554,11 +520,9 @@ def semidirect_bracket(x: SemidirectElement, y: SemidirectElement,
     polynomials (the generators i e^{i n theta} are); the central
     coordinate is then complex too.
     """
-    xv, xw = x.v.component, x.w.component
-    yv, yw = y.v.component, y.w.component
-    w_part, v_part = _boundary_bracket(xw, xv, yw, yv)
-    central = _gbeta_polys(xw, xv, yw, yv, c0)
-    return SemidirectElement(CircleField(v_part), CircleField(w_part), central)
+    w_part, v_part = _boundary_bracket(x.w, x.v, y.w, y.v)
+    return SemidirectElement(v_part, w_part,
+                             _gbeta_polys(x.w, x.v, y.w, y.v, c0))
 
 
 class GeneratorIndexPair:
@@ -608,7 +572,7 @@ def generator_bracket(pair: GeneratorIndexPair, c0=1.0):
                            _generator(y_letter, pair.m), c0)
     coeffs: dict = {}
     for letter, part in (("L", b.v), ("J", b.w)):
-        for k, ck in part.component.exp_coeffs().items():
+        for k, ck in part.exp_coeffs().items():
             value = -1j * ck  # the generator's own poly is i e^{i k theta}
             if abs(value) > _GENERATOR_PRUNE:
                 coeffs[(letter, k)] = value

@@ -15,9 +15,12 @@ operations are coefficient-exact (no sampling, no aliasing): a sum pads
 and adds the vectors, the derivative multiplies c_k by i k, a product
 convolves the vectors, and an integral over a period reads off c_0.
 
-The module also carries the two classical pairings of boundary vector
-fields v(theta) d/dtheta used downstream:
+The module also carries the bracket and the two classical pairings of
+boundary vector fields v(theta) d/dtheta, each field given by its
+component v, a TrigPoly:
 
+* ``circle_bracket(v, w)`` -- v w' - w v', every product p q' skipped
+  (the zero polynomial with its flag and cap) when a factor is zero;
 * ``gelfand_fuchs(v, w)`` -- (1 / 24 pi i) * integral of v' w'' ;
 * ``heisenberg_cocycle(v, w)`` -- integral of v' w .
 """
@@ -368,53 +371,36 @@ def tp_integrate_product(p: TrigPoly, q: TrigPoly):
     return _TWO_PI * (float(c0.real) if p.real and q.real else complex(c0))
 
 
-class CircleField:
-    """Vector field v(theta) d/dtheta on the circle, v a TrigPoly."""
-
-    __slots__ = ("component",)
-
-    def __init__(self, component: TrigPoly):
-        if not isinstance(component, TrigPoly):
-            component = TrigPoly(component)
-        self.component = component
-
-    def __call__(self, theta):
-        return self.component(theta)
-
-    def __eq__(self, other):
-        if not isinstance(other, CircleField):
-            return NotImplemented
-        return self.component == other.component
-
-    def __repr__(self):
-        return f"CircleField({self.component!r})"
+def _is_zero_poly(p: TrigPoly) -> bool:
+    return p.degree == 0 and p.constant == 0
 
 
-def _field_component(v) -> TrigPoly:
-    return v.component if isinstance(v, CircleField) else v
+def _times_derivative(p: TrigPoly, q: TrigPoly) -> TrigPoly:
+    """p q'.  With an identically-zero factor neither q' nor the product
+    is formed: the result is the zero polynomial with the product's flag
+    and cap, which is what ``tp_multiply`` returns there, bit for bit."""
+    if _is_zero_poly(p) or _is_zero_poly(q):
+        return TrigPoly._from_vector(np.zeros(1, np.complex128),
+                                     p.real and q.real, _product_cap(p, q))
+    return tp_multiply(p, tp_derivative(q))
 
 
-def circle_bracket(v, w) -> CircleField:
-    """Lie bracket of circle fields: [v d, w d] = (v w' - v' w) d/dtheta."""
-    vp = _field_component(v)
-    wp = _field_component(w)
-    comp = tp_multiply(vp, tp_derivative(wp)) - tp_multiply(tp_derivative(vp), wp)
-    return CircleField(comp)
+def circle_bracket(v: TrigPoly, w: TrigPoly) -> TrigPoly:
+    """Lie bracket of circle fields: [v d, w d] = (v w' - w v') d/dtheta."""
+    return _times_derivative(v, w) - _times_derivative(w, v)
 
 
-def gelfand_fuchs(v, w) -> complex:
+def gelfand_fuchs(v: TrigPoly, w: TrigPoly) -> complex:
     """(1 / 24 pi i) * integral over a period of v' w''.
 
     With v = e^{i theta} d/dtheta and w = e^{-i theta} d/dtheta this equals
     -1/12 exactly.
     """
-    vp = tp_derivative(_field_component(v))
-    wpp = tp_derivative(tp_derivative(_field_component(w)))
-    integral = tp_integrate_product(vp, wpp)
+    integral = tp_integrate_product(tp_derivative(v),
+                                    tp_derivative(tp_derivative(w)))
     return complex(integral) / (24.0 * math.pi * 1j)
 
 
-def heisenberg_cocycle(v, w):
+def heisenberg_cocycle(v: TrigPoly, w: TrigPoly):
     """integral over a period of v' w  (the loop-group/Heisenberg pairing)."""
-    vp = tp_derivative(_field_component(v))
-    return tp_integrate_product(vp, _field_component(w))
+    return tp_integrate_product(tp_derivative(v), w)

@@ -432,7 +432,8 @@ def test_wz_extension_independence_fails_when_w_reads_zero():
     report = run_suite(small_config(suite="wz", L=100.0))
     row, = [r for r in report.checks if r.name == "wz-extension-independence"]
     assert not row.passed
-    assert row.params["error"].startswith("DomainError: W reads exactly 0")
+    assert row.params["error"].startswith(
+        "DomainError: ball map moves no plane node")
 
 
 def test_wz_boundary_trivial_fails_when_no_plane_node_moves():
@@ -442,10 +443,36 @@ def test_wz_boundary_trivial_fails_when_no_plane_node_moves():
     _, row = cli._run_check(cli._REGISTRY["wz-boundary-trivial"], cfg)
     assert not row.passed
     assert row.params["error"].startswith(
-        "DomainError: ball map 1 moves no plane node")
+        "DomainError: ball map moves no plane node")
     _, row = cli._run_check(cli._REGISTRY["wz-boundary-trivial"],
                             small_config(suite="wz"))
     assert row.passed and "error" not in row.params
+
+
+@pytest.mark.parametrize("plan", ["analytic", "fd4"])
+def test_every_wz_row_names_a_box_that_moves_no_plane_node(plan):
+    # omega0-coboundary and delta-g-normality read their disc side alone
+    # there, which looks like an under-resolved quadrature without the cause
+    report = run_suite(small_config(suite="wz", L=100.0, plan=plan))
+    assert [r.name for r in report.checks] == check_names("wz")
+    for row in report.checks:
+        assert not row.passed, row.name
+        assert row.params["error"].startswith(
+            "DomainError: ball map moves no plane node of the box "
+            "L = 100.0"), row.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "forms"],
+    ["converge", "gamma-cocycle", "--grid-r", "8", "--grid-theta", "16",
+     "--levels", "1"]])
+def test_unwritable_out_is_a_config_error(argv, tmp_path, capsys):
+    # status 1 is a failed check; a path that cannot be written is not one
+    path = tmp_path / "missing" / "out.txt"
+    assert main(argv + ["--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"virbott: cannot write {str(path)!r}: ")
+    assert len(err.splitlines()) == 1 and not path.exists()
 
 
 @pytest.mark.parametrize("c0", [1.0, 1.7])

@@ -623,6 +623,29 @@ def test_wz_masks_each_plane_point_once(monkeypatch):
         assert seen == [CFG_SMALL.ball_grid.n_plane ** 2]
 
 
+def test_wz_refuses_a_box_whose_plane_nodes_the_map_misses(monkeypatch):
+    # on [-100, 100]^2 no plane node of a 24^2 grid lands in the unit disc,
+    # so W would read 0 unchecked; under either plan that raises
+    for plan in (CFG_SMALL.plan, FD4):
+        far = CocycleConfig(1.0, DiscGrid(32, 96), BallGrid(4, 24, 100.0),
+                            plan)
+        with pytest.raises(DomainError, match=r"moves no plane node of the "
+                                              r"box L = 100\.0"):
+            wz_term(ball_extend(TW1, XI), far)
+    # a ball map with no links, and one whose W is exactly 0 although it
+    # moves every node (rigid rotations graded in rho), read 0 and pass
+    assert wz_term(BallDiffeo(()), CFG_SMALL) == 0.0
+    seen = []
+
+    def recording(self, pts, _orig=BallDiffeo.moves):
+        seen.append(pts.shape[1])
+        return _orig(self, pts)
+
+    monkeypatch.setattr(BallDiffeo, "moves", recording)
+    assert wz_term(ball_extend(ROT, XI), CFG_SMALL) == 0.0
+    assert seen == [CFG_SMALL.ball_grid.n_plane ** 2] * 2
+
+
 def test_gamma_masks_each_factor_once_over_the_grid(cold_gamma, monkeypatch,
                                                    small_blocks):
     # the disc grid is one layer, so its 3072 nodes are masked in one call

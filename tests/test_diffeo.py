@@ -47,7 +47,7 @@ from virbott.errors import (
     UnsupportedError,
 )
 from virbott.forms import DiscGrid
-from virbott.liealg import SeparableDiscField, _UnitProfile
+from virbott.liealg import SeparableDiscField
 from virbott.trigpoly import TrigPoly
 
 RNG = np.random.default_rng(7)
@@ -131,7 +131,6 @@ EVERY_PROFILE = {
     "powered": (PoweredCutoffProfile(cutoff_make(0.15, 0.1), 3), (0.15, 0.9)),
     "sine-pulse": (SinePulseProfile(cutoff_make(0.2, 0.15), 0.5), (0.2, 0.85)),
     "bump": (BumpProfile(0.3, 0.75, -0.7), (0.3, 0.75)),
-    "unit": (_UnitProfile(), ()),
 }
 
 
@@ -275,6 +274,24 @@ def test_twist_rejects_support_touching_boundary():
         RadialTwist(BumpProfile(0.5, 1.0, 0.5))
     with pytest.raises(DomainError):
         RadialTwist(CutoffProfile(cutoff_make(0.2, 0.1)))
+
+
+def test_double_inverse_keeps_the_signature():
+    # an angular link and its inverse sign with their displacement, so the
+    # gamma cache sees g and its double inverse as one map
+    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4], [0.2]))
+    for link in (AlexanderRadial(iso, cutoff_make(0.2, 0.1), 0.7),
+                 RadialTwist(BumpProfile(0.3, 0.7, 0.9))):
+        g = DiscDiffeo.from_link(link)
+        assert disc_invert(disc_invert(g)).signature() == g.signature()
+        assert disc_invert(g).signature() != g.signature()
+
+
+def test_scaled_alexander_link_is_the_alexander_link_at_that_time():
+    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4], [0.2]))
+    xi = cutoff_make(0.2, 0.1)
+    assert (AlexanderRadial(iso, xi, 1.0).scaled(0.5).signature()
+            == AlexanderRadial(iso, xi, 0.5).signature())
 
 
 def test_rotation_flow_agrees_with_rigid_rotation():

@@ -26,6 +26,7 @@ from virbott._jets import FD4_D1, FD4_OFFSETS
 from virbott.cocycle import CocycleConfig, gamma_m
 from virbott.diffeo import (
     AlexanderRadial,
+    AngularLink,
     BumpProfile,
     CircleIsotopy,
     CutoffProfile,
@@ -34,7 +35,6 @@ from virbott.diffeo import (
     PoweredCutoffProfile,
     RadialTwist,
     Rotation,
-    _DisplacementLink,
     cutoff_make,
     disc_invert,
 )
@@ -61,9 +61,10 @@ from virbott.liealg import (
     theta_variation_residual,
     wf_field,
 )
-from virbott.liealg import _UNIT_PROFILE, _sample_asymptotic_flags
+from virbott.liealg import _sample_asymptotic_flags
 from virbott.trigpoly import (
     TrigPoly,
+    circle_bracket,
     tp_derivative,
     tp_integrate_period,
     tp_multiply,
@@ -98,8 +99,27 @@ def separable(v3_poly=None, v4_poly=None, profile=None):
 
 FIELD_V = separable(V3G, V4G)
 FIELD_W = separable(W3G, W4G)
-ROT_FIELD = SeparableDiscField(v4_terms=[(_UNIT_PROFILE, TrigPoly.const(0.7))])
-ROT_FIELD_B = SeparableDiscField(v4_terms=[(_UNIT_PROFILE, TrigPoly.const(-0.3))])
+
+
+class UnitProfile:
+    """Constant-1 radial profile: a V4 term with it is a rotation field."""
+
+    support = (0.0, np.inf)
+
+    def value(self, r):
+        return np.ones_like(np.asarray(r, dtype=np.float64))
+
+    def jets(self, r):
+        one = self.value(r)
+        return one, np.zeros_like(one), np.zeros_like(one)
+
+    def signature(self):
+        return ("unit",)
+
+
+ROT_FIELD = SeparableDiscField(v4_terms=[(UnitProfile(), TrigPoly.const(0.7))])
+ROT_FIELD_B = SeparableDiscField(v4_terms=[(UnitProfile(),
+                                            TrigPoly.const(-0.3))])
 TWIST_FIELD = SeparableDiscField(
     v4_terms=[(BumpProfile(0.15, 0.85, 1.0), TrigPoly.const(0.5))])
 ALEX_FIELD = SeparableDiscField(
@@ -356,16 +376,16 @@ def test_disc_bracket_jacobi_pointwise():
 
 def test_restriction_of_the_rotation_field():
     circle = restrict_to_circle(ROT_FIELD)
-    assert circle.component == TrigPoly.const(0.7)
+    assert circle == TrigPoly.const(0.7)
 
 
 def test_restriction_of_a_zero_tail_field():
-    assert restrict_to_circle(ZERO_TAIL).component == TrigPoly.zero()
+    assert restrict_to_circle(ZERO_TAIL) == TrigPoly.zero()
 
 
 def test_restriction_of_an_alexander_generator():
     poly = TrigPoly(0.0, [0.35], [0.0, -0.15])
-    assert restrict_to_circle(ALEX_FIELD).component == poly
+    assert restrict_to_circle(ALEX_FIELD) == poly
 
 
 def test_wf_field_shape():
@@ -591,10 +611,10 @@ def test_beta_fd_rejects_degenerate_steps():
 def test_curve_builder_dispatch_and_tangency():
     pts = np.array([[0.3, -0.1, 0.55], [0.2, 0.6, -0.35]])
     expected_links = {
-        "rotation": (ROT_FIELD, _DisplacementLink),
-        "twist": (TWIST_FIELD, _DisplacementLink),
-        "alexander": (ALEX_FIELD, _DisplacementLink),
-        "alexander-plus-twist": (ALEX_TWIST_FIELD, _DisplacementLink),
+        "rotation": (ROT_FIELD, AngularLink),
+        "twist": (TWIST_FIELD, AngularLink),
+        "alexander": (ALEX_FIELD, AngularLink),
+        "alexander-plus-twist": (ALEX_TWIST_FIELD, AngularLink),
         "flow": (FIELD_V, FlowMap),
     }
     for field, link_type in expected_links.values():
@@ -614,16 +634,16 @@ def test_semidirect_action_example():
     x = SemidirectElement(TrigPoly.const(1.0), TrigPoly.zero())
     y = SemidirectElement(TrigPoly.zero(), TrigPoly(0.0, [], [0.0, 0.0, 1.0]))
     bracket = semidirect_bracket(x, y)
-    assert bracket.v.component == TrigPoly.zero()
-    assert bracket.w.component == TrigPoly(0.0, [0.0, 0.0, 3.0])
+    assert bracket.v == TrigPoly.zero()
+    assert bracket.w == TrigPoly(0.0, [0.0, 0.0, 3.0])
 
 
 def test_semidirect_abelian_parts_commute():
     x = SemidirectElement(TrigPoly.zero(), TrigPoly(0.0, [1.0]))
     y = SemidirectElement(TrigPoly.zero(), TrigPoly(0.0, [], [1.0]))
     bracket = semidirect_bracket(x, y)
-    assert bracket.v.component == TrigPoly.zero()
-    assert bracket.w.component == TrigPoly.zero()
+    assert bracket.v == TrigPoly.zero()
+    assert bracket.w == TrigPoly.zero()
     # the pair still carries a central coordinate (the pure-v3 example value)
     assert abs(bracket.a - GBETA_PURE_V3) < 1e-12
 
@@ -646,8 +666,8 @@ def test_semidirect_jacobi_on_random_triples():
         total_a = 0.0
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             outer = semidirect_bracket(a, semidirect_bracket(b, c))
-            total_v = total_v + outer.v.component
-            total_w = total_w + outer.w.component
+            total_v = total_v + outer.v
+            total_w = total_w + outer.w
             total_a += outer.a
         assert np.max(np.abs(total_v(theta))) < 1e-10
         assert np.max(np.abs(total_w(theta))) < 1e-10
@@ -669,8 +689,8 @@ def test_semidirect_bracket_is_bilinear_over_c():
                                  _random_complex_poly(rng))
 
     def combine(a, x, b, y):
-        return SemidirectElement(x.v.component * a + y.v.component * b,
-                                 x.w.component * a + y.w.component * b)
+        return SemidirectElement(x.v * a + y.v * b,
+                                 x.w * a + y.w * b)
 
     for _ in range(5):
         x1, x2, y = element(), element(), element()
@@ -680,9 +700,9 @@ def test_semidirect_bracket_is_bilinear_over_c():
             whole = bracket(combine(a, x1, b, x2))
             b1, b2 = bracket(x1), bracket(x2)
             for part in ("v", "w"):
-                want = (getattr(b1, part).component * a
-                        + getattr(b2, part).component * b)
-                got = getattr(whole, part).component
+                want = (getattr(b1, part) * a
+                        + getattr(b2, part) * b)
+                got = getattr(whole, part)
                 assert got.is_complex
                 assert np.max(np.abs(got(theta) - want(theta))) < 1e-12
             assert isinstance(whole.a, complex)
@@ -710,7 +730,7 @@ def _generator_bracket_by_real_parts(pair, c0):
         (x_re, y_re), (x_re, y_im), (x_im, y_re), (x_im, y_im)))
     coeffs = {}
     for letter, part in (("L", "v"), ("J", "w")):
-        rr_p, ri_p, ir_p, ii_p = (getattr(b, part).component
+        rr_p, ri_p, ir_p, ii_p = (getattr(b, part)
                                   for b in (rr, ri, ir, ii))
         for k, ck in ((rr_p - ii_p) + (ri_p + ir_p) * 1j).exp_coeffs().items():
             if abs(ck) > 1e-12:
@@ -789,6 +809,12 @@ def _boundary_bracket_unskipped(v3, v4, w3, w4):
             tp_multiply(v4, d(w4)) - tp_multiply(w4, d(v4)))
 
 
+def _circle_bracket_unskipped(v, w):
+    """v w' - w v' with both products formed by tp_multiply."""
+    d = tp_derivative
+    return (tp_multiply(v, d(w)) - tp_multiply(w, d(v)),)
+
+
 def _bits(bracket, *operands):
     """Coefficient bytes, flag and cap of both parts, or the error type."""
     try:
@@ -814,6 +840,10 @@ def test_boundary_bracket_skips_zero_factors_bit_for_bit():
         assert _bits(liealg._boundary_bracket, *ops) == want
         capped += want is HarmonicCapError
     assert capped                  # the capped zero still checks the cap
+    # circle_bracket, the V4 part, skips zero factors alike
+    for v, w in itertools.product(pool, repeat=2):
+        assert (_bits(lambda v, w: (circle_bracket(v, w),), v, w)
+                == _bits(_circle_bracket_unskipped, v, w))
     # the operands of [L_n, L_m], [L_n, J_m] and [J_n, J_m], ordered
     # (x_w, x_v, y_w, y_v) as semidirect_bracket passes them
     zero = TrigPoly.zero()

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from virbott.errors import HarmonicCapError
 from virbott.trigpoly import (
-    CircleField,
     TrigPoly,
     TrigStack,
     circle_bracket,
@@ -212,39 +211,35 @@ def test_cap_allows_products_within_bound():
 # circle bracket
 # ----------------------------------------------------------------------
 
-def field(p):
-    return CircleField(p)
-
-
 def test_bracket_value():
     # [cos d, sin d] = (cos * cos - (-sin) * sin) d = 1 * d
-    v = field(TrigPoly.harmonic_cos(1))
-    w = field(TrigPoly.harmonic_sin(1))
+    v = TrigPoly.harmonic_cos(1)
+    w = TrigPoly.harmonic_sin(1)
     b = circle_bracket(v, w)
-    assert b.component == TrigPoly(1.0)
+    assert b == TrigPoly(1.0)
 
 
 @given(polys, polys)
 @settings(max_examples=40, deadline=None)
 def test_bracket_antisymmetry(p, q):
-    b1 = circle_bracket(field(p), field(q)).component
-    b2 = circle_bracket(field(q), field(p)).component
+    b1 = circle_bracket(p, q)
+    b2 = circle_bracket(q, p)
     th = np.linspace(0.0, 2 * math.pi, 17)
     assert np.allclose(b1(th), -b2(th), atol=1e-10)
 
 
 def test_bracket_jacobi_on_exponentials():
     # exact check on the e^{i n theta} basis, |n| <= 3
-    fields = {n: field(TrigPoly.exp_harmonic(n)) for n in range(-3, 4)}
+    fields = {n: TrigPoly.exp_harmonic(n) for n in range(-3, 4)}
     th = np.linspace(0.0, 2 * math.pi, 19)
     for n in (-3, -1, 2):
         for m in (0, 1, 3):
             for k in (-2, 1):
                 u, v, w = fields[n], fields[m], fields[k]
                 total = (
-                    circle_bracket(u, circle_bracket(v, w)).component(th)
-                    + circle_bracket(v, circle_bracket(w, u)).component(th)
-                    + circle_bracket(w, circle_bracket(u, v)).component(th)
+                    circle_bracket(u, circle_bracket(v, w))(th)
+                    + circle_bracket(v, circle_bracket(w, u))(th)
+                    + circle_bracket(w, circle_bracket(u, v))(th)
                 )
                 assert np.max(np.abs(total)) < 1e-10
 
@@ -254,8 +249,8 @@ def test_bracket_on_exponential_basis_structure():
     #                    = i(m - n) e^{i(n+m)}
     for n in (-2, 1, 3):
         for m in (-1, 0, 2):
-            b = circle_bracket(field(TrigPoly.exp_harmonic(n)),
-                               field(TrigPoly.exp_harmonic(m))).component
+            b = circle_bracket(TrigPoly.exp_harmonic(n),
+                               TrigPoly.exp_harmonic(m))
             expected = TrigPoly.exp_harmonic(n + m, 1j * (m - n))
             th = np.linspace(0.0, 2 * math.pi, 15)
             assert np.allclose(b(th), expected(th), atol=1e-12)
@@ -267,8 +262,8 @@ def test_bracket_on_exponential_basis_structure():
 
 def test_gelfand_fuchs_reference_value():
     # frozen: GF(e^{i th} d, e^{-i th} d) = -1/12 exactly
-    v = field(TrigPoly.exp_harmonic(1))
-    w = field(TrigPoly.exp_harmonic(-1))
+    v = TrigPoly.exp_harmonic(1)
+    w = TrigPoly.exp_harmonic(-1)
     assert abs(gelfand_fuchs(v, w) - (-1.0 / 12.0)) < 1e-15
 
 
@@ -277,8 +272,8 @@ def test_gelfand_fuchs_exponential_table():
     #                   = -n^3/12 at m = -n   (sympy-verified below)
     for n in range(-4, 5):
         for m in range(-4, 5):
-            v = field(TrigPoly.exp_harmonic(n))
-            w = field(TrigPoly.exp_harmonic(m))
+            v = TrigPoly.exp_harmonic(n)
+            w = TrigPoly.exp_harmonic(m)
             got = gelfand_fuchs(v, w)
             expected = (-n ** 3 / 12.0) if n + m == 0 else 0.0
             assert abs(got - expected) < 1e-13, (n, m)
@@ -287,7 +282,7 @@ def test_gelfand_fuchs_exponential_table():
 def test_gelfand_fuchs_vs_sympy_oracle():
     pairs = [(SAMPLES[1], SAMPLES[2]), (SAMPLES[2], SAMPLES[4])]
     for vp, wp in pairs:
-        got = gelfand_fuchs(field(vp), field(wp))
+        got = gelfand_fuchs(vp, wp)
         want = oracle_gelfand_fuchs(sympy_expr(vp), sympy_expr(wp))
         assert abs(got - want) < 1e-12
 
@@ -295,9 +290,9 @@ def test_gelfand_fuchs_vs_sympy_oracle():
 def test_gelfand_fuchs_cocycle_identity():
     # GF([u,v],w) + GF([v,w],u) + GF([w,u],v) = 0 on the exponential basis
     for n, m, k in [(1, -1, 0), (2, -1, -1), (3, -2, 1), (-3, 2, 2)]:
-        u = field(TrigPoly.exp_harmonic(n))
-        v = field(TrigPoly.exp_harmonic(m))
-        w = field(TrigPoly.exp_harmonic(k))
+        u = TrigPoly.exp_harmonic(n)
+        v = TrigPoly.exp_harmonic(m)
+        w = TrigPoly.exp_harmonic(k)
         total = (
             gelfand_fuchs(circle_bracket(u, v), w)
             + gelfand_fuchs(circle_bracket(v, w), u)
@@ -312,15 +307,15 @@ def test_gelfand_fuchs_cocycle_identity():
 
 def test_heisenberg_reference_value():
     # frozen: integral of (cos)' sin = -integral sin^2 = -pi
-    v = field(TrigPoly.harmonic_cos(1))
-    w = field(TrigPoly.harmonic_sin(1))
+    v = TrigPoly.harmonic_cos(1)
+    w = TrigPoly.harmonic_sin(1)
     assert abs(heisenberg_cocycle(v, w) - (-math.pi)) < 1e-14
 
 
 def test_heisenberg_vs_sympy_oracle():
     pairs = [(SAMPLES[1], SAMPLES[2]), (SAMPLES[4], SAMPLES[1])]
     for vp, wp in pairs:
-        got = heisenberg_cocycle(field(vp), field(wp))
+        got = heisenberg_cocycle(vp, wp)
         want = oracle_heisenberg(sympy_expr(vp), sympy_expr(wp))
         assert abs(got - want) < 1e-12
 
@@ -328,8 +323,8 @@ def test_heisenberg_vs_sympy_oracle():
 @given(polys, polys)
 @settings(max_examples=30, deadline=None)
 def test_heisenberg_antisymmetry(p, q):
-    a = heisenberg_cocycle(field(p), field(q))
-    b = heisenberg_cocycle(field(q), field(p))
+    a = heisenberg_cocycle(p, q)
+    b = heisenberg_cocycle(q, p)
     assert abs(a + b) < 1e-10
 
 
