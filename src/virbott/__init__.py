@@ -14,9 +14,9 @@ Layout
     derivatives, and period integrals; the circle bracket and the
     Gelfand-Fuchs pairing.
 ``diffeo``
-    Composable disc/ball diffeomorphism links (rotations, angular links
-    such as radial twists and Alexander isotopies, flows) with exact or
-    FD4 2-jets.
+    Composable disc/ball diffeomorphism links (rotations, flows, and
+    angular links with a certified orientation, such as radial twists and
+    Alexander extensions of circle maps) with exact or FD4 2-jets.
 ``forms``
     Quadrature grids, batched Maurer-Cartan components, wedge-trace
     densities, and the closed 3-forms eta_n.

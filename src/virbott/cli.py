@@ -25,7 +25,7 @@ of a flag only the other verb has (``levels`` in a ``verify`` file,
 Exit status of ``verify`` is 0 exactly when every selected check passes.
 A failing check is recorded in the report (``"pass": false``); only broken
 configuration, an unwritable ``--out`` included, raises (``ConfigError``)
-and exits 2.
+and exits 2; the ``--out`` path is checked before any check runs.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 import zlib
@@ -57,7 +58,6 @@ from .diffeo import (
     FD4,
     AlexanderRadial,
     BumpProfile,
-    CircleIsotopy,
     CutoffProfile,
     DerivativePlan,
     DiscDiffeo,
@@ -151,6 +151,8 @@ class SuiteConfig:
                 raise ConfigError(f"tolerance for {key!r} must be finite and "
                                   f"non-negative, got {val!r}")
         self.out_path = out_path
+        if out_path:
+            _check_writable(out_path)
         # building the quadrature config validates c0 and the grid bounds
         self.cocycle_cfg = _wrap_config(
             lambda: CocycleConfig(self.c0,
@@ -175,6 +177,21 @@ class SuiteConfig:
                           "L": self.L},
                 "plan": self.plan.kind,
                 "seed": self.seed}
+
+
+def _check_writable(path: str):
+    """ConfigError unless ``path`` can be opened for writing; nothing is
+    created or truncated before the run ends."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        why = "it is a directory"
+    elif not os.path.isdir(folder):
+        why = f"no directory {folder!r}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        why = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {path!r}: {why}")
 
 
 def _wrap_config(fn, *args):
@@ -295,11 +312,9 @@ _TW_B = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.12, 0.88, -0.10)))
 _TW_SHARP = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.25, 0.85, 0.8)))
 _ROT = DiscDiffeo.from_link(Rotation(0.7))
 _ALEX = DiscDiffeo.from_link(AlexanderRadial(
-    CircleIsotopy(0, TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15])),
-    cutoff_make(0.2, 0.15), 1.0))
+    TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15]), cutoff_make(0.2, 0.15), 1.0))
 _ALEX_B = DiscDiffeo.from_link(AlexanderRadial(
-    CircleIsotopy(0, TrigPoly(0.0, [-0.2], [0.25])),
-    cutoff_make(0.2, 0.15), 0.8))
+    TrigPoly(0.0, [-0.2], [0.25]), cutoff_make(0.2, 0.15), 0.8))
 
 
 def _random_poly(rng, max_harmonic: int, scale: float) -> TrigPoly:
@@ -317,10 +332,9 @@ def _random_field(rng, max_harmonic: int = 3) -> SeparableDiscField:
 
 def _random_alexander(rng) -> DiscDiffeo:
     coeffs = 0.25 * rng.uniform(-1.0, 1.0, 4)
-    iso = CircleIsotopy(0, TrigPoly(0.0, coeffs[:2], coeffs[2:]))
     return DiscDiffeo.from_link(
-        AlexanderRadial(iso, cutoff_make(0.2, 0.15),
-                        0.5 + 0.5 * rng.uniform()))
+        AlexanderRadial(TrigPoly(0.0, coeffs[:2], coeffs[2:]),
+                        cutoff_make(0.2, 0.15), 0.5 + 0.5 * rng.uniform()))
 
 
 def _random_twist(rng) -> DiscDiffeo:

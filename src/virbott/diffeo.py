@@ -4,9 +4,6 @@ construction.
 The building blocks are:
 
 * smooth cutoff functions flat at both ends of their window (``CutoffFn``);
-* orientation-preserving circle maps given by a winding offset plus a
-  trigonometric-polynomial periodic part (``CircleDiffeoLift``), with the
-  straight-line isotopy to the identity (``CircleIsotopy``);
 * disc diffeomorphisms assembled as chains of elementary links — rigid
   rotations, angular links (r, theta) -> (r, theta + A(r, theta)) with
   their inverses (radial Alexander extensions of circle maps and compactly
@@ -36,6 +33,19 @@ derives phi = theta + a; it also gives ``scaled(u)``, the link with its
 turn scaled by u.  ``AngularLink`` turns by its displacement A and
 ``InverseAngular`` solves for its own hook; both sign with A.
 
+A circle map theta -> theta + 2 pi k + p(theta) is the r = 1 restriction
+of ``AlexanderRadial(2 pi k + p, cutoff, t)``, an angular link, and its
+inverse link inverts it.  An ``AngularLink`` certifies its orientation
+when built.  For A = sum_k profile_k(r) q_k(theta), each profile's value
+range ``bounds`` and M uniform samples of each q_k',
+
+    1 + A_theta >= 1 + sum_k min{w m : w in bounds_k,
+                                 m in [min q_k' - s_k, max q_k' + s_k]},
+
+since q_k' lies within s_k = (pi / M) ||q_k''||_1 (coefficient L1 norm)
+of its nearest sample.  M starts at 8N, N the degree, and doubles to a
+fixed cap until the bound is positive or the bound without the s_k is not.
+
 A chain's analytic jet splits its links into maximal runs of
 radius-preserving links and single flows, composed through
 ``_jets.compose``.  A run carries one scalar angle jet Theta through its
@@ -49,10 +59,11 @@ A ball layer, ``BallLayerLink``, wraps a radius-preserving disc link:
 graded by a radial profile c it turns by c(rho) times the link's turn,
 and without one it is frozen, the link itself at every rho.
 
-A radial profile gives ``value(r)`` and ``jets(r)`` = (f, f', f'') from
-one shared pass; ``d1`` and ``d2`` read ``jets`` (``_Profile``), and
-``jets(r)[0]`` is ``value(r)`` bit for bit.  ``value`` stays a separate,
-cheaper method because the link masks evaluate it over whole grids.
+A radial profile gives ``value(r)``, its value range ``bounds`` and
+``jets(r)`` = (f, f', f'') from one shared pass; ``d1`` and ``d2`` read
+``jets`` (``_Profile``), and ``jets(r)[0]`` is ``value(r)`` bit for bit.
+``value`` stays a separate, cheaper method because the link masks
+evaluate it over whole grids.
 """
 
 from __future__ import annotations
@@ -103,8 +114,8 @@ def _bump(x, jets=False):
 
 
 class _Profile:
-    """Base of the radial profiles: each gives ``value(r)`` and ``jets(r)``
-    (see the module docstring), and ``d1``, ``d2`` read ``jets``."""
+    """Base of the radial profiles: each gives ``value(r)``, ``bounds``
+    and ``jets(r)`` (see the module docstring); ``d1``, ``d2`` read jets."""
 
     __slots__ = ()
 
@@ -180,6 +191,7 @@ class CutoffProfile(_Profile):
     """Radial profile r -> xi(r); support [eps1, inf), boundary value 1."""
 
     __slots__ = ("cutoff",)
+    bounds = (0.0, 1.0)
 
     def __init__(self, cutoff: CutoffFn):
         self.cutoff = cutoff
@@ -202,6 +214,7 @@ class PoweredCutoffProfile(_Profile):
     """xi(r)**k — an alternative extension profile with the same flat tails."""
 
     __slots__ = ("cutoff", "k")
+    bounds = (0.0, 1.0)
 
     def __init__(self, cutoff: CutoffFn, k: int):
         if k < 1:
@@ -228,34 +241,6 @@ class PoweredCutoffProfile(_Profile):
         return ("powered-cutoff", self.k) + self.cutoff.signature()
 
 
-class SinePulseProfile(_Profile):
-    """amp * sin(pi * xi(r)) — rises from 0 and returns flat to ~0 at the
-    boundary; drives isotopy loops whose endpoint is the identity."""
-
-    __slots__ = ("cutoff", "amp")
-
-    def __init__(self, cutoff: CutoffFn, amp: float):
-        self.cutoff = cutoff
-        self.amp = float(amp)
-
-    @property
-    def support(self):
-        # sin(pi * xi) vanishes identically on both flat tails of xi.
-        return (self.cutoff.eps1, 1.0 - self.cutoff.eps2)
-
-    def value(self, r):
-        return self.amp * np.sin(math.pi * self.cutoff.value(r))
-
-    def jets(self, r):
-        xi, x1, x2 = self.cutoff.jets(r)
-        sin, cos = np.sin(math.pi * xi), np.cos(math.pi * xi)
-        return (self.amp * sin, self.amp * math.pi * cos * x1,
-                self.amp * math.pi * (-math.pi * sin * x1 ** 2 + cos * x2))
-
-    def signature(self):
-        return ("sine-pulse", self.amp) + self.cutoff.signature()
-
-
 class BumpProfile(_Profile):
     """amp * exp(4/(b-a)^2 - 1/((r-a)(b-r))) on (a, b), 0 outside.
 
@@ -275,6 +260,10 @@ class BumpProfile(_Profile):
     @property
     def support(self):
         return (self.a, self.b)
+
+    @property
+    def bounds(self):
+        return (min(self.amp, 0.0), max(self.amp, 0.0))   # NaN stays NaN
 
     def _pieces(self, r):
         r = np.asarray(r, dtype=np.float64)
@@ -306,131 +295,6 @@ class BumpProfile(_Profile):
 
     def signature(self):
         return ("bump", self.a, self.b, self.amp)
-
-
-# ---------------------------------------------------------------------------
-# circle maps
-# ---------------------------------------------------------------------------
-
-_ORIENT_SAMPLES = np.linspace(0.0, _TWO_PI, 512, endpoint=False)
-
-
-class CircleDiffeoLift:
-    """Lift of an orientation-preserving circle diffeomorphism.
-
-    f(theta) = theta + 2 pi k + p(theta) with p a trigonometric polynomial;
-    orientation demands 1 + p'(theta) > 0, checked on 512 samples at
-    construction.
-    """
-
-    __slots__ = ("winding_offset", "periodic_part", "_dp", "_ddp")
-
-    def __init__(self, winding_offset: int, periodic_part: TrigPoly):
-        if periodic_part.is_complex:
-            raise DomainError("circle map data must be real")
-        dp = tp_derivative(periodic_part)
-        slope = 1.0 + dp(_ORIENT_SAMPLES)
-        k = int(np.argmin(slope))
-        if not slope[k] > 0.0:  # NaN included
-            raise DomainError(
-                f"circle map is not orientation-preserving (min 1 + p' = "
-                f"{slope[k]:.3e} at theta={_ORIENT_SAMPLES[k]:.4g}; worst of "
-                f"{slope.size} samples)")
-        self.winding_offset = int(winding_offset)
-        self.periodic_part = periodic_part
-        self._dp = dp
-        self._ddp = tp_derivative(dp)
-
-    @classmethod
-    def identity(cls):
-        return cls(0, TrigPoly.zero())
-
-    def value(self, theta):
-        return theta + _TWO_PI * self.winding_offset + self.periodic_part(theta)
-
-    __call__ = value
-
-    def d1(self, theta):
-        return 1.0 + self._dp(theta)
-
-    def d2(self, theta):
-        return self._ddp(theta)
-
-
-def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
-                     what="root solve"):
-    """Per-node root of an increasing function inside [lo, hi], vectorized;
-    ``residual(x)`` returns its values and slopes at x.
-
-    Safeguarded Newton from the seed ``x`` (which must lie in the bracket):
-    each residual sign narrows the bracket, and a node whose Newton step
-    would leave it is bisected instead.  A step landing exactly on an end
-    counts as inside, so converged nodes are never bisected.  Returns
-    (x, newton_iterations, bisected_node_steps); raises ConvergenceError if
-    some |residual| still exceeds ``tol`` after ``max_iter`` iterations.
-    """
-    res, slope = residual(x)
-    iters = bisected = 0
-    while iters < max_iter and not np.all(np.abs(res) <= tol):
-        iters += 1
-        hi = np.where(res > 0.0, x, hi)
-        lo = np.where(res < 0.0, x, lo)
-        step = x - res / slope
-        inside = (step >= lo) & (step <= hi)      # False on NaN steps too
-        bisected += int(np.count_nonzero(~inside))
-        x = np.where(inside, step, 0.5 * (lo + hi))
-        res, slope = residual(x)
-    above = ~(np.abs(res) <= tol)
-    if np.any(above):
-        raise ConvergenceError(
-            f"{what} stalled at residual {np.max(np.abs(res)):.3e}: "
-            f"{int(np.count_nonzero(above))} of {res.size} nodes above "
-            f"tol {tol:.1e} after {iters} Newton iterations")
-    return x, iters, bisected
-
-
-def circle_invert(lift: CircleDiffeoLift, theta, tol: float = 1e-12,
-                  max_iter: int = 200):
-    """Solve f(x) = theta for the lift f, vectorized.
-
-    Newton from x0 = s - p(s), s = theta - 2 pi k, inside the bracket
-    s +- (||p||_1 + 1) (see :func:`solve_increasing`); raises
-    ConvergenceError if |f(x) - theta| > tol after ``max_iter`` iterations.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    scalar = theta.ndim == 0
-    t = np.atleast_1d(theta).astype(np.float64)
-    p = lift.periodic_part
-    s = t - _TWO_PI * lift.winding_offset
-    bound = p.coeff_l1() + 1.0
-    x, _, _ = solve_increasing(lambda x: (lift.value(x) - t, lift.d1(x)),
-                               s - p(s), s - bound, s + bound, tol, max_iter,
-                               "circle inversion")
-    return float(x[0]) if scalar else x
-
-
-class CircleIsotopy:
-    """Straight-line isotopy s -> (theta + s (2 pi k + p(theta))).
-
-    path(0) is the identity, path(1) the target lift; every intermediate map
-    is orientation-preserving whenever the target is (the derivative is
-    affine in s).
-    """
-
-    __slots__ = ("winding_offset", "periodic_part")
-
-    def __init__(self, winding_offset: int, periodic_part: TrigPoly):
-        CircleDiffeoLift(winding_offset, periodic_part)   # validates
-        self.winding_offset = int(winding_offset)
-        self.periodic_part = periodic_part
-
-    def path(self, s: float) -> CircleDiffeoLift:
-        return CircleDiffeoLift(
-            0, self.periodic_part * s + _TWO_PI * self.winding_offset * s)
-
-    def displacement_poly(self) -> TrigPoly:
-        """2 pi k + p(theta) as a single TrigPoly (the isotopy velocity)."""
-        return self.periodic_part + _TWO_PI * self.winding_offset
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +338,12 @@ class AngleDisplacement:
     coefficient L1 norms behind the envelope are taken once, here.
     """
 
-    __slots__ = ("terms", "support_min", "_polys", "_l1")
+    __slots__ = ("terms", "_polys", "_l1")
 
     def __init__(self, terms):
         self.terms = tuple((prof, poly) for prof, poly in terms)
         self._polys = TrigStack(poly for _, poly in self.terms)
         self._l1 = tuple(poly.coeff_l1() for _, poly in self.terms)
-        self.support_min = min((prof.support[0] for prof, _ in self.terms),
-                               default=np.inf)
 
     def weights(self, r):
         """Profile values profile_k(r), one per term."""
@@ -537,6 +399,43 @@ class AngleDisplacement:
         identity."""
         return (r >= _LINK_GUARD) & (self.radial_envelope(r) != 0.0)
 
+    def certify_orientation(self):
+        """Certify 1 + A_theta > 0 at every r and theta by the sampled
+        bound of the module docstring: return (bound, M), or raise
+        DomainError stating the bound, N and M.  A NaN coefficient leaves
+        the bound NaN, since NaN * k is NaN at k = 0 too."""
+        curv = np.array([tp_derivative(tp_derivative(poly)).coeff_l1()
+                         for _, poly in self.terms])
+        ranges = np.array([prof.bounds for prof, _ in self.terms],
+                          dtype=np.float64).reshape(-1, 2, 1)
+
+        def floor(lo, hi):
+            # 1 + sum_k min{w m : w in bounds_k, m in [lo_k, hi_k]}
+            box = np.stack([lo, hi], axis=1)[:, None, :]
+            return 1.0 + float(np.sum(np.min(ranges * box, axis=(1, 2))))
+
+        N = self._polys.degree
+        M = 8 * N
+        while True:
+            q = self._polys(np.linspace(0.0, _TWO_PI, M, endpoint=False),
+                            (1,))[0]
+            # q_k' has mean 0, so 0 lies in its range over the samples; at
+            # degree 0, a twist, q_k' = 0 and M = 0 samples are taken
+            lo = np.min(q, axis=1, initial=0.0)
+            hi = np.max(q, axis=1, initial=0.0)
+            slack = curv * (math.pi / max(M, 1))
+            sampled, bound = floor(lo, hi), floor(lo - slack, hi + slack)
+            if (bound > 0.0 or not sampled > 0.0
+                    or not 0 < M < _ORIENT_MAX_SAMPLES):
+                break
+            M *= 2
+        if not bound > 0.0:  # NaN included
+            raise DomainError(
+                f"angular link is not certified orientation-preserving: "
+                f"min 1 + A_theta >= {bound:.3e} ({sampled:.3e} without the "
+                f"sampling slack) from M={M} samples at degree N={N}")
+        return bound, M
+
     def scaled(self, c: float) -> "AngleDisplacement":
         return AngleDisplacement([(prof, c * poly)
                                   for prof, poly in self.terms])
@@ -545,6 +444,9 @@ class AngleDisplacement:
         return ("displacement",) + tuple(
             (prof.signature(), poly.signature())
             for prof, poly in self.terms)
+
+
+_ORIENT_MAX_SAMPLES = 4096     # cap on the certificate's angle samples
 
 
 def _invert_angle_jets(fwd_jets, psi):
@@ -806,23 +708,15 @@ class _PolarLink:
 class AngularLink(_PolarLink):
     """The link (r, theta) -> (r, theta + A(r, theta)) of an angular
     displacement A, which is its turn; orientation (1 + A_theta > 0) is
-    checked on a sample grid at construction.  It signs itself with its
-    displacement, so equal maps share one signature."""
+    certified at construction (``AngleDisplacement.certify_orientation``).
+    It signs itself with its displacement, so equal maps share one
+    signature."""
 
     __slots__ = ("displacement",)
 
     def __init__(self, displacement: AngleDisplacement):
+        displacement.certify_orientation()
         self.displacement = displacement
-        rs = np.linspace(max(displacement.support_min, 1e-3), 1.2, 64)
-        ths = np.linspace(0.0, _TWO_PI, 128, endpoint=False)
-        R, T = (g.ravel() for g in np.meshgrid(rs, ths, indexing="ij"))
-        _, slope = displacement.value_and_slope(displacement.weights(R), T)
-        k = int(np.argmin(slope))
-        if not slope[k] > 0.0:  # NaN included
-            raise DomainError(
-                f"angular link is not orientation-preserving (min 1 + A_theta "
-                f"= {slope[k]:.3e} at r={R[k]:.4g}, theta={T[k]:.4g}; worst "
-                f"of {slope.size} samples)")
 
     def radial_moves(self, r):
         return self.displacement.radial_moves(r)
@@ -841,16 +735,14 @@ class AngularLink(_PolarLink):
         return ("angular", self.displacement.signature())
 
 
-def AlexanderRadial(isotopy: CircleIsotopy, cutoff: CutoffFn,
+def AlexanderRadial(displacement: TrigPoly, cutoff: CutoffFn,
                     t: float = 1.0) -> AngularLink:
-    """Radial (Alexander-style) extension of a circle isotopy over the disc.
-
-    (r, theta) -> (r, theta + t * xi(r) * (2 pi k + p(theta)));  agrees with
-    ``isotopy.path(t)`` on the boundary annulus where xi = 1 and with the
-    identity below the cutoff window.
-    """
-    disp = isotopy.displacement_poly() * float(t)
-    return AngularLink(AngleDisplacement([(CutoffProfile(cutoff), disp)]))
+    """Radial (Alexander-style) extension of the circle map with the
+    displacement 2 pi k + p(theta), at time t of its straight-line isotopy:
+    (r, theta) -> (r, theta + t * xi(r) * (2 pi k + p(theta))), the
+    identity below the cutoff window."""
+    return AngularLink(AngleDisplacement(
+        [(CutoffProfile(cutoff), displacement * float(t))]))
 
 
 def RadialTwist(profile) -> AngularLink:
@@ -863,6 +755,38 @@ def RadialTwist(profile) -> AngularLink:
     if not (0.0 < lo and hi < 1.0):
         raise DomainError("twist profile must be supported inside (0, 1)")
     return AngularLink(AngleDisplacement([(profile, TrigPoly(1.0))]))
+
+
+def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
+                     what="root solve"):
+    """Per-node root of an increasing function inside [lo, hi], vectorized;
+    ``residual(x)`` returns its values and slopes at x.
+
+    Safeguarded Newton from the seed ``x`` (which must lie in the bracket):
+    each residual sign narrows the bracket, and a node whose Newton step
+    would leave it is bisected instead.  A step landing exactly on an end
+    counts as inside, so converged nodes are never bisected.  Returns
+    (x, newton_iterations, bisected_node_steps); raises ConvergenceError if
+    some |residual| still exceeds ``tol`` after ``max_iter`` iterations.
+    """
+    res, slope = residual(x)
+    iters = bisected = 0
+    while iters < max_iter and not np.all(np.abs(res) <= tol):
+        iters += 1
+        hi = np.where(res > 0.0, x, hi)
+        lo = np.where(res < 0.0, x, lo)
+        step = x - res / slope
+        inside = (step >= lo) & (step <= hi)      # False on NaN steps too
+        bisected += int(np.count_nonzero(~inside))
+        x = np.where(inside, step, 0.5 * (lo + hi))
+        res, slope = residual(x)
+    above = ~(np.abs(res) <= tol)
+    if np.any(above):
+        raise ConvergenceError(
+            f"{what} stalled at residual {np.max(np.abs(res)):.3e}: "
+            f"{int(np.count_nonzero(above))} of {res.size} nodes above "
+            f"tol {tol:.1e} after {iters} Newton iterations")
+    return x, iters, bisected
 
 
 class InverseAngular(_PolarLink):

@@ -12,7 +12,7 @@ class VirbottError(Exception):
 
 class DomainError(VirbottError, ValueError):
     """Input outside the mathematical domain of an operation
-    (bad cutoff window, non-orientation-preserving circle data,
+    (bad cutoff window, an angular link of uncertified orientation,
     grid too coarse, plane box not containing the unit disc, ...)."""
 
 

@@ -432,9 +432,10 @@ def default_curve_builder(field: DiscVectorField, flow_steps: int = 64):
 
     A separable field with no V3 part has the closed-form curve
     (r, theta) -> (r, theta + t V4(r, theta)), one angular link whose
-    displacement is V4 scaled by t; rotations, radial twists and Alexander
-    extensions of circle isotopies are all of this shape.  Any other field
-    falls back to the RK4 flow of the field.
+    displacement is V4 scaled by t and which certifies its orientation
+    when built; rotations, radial twists and Alexander extensions
+    ``AlexanderRadial(2 pi k + p, cutoff, t)`` of circle maps are all of
+    this shape.  Any other field falls back to the RK4 flow of the field.
     """
     if isinstance(field, SeparableDiscField) and not field.v3_terms:
         if not field.v4_terms:

@@ -33,7 +33,6 @@ from virbott.cocycle import (
 from virbott.diffeo import (
     AlexanderRadial,
     BumpProfile,
-    CircleIsotopy,
     CutoffProfile,
     DiscDiffeo,
     PoweredCutoffProfile,
@@ -77,8 +76,7 @@ TW3 = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.15, 0.85, 0.08)))
 TW4 = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.11, 0.89, -0.09)))
 TW_SHARP = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.25, 0.85, 0.8)))
 ALEX = DiscDiffeo.from_link(AlexanderRadial(
-    CircleIsotopy(0, TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15])),
-    cutoff_make(0.2, 0.15), 1.0))
+    TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15]), cutoff_make(0.2, 0.15), 1.0))
 ROT = DiscDiffeo.from_link(Rotation(0.7))
 
 
@@ -102,9 +100,9 @@ def _random_field(rng, max_harmonic=3, scale=0.25):
 
 def _random_alexander(rng):
     coeffs = 0.25 * rng.uniform(-1.0, 1.0, 4)
-    iso = CircleIsotopy(0, TrigPoly(0.0, coeffs[:2], coeffs[2:]))
     return DiscDiffeo.from_link(AlexanderRadial(
-        iso, cutoff_make(0.2, 0.15), 0.5 + 0.5 * rng.uniform()))
+        TrigPoly(0.0, coeffs[:2], coeffs[2:]), cutoff_make(0.2, 0.15),
+        0.5 + 0.5 * rng.uniform()))
 
 
 def _random_twist(rng):

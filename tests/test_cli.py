@@ -475,6 +475,34 @@ def test_unwritable_out_is_a_config_error(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "forms"],
+    ["converge", "gamma-cocycle", "--grid-r", "8", "--grid-theta", "16",
+     "--levels", "1"]])
+@pytest.mark.parametrize("target, why", [
+    ("missing/out.txt", "no directory"), (".", "it is a directory")])
+def test_unwritable_out_fails_before_any_check_runs(argv, target, why,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+    calls = []
+    run_check = cli._run_check
+    monkeypatch.setattr(cli, "_run_check",
+                        lambda *args: calls.append(args) or run_check(*args))
+    path = tmp_path / target
+    assert main(argv + ["--out", str(path)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"virbott: cannot write {str(path)!r}: {why}")
+
+
+def test_a_failed_config_leaves_an_existing_out_file_alone(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    assert main(["verify", "--suite", "forms", "--tol", "no-such-check=1",
+                 "--out", str(path)]) == 2
+    assert path.read_text() == "earlier report\n"
+
+
 @pytest.mark.parametrize("c0", [1.0, 1.7])
 def test_heisenberg_display_is_a_passing_liealg_row(c0):
     assert "heisenberg-display" in check_names("liealg")

@@ -37,7 +37,6 @@ from virbott.diffeo import (
     AlexanderRadial,
     BallDiffeo,
     BumpProfile,
-    CircleIsotopy,
     DiscDiffeo,
     Jet,
     PoweredCutoffProfile,
@@ -78,8 +77,8 @@ TW2 = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.12, 0.88, -0.10)))
 TW3 = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.15, 0.85, 0.08)))
 TW_SHARP = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.25, 0.85, 0.8)))
 
-ISO = CircleIsotopy(0, TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15]))
-ALEX = DiscDiffeo.from_link(AlexanderRadial(ISO, cutoff_make(0.2, 0.15), 1.0))
+DISP = TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15])
+ALEX = DiscDiffeo.from_link(AlexanderRadial(DISP, cutoff_make(0.2, 0.15), 1.0))
 ROT = DiscDiffeo.from_link(Rotation(0.7))
 
 CFG = CocycleConfig()
@@ -144,8 +143,8 @@ def test_gamma_normalization_and_antisymmetry():
     ("chain,tw2,alex2"),
 ])
 def test_gamma_two_cocycle_identity(triple):
-    iso2 = CircleIsotopy(0, TrigPoly(0.0, [-0.2], [0.25]))
-    alex2 = DiscDiffeo.from_link(AlexanderRadial(iso2, cutoff_make(0.2, 0.15),
+    disp2 = TrigPoly(0.0, [-0.2], [0.25])
+    alex2 = DiscDiffeo.from_link(AlexanderRadial(disp2, cutoff_make(0.2, 0.15),
                                                  0.8))
     a, b, c = {
         "alex,tw,alex2": (ALEX, TW_SHARP, alex2),

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virbott import diffeo
 from virbott._jets import Jet, compose, det_batched, polar_chart_jet
@@ -16,11 +17,11 @@ from virbott.diffeo import (
     ANALYTIC,
     FD4,
     AlexanderRadial,
+    AngleDisplacement,
+    AngularLink,
     BallDiffeo,
     BallLayerLink,
     BumpProfile,
-    CircleDiffeoLift,
-    CircleIsotopy,
     CutoffFn,
     CutoffProfile,
     DiscDiffeo,
@@ -28,10 +29,8 @@ from virbott.diffeo import (
     PoweredCutoffProfile,
     RadialTwist,
     Rotation,
-    SinePulseProfile,
     ball_extend,
     ball_jacobian,
-    circle_invert,
     conjugated_extension,
     cutoff_make,
     disc_compose,
@@ -106,7 +105,7 @@ def test_cutoff_domain_errors():
 
 @pytest.mark.parametrize("profile", [
     BumpProfile(0.3, 0.7, 0.8),
-    SinePulseProfile(cutoff_make(0.2, 0.15), 0.5),
+    CutoffProfile(cutoff_make(0.2, 0.15)),
     PoweredCutoffProfile(cutoff_make(0.2, 0.15), 3),
 ])
 def test_profile_derivatives_vs_fd(profile):
@@ -129,7 +128,6 @@ EVERY_PROFILE = {
     "cutoff": (cutoff_make(0.2, 0.15), (0.2, 0.85)),
     "cutoff-profile": (CutoffProfile(cutoff_make(0.2, 0.15)), (0.2, 0.85)),
     "powered": (PoweredCutoffProfile(cutoff_make(0.15, 0.1), 3), (0.15, 0.9)),
-    "sine-pulse": (SinePulseProfile(cutoff_make(0.2, 0.15), 0.5), (0.2, 0.85)),
     "bump": (BumpProfile(0.3, 0.75, -0.7), (0.3, 0.75)),
 }
 
@@ -150,53 +148,85 @@ def test_profile_value_and_derivatives_read_off_one_jets_call(name):
         assert np.array_equal(profile.d2(r), f2)
 
 
+@pytest.mark.parametrize("name", sorted(set(EVERY_PROFILE) - {"cutoff"}))
+def test_profile_bounds_are_its_exact_value_range(name):
+    profile, edges = EVERY_PROFILE[name]
+    # the support's midpoint is where a bump peaks
+    radii = np.concatenate([np.linspace(0.0, 1.3, 1301), [sum(edges) / 2]])
+    values = profile.value(radii)
+    lo, hi = profile.bounds
+    assert lo <= np.min(values) and np.max(values) <= hi
+    assert np.min(values) == pytest.approx(lo, abs=1e-12)
+    assert np.max(values) == pytest.approx(hi, abs=1e-12)
+
+
 # ----------------------------------------------------------------------
 # circle maps
 # ----------------------------------------------------------------------
 
+def boundary_angle(link, th):
+    """The link's image angle phi on the circle r = 1, with phi_theta and
+    phi_thetatheta: the circle map it extends."""
+    phi, (_, phi_t), (_, (_, phi_tt)) = link.angle_jet(np.ones_like(th), th)
+    return phi, phi_t, phi_tt
+
+
 def test_circle_lift_value_and_derivatives():
+    # theta -> theta + 2 pi + p(theta) is the r = 1 restriction of its
+    # Alexander extension
     p = TrigPoly(0.1, [0.3], [0.2])
-    f = CircleDiffeoLift(1, p)
+    link = AlexanderRadial(p + 2 * math.pi, cutoff_make(0.2, 0.1))
     th = np.linspace(0, 2 * math.pi, 50)
-    assert np.allclose(f.value(th), th + 2 * math.pi + p(th), atol=1e-14)
-    assert np.max(np.abs(f.d1(th) - fd_scalar(f.value, th))) < 1e-9
-    assert np.max(np.abs(f.d2(th) - fd_scalar(f.d1, th))) < 1e-8
+    phi, phi_t, phi_tt = boundary_angle(link, th)
+    assert np.allclose(phi, th + 2 * math.pi + p(th), atol=1e-14)
+    assert np.max(np.abs(
+        phi_t - fd_scalar(lambda x: boundary_angle(link, x)[0], th))) < 1e-9
+    assert np.max(np.abs(
+        phi_tt - fd_scalar(lambda x: boundary_angle(link, x)[1], th))) < 1e-8
 
 
 def test_circle_lift_orientation_error():
-    with pytest.raises(DomainError):
-        CircleDiffeoLift(0, TrigPoly(0.0, [0.0], [1.5]))  # 1 + 1.5 cos < 0
+    with pytest.raises(DomainError, match="N=1"):
+        # 1 + 1.5 cos < 0
+        AlexanderRadial(TrigPoly(0.0, [0.0], [1.5]), cutoff_make(0.2, 0.1))
 
 
 def test_circle_invert_round_trip():
-    f = CircleDiffeoLift(1, TrigPoly(0.2, [0.4, 0.1], [0.3]))
+    # the inverse link inverts the circle map on r = 1, winding included
+    disp = TrigPoly(0.2, [0.4, 0.1], [0.3]) + 2 * math.pi
+    link = AlexanderRadial(disp, cutoff_make(0.2, 0.1))
     th = RNG.uniform(-5, 15, 64)
-    x = circle_invert(f, th)
-    assert np.max(np.abs(f.value(x) - th)) < 1e-12
-    # scalar path
-    x0 = circle_invert(f, 1.234)
-    assert abs(f.value(x0) - 1.234) < 1e-12
+    psi, _, _ = link.inverse_link()._solve(np.ones_like(th), th)
+    assert np.max(np.abs(psi + disp(psi) - th)) < 1e-12
+
+
+def circle_inverse(coeffs):
+    """The inverse link of the circle map theta -> theta + p(theta)."""
+    return AlexanderRadial(TrigPoly(0.0, coeffs),
+                           cutoff_make(0.2, 0.1)).inverse_link()
 
 
 def test_circle_invert_convergence_error():
-    f = CircleDiffeoLift(0, TrigPoly(0.0, [0.8]))
-    with pytest.raises(ConvergenceError):
-        circle_invert(f, np.array([1.0]), tol=1e-12, max_iter=3)
+    with pytest.raises(ConvergenceError, match="angle inversion stalled"):
+        circle_inverse([0.8])._solve(np.ones(1), np.array([1.0]), max_iter=3)
 
 
 def test_convergence_error_counts_nodes_and_iterations():
-    f = CircleDiffeoLift(0, TrigPoly(0.0, [0.8]))
     with pytest.raises(ConvergenceError,
                        match=r"2 of 2 nodes above tol 1\.0e-12 after 3 "
                              r"Newton iterations"):
-        circle_invert(f, np.array([1.0, 2.0]), tol=1e-12, max_iter=3)
+        circle_inverse([0.8])._solve(np.ones(2), np.array([1.0, 2.0]),
+                                     max_iter=3)
 
 
 def test_nonlinear_alexander_inverse_uses_the_bisection_fallback():
     # A = xi(r) (0.95 / 3) cos 3 theta: min(1 + A_theta) = 0.05 on xi = 1,
     # where a plain Newton step from psi0 = t - A(r, t) overshoots the bracket
-    link = AlexanderRadial(CircleIsotopy(0, TrigPoly(0.0, [0.0, 0.0, 0.95 / 3])),
+    link = AlexanderRadial(TrigPoly(0.0, [0.0, 0.0, 0.95 / 3]),
                            cutoff_make(0.2, 0.2))
+    # the certificate accepts it below its true margin 0.05
+    bound, M = link.displacement.certify_orientation()
+    assert 0.0 < bound < 0.05 and M > 8 * 3
     t = np.linspace(-math.pi, math.pi, 4097)
     r = np.full_like(t, 0.9)
     _, _, At, *_ = link.displacement.jets(r, t)
@@ -224,13 +254,16 @@ def test_twist_inverse_needs_no_newton_step():
 
 
 def test_isotopy_path_endpoints():
-    iso = CircleIsotopy(1, TrigPoly(0.0, [0.5]))
+    # at time t the link is theta -> theta + t (2 pi k + p(theta)) on r = 1
+    disp = TrigPoly(0.0, [0.5]) + 2 * math.pi
     th = np.linspace(0, 2 * math.pi, 33)
-    p0 = iso.path(0.0)
-    p1 = iso.path(1.0)
-    assert np.allclose(p0.value(th), th, atol=1e-14)
-    assert np.allclose(p1.value(th), th + 2 * math.pi + 0.5 * np.cos(th),
-                       atol=1e-14)
+    for t in (0.0, 0.4, 1.0):
+        link = AlexanderRadial(disp, cutoff_make(0.2, 0.1), t)
+        phi = boundary_angle(link, th)[0]
+        assert np.allclose(phi, th + t * disp(th), atol=1e-14)
+    assert np.array_equal(
+        boundary_angle(AlexanderRadial(disp, cutoff_make(0.2, 0.1), 0.0),
+                       th)[0], th)
 
 
 # ----------------------------------------------------------------------
@@ -238,16 +271,15 @@ def test_isotopy_path_endpoints():
 # ----------------------------------------------------------------------
 
 def test_alexander_boundary_and_core():
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4], [0.2]))
+    disp = TrigPoly(0.0, [0.4], [0.2])
     xi = cutoff_make(0.2, 0.1)
-    g = DiscDiffeo.from_link(AlexanderRadial(iso, xi, 0.7))
+    g = DiscDiffeo.from_link(AlexanderRadial(disp, xi, 0.7))
     th = np.linspace(0, 2 * math.pi, 40, endpoint=False)
-    # on the boundary annulus the map is iso.path(t)
-    lift = iso.path(0.7)
+    # on the boundary annulus the map is theta -> theta + t disp(theta)
     for r in (0.92, 1.0):
         pts = np.stack([r * np.cos(th), r * np.sin(th)])
         out = g.apply(pts)
-        phi = lift.value(th)
+        phi = th + 0.7 * disp(th)
         assert np.max(np.abs(out[0] - r * np.cos(phi))) < 1e-13
         assert np.max(np.abs(out[1] - r * np.sin(phi))) < 1e-13
     # identity below the window
@@ -279,8 +311,8 @@ def test_twist_rejects_support_touching_boundary():
 def test_double_inverse_keeps_the_signature():
     # an angular link and its inverse sign with their displacement, so the
     # gamma cache sees g and its double inverse as one map
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4], [0.2]))
-    for link in (AlexanderRadial(iso, cutoff_make(0.2, 0.1), 0.7),
+    disp = TrigPoly(0.0, [0.4], [0.2])
+    for link in (AlexanderRadial(disp, cutoff_make(0.2, 0.1), 0.7),
                  RadialTwist(BumpProfile(0.3, 0.7, 0.9))):
         g = DiscDiffeo.from_link(link)
         assert disc_invert(disc_invert(g)).signature() == g.signature()
@@ -288,10 +320,10 @@ def test_double_inverse_keeps_the_signature():
 
 
 def test_scaled_alexander_link_is_the_alexander_link_at_that_time():
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4], [0.2]))
+    disp = TrigPoly(0.0, [0.4], [0.2])
     xi = cutoff_make(0.2, 0.1)
-    assert (AlexanderRadial(iso, xi, 1.0).scaled(0.5).signature()
-            == AlexanderRadial(iso, xi, 0.5).signature())
+    assert (AlexanderRadial(disp, xi, 1.0).scaled(0.5).signature()
+            == AlexanderRadial(disp, xi, 0.5).signature())
 
 
 def test_rotation_flow_agrees_with_rigid_rotation():
@@ -328,9 +360,9 @@ def test_rotation_flow_agrees_with_rigid_rotation():
 # ----------------------------------------------------------------------
 
 def sample_links():
-    iso = CircleIsotopy(0, TrigPoly(0.1, [0.35], [0.15]))
+    disp = TrigPoly(0.1, [0.35], [0.15])
     xi = cutoff_make(0.2, 0.1)
-    alexander = AlexanderRadial(iso, xi, 0.8)
+    alexander = AlexanderRadial(disp, xi, 0.8)
     twist = RadialTwist(BumpProfile(0.3, 0.75, 0.7))
     return {
         "alexander": DiscDiffeo.from_link(alexander),
@@ -355,8 +387,8 @@ def test_analytic_jet_matches_fd4(name):
 
 def every_disc_link():
     """One link of every kind a disc chain can hold."""
-    iso = CircleIsotopy(0, TrigPoly(0.1, [0.35], [0.15]))
-    alexander = AlexanderRadial(iso, cutoff_make(0.2, 0.1), 0.8)
+    disp = TrigPoly(0.1, [0.35], [0.15])
+    alexander = AlexanderRadial(disp, cutoff_make(0.2, 0.1), 0.8)
     field = SeparableDiscField(
         v3_terms=[(BumpProfile(0.2, 0.8, 1.0), TrigPoly(0.0, [0.2]))],
         v4_terms=[(CutoffProfile(cutoff_make(0.2, 0.15)),
@@ -393,7 +425,7 @@ def test_ball_extension_through_a_rotation_layer():
     # Rotation yields the ParamRotation layer; the Alexander link undoes
     # the rotation on the boundary annulus
     disc = DiscDiffeo((Rotation(0.6), AlexanderRadial(
-        CircleIsotopy(0, TrigPoly(-0.6)), cutoff_make(0.2, 0.15))))
+        TrigPoly(-0.6), cutoff_make(0.2, 0.15))))
     B = ball_extend(disc, cutoff_make(0.2, 0.1))
     pts = ball_points(30, seed=71)
     ja = B.jet(pts, ANALYTIC)
@@ -486,8 +518,8 @@ def test_sphere_extend_accepts_twists_rejects_alexander():
     pts = disc_points(20, 1.0, 1.3, seed=37)   # outside the unit disc
     assert np.max(np.abs(tw.apply(pts) - pts)) == 0.0
 
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4]))
-    alex = DiscDiffeo.from_link(AlexanderRadial(iso, cutoff_make(0.2, 0.1)))
+    disp = TrigPoly(0.0, [0.4])
+    alex = DiscDiffeo.from_link(AlexanderRadial(disp, cutoff_make(0.2, 0.1)))
     with pytest.raises(NotBoundaryTrivialError):
         require_boundary_trivial(alex, 0.1, "Alexander map")
 
@@ -548,8 +580,8 @@ def test_ball_jacobian_top_row():
 
 
 def test_conjugated_extension_boundary_value():
-    iso = CircleIsotopy(0, TrigPoly(0.05, [0.3], [0.1]))
-    g = DiscDiffeo.from_link(AlexanderRadial(iso, cutoff_make(0.2, 0.1), 0.9))
+    disp = TrigPoly(0.05, [0.3], [0.1])
+    g = DiscDiffeo.from_link(AlexanderRadial(disp, cutoff_make(0.2, 0.1), 0.9))
     h = sample_sphere_map()
     xi = cutoff_make(0.2, 0.1)
     B = conjugated_extension(g, h, xi)
@@ -567,8 +599,8 @@ def test_conjugated_extension_boundary_value():
 
 
 def test_ball_extend_rejects_noncancelling_frozen_layers():
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4]))
-    alex = AlexanderRadial(iso, cutoff_make(0.2, 0.1), 1.0)
+    disp = TrigPoly(0.0, [0.4])
+    alex = AlexanderRadial(disp, cutoff_make(0.2, 0.1), 1.0)
     # a lone inverse link freezes to a non-identity parameter-zero map
     bad = DiscDiffeo.from_link(alex.inverse_link())
     with pytest.raises(DomainError):
@@ -782,9 +814,9 @@ def assert_jets_close(a, b, tol_x=1e-14, tol_j=1e-13, tol_h=1e-11):
 
 
 def engine_disc_chains():
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15]))
-    alex = AlexanderRadial(iso, cutoff_make(0.2, 0.15))
-    alex_b = AlexanderRadial(CircleIsotopy(0, TrigPoly(0.0, [-0.2], [0.25])),
+    disp = TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15])
+    alex = AlexanderRadial(disp, cutoff_make(0.2, 0.15))
+    alex_b = AlexanderRadial(TrigPoly(0.0, [-0.2], [0.25]),
                              cutoff_make(0.1, 0.1), 0.8)
     tw_a = RadialTwist(BumpProfile(0.10, 0.90, 0.12))
     tw_b = RadialTwist(BumpProfile(0.30, 0.75, -0.7))
@@ -808,13 +840,13 @@ def test_disc_angle_engine_matches_the_cartesian_fold(name):
 
 
 def engine_ball_chains():
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15]))
-    alex = DiscDiffeo.from_link(AlexanderRadial(iso, cutoff_make(0.2, 0.15)))
+    disp = TrigPoly(0.0, [0.35, 0.0], [0.0, -0.15])
+    alex = DiscDiffeo.from_link(AlexanderRadial(disp, cutoff_make(0.2, 0.15)))
     rot = DiscDiffeo.from_link(Rotation(0.7))
     tw1 = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.10, 0.90, 0.12)))
     xi = cutoff_make(0.10, 0.10)
     rotation_layer = DiscDiffeo((Rotation(0.6), AlexanderRadial(
-        CircleIsotopy(0, TrigPoly(-0.6)), cutoff_make(0.2, 0.15))))
+        TrigPoly(-0.6), cutoff_make(0.2, 0.15))))
     return {
         "conjugated-around-rotation": conjugated_extension(rot, tw1, xi),
         "conjugated-around-alexander": conjugated_extension(alex, tw1, xi),
@@ -841,7 +873,7 @@ def test_theta_dependent_ball_layers_match_fd4():
     # ParamAngular layers whose displacement depends on theta, around a
     # ParamRotation layer: every partial of the layers' angle hooks counts
     alex = every_disc_link()["alexander"]
-    alex_b = AlexanderRadial(CircleIsotopy(0, TrigPoly(0.0, [-0.2], [0.25])),
+    alex_b = AlexanderRadial(TrigPoly(0.0, [-0.2], [0.25]),
                              cutoff_make(0.1, 0.1), 0.8)
     B = ball_extend(DiscDiffeo((alex, Rotation(0.6), alex_b)),
                     cutoff_make(0.2, 0.1))
@@ -887,7 +919,7 @@ def test_rotation_runs_keep_the_exact_jet_at_the_origin():
     # in the ball the angle u(rho) * 0.6 moves with rho
     prof = CutoffProfile(cutoff_make(0.2, 0.1))
     B = ball_extend(DiscDiffeo((Rotation(0.6), AlexanderRadial(
-        CircleIsotopy(0, TrigPoly(-0.6)), cutoff_make(0.2, 0.15)))),
+        TrigPoly(-0.6), cutoff_make(0.2, 0.15)))),
         cutoff_make(0.2, 0.1))
     rho = np.array([0.1, 0.35, 0.5, 0.8])
     jet = B.jet(np.concatenate([rho[None], pts]))
@@ -912,28 +944,94 @@ def test_rotation_runs_keep_the_exact_jet_at_the_origin():
 
 
 # ----------------------------------------------------------------------
-# sampled orientation guards name what they sampled
+# the orientation certificate of angular links
 # ----------------------------------------------------------------------
 
-def test_orientation_errors_name_the_worst_sample():
+def test_orientation_refusals_state_the_bound_and_samples():
+    disp = TrigPoly(0.0, [0.0], [0.6])
+    # at t = 3 the slope 1 + 1.8 cos theta dips to -0.8 at the sample pi
+    # of the first M = 8N = 8; the slack (pi / 8) 1.8 lowers the bound
     with pytest.raises(DomainError,
-                       match=r"min 1 \+ p' = -5\.000e-01 at theta=3\.142; "
-                             r"worst of 512 samples"):
-        CircleDiffeoLift(0, TrigPoly(0.0, [0.0], [1.5]))
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.0], [0.6]))
+                       match=r"not certified orientation-preserving: "
+                             r"min 1 \+ A_theta >= -1\.507e\+00 "
+                             r"\(-8\.000e-01 without the sampling slack\) "
+                             r"from M=8 samples at degree N=1"):
+        AlexanderRadial(disp, cutoff_make(0.2, 0.1), 3.0)
+
+
+XI_FOLD = cutoff_make(0.2, 0.15)
+COS_256 = TrigPoly(0.0, [0.0] * 255 + [1.2 / 256])
+SIN_128 = TrigPoly(0.0, [], [0.0] * 127 + [1.2 / 128])
+
+
+@pytest.mark.parametrize("make, N", [
+    # at 256 harmonics p' vanishes on 512 samples, yet min 1 + p' = -0.2
+    (lambda: AlexanderRadial(COS_256, XI_FOLD), 256),
+    (lambda: AngularLink(AngleDisplacement(
+        [(PoweredCutoffProfile(XI_FOLD, 2), COS_256)])), 256),
+    # folded between the nodes of a 64 x 128 grid, at r = 0.99
+    (lambda: AngularLink(AngleDisplacement([(CutoffProfile(XI_FOLD),
+                                             SIN_128)])), 128),
+])
+def test_folds_between_samples_are_refused_at_8n_samples(make, N):
+    # min 1 + p' = -0.2 lies on the first 8N samples, so no doubling runs
     with pytest.raises(DomainError,
-                       match=r"min 1 \+ A_theta = -8\.000e-01 at r=[0-9.]+, "
-                             r"theta=3\.142; worst of 8192 samples"):
-        AlexanderRadial(iso, cutoff_make(0.2, 0.1), 3.0)
-    # a NaN slope is no orientation either
-    with pytest.raises(DomainError,
-                       match=r"min 1 \+ p' = nan at theta=0; "
-                             r"worst of 512 samples"):
-        CircleDiffeoLift(0, TrigPoly(0.0, [math.nan]))
-    with pytest.raises(DomainError,
-                       match=r"min 1 \+ A_theta = nan at r=[0-9.]+, "
-                             r"theta=0; worst of 8192 samples"):
-        AlexanderRadial(iso, cutoff_make(0.2, 0.1), math.nan)
+                       match=rf"min 1 \+ A_theta >= -[0-9.]+e-01 "
+                             rf"\(-2\.000e-01 without the sampling slack\) "
+                             rf"from M={8 * N} samples at degree N={N}$"):
+        make()
+
+
+@pytest.mark.parametrize("terms", [
+    [(CutoffProfile(XI_FOLD), TrigPoly(math.nan))],
+    [(CutoffProfile(XI_FOLD), TrigPoly(0.0, [0.1, math.nan]))],
+    [(BumpProfile(0.2, 0.8, math.nan), TrigPoly(1.0))],
+    [(BumpProfile(0.2, 0.8, 0.5), TrigPoly(1.0)),
+     (CutoffProfile(XI_FOLD), TrigPoly(0.0, [], [math.nan]))],
+])
+def test_nan_displacements_are_refused(terms):
+    with pytest.raises(DomainError, match=r">= nan "):
+        AngularLink(AngleDisplacement(terms))
+
+
+def test_twists_are_certified_from_no_sample():
+    for link in (RadialTwist(BumpProfile(0.2, 0.8, -2.5)),
+                 RadialTwist(BumpProfile(0.3, 0.7, 0.9)).scaled(0.5)):
+        assert link.displacement.certify_orientation() == (1.0, 0)
+
+
+def slope_on_a_dense_grid(disp):
+    """1 + A_theta on 131 radii x 1024 angles, the profile edges included."""
+    radii = np.linspace(0.0, 1.3, 131)
+    th = np.arange(1024) * (2 * math.pi / 1024)
+    R, T = (g.ravel() for g in np.meshgrid(radii, th, indexing="ij"))
+    return disp.value_and_slope(disp.weights(R), T)[1]
+
+
+random_profiles = st.one_of(
+    st.builds(lambda e1, e2: CutoffProfile(cutoff_make(e1, e2)),
+              st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
+    st.builds(lambda a, w, amp: BumpProfile(a, a + w, amp),
+              st.floats(0.05, 0.5), st.floats(0.1, 0.45),
+              st.floats(-2.0, 2.0)))
+random_polys = st.builds(
+    lambda c, a, b: TrigPoly(c, a, b), st.floats(-1.0, 1.0),
+    st.lists(st.floats(-0.4, 0.4), max_size=3),
+    st.lists(st.floats(-0.4, 0.4), max_size=3))
+
+
+@given(st.lists(st.tuples(random_profiles, random_polys),
+                min_size=1, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_every_certified_link_keeps_a_positive_slope(terms):
+    disp = AngleDisplacement(terms)
+    try:
+        bound, _ = disp.certify_orientation()
+    except DomainError:
+        return
+    slope = slope_on_a_dense_grid(disp)
+    assert np.min(slope) > 0.0
+    assert np.min(slope) >= bound - 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -1050,8 +1148,8 @@ def test_turn_jet_takes_the_chart_at_the_run_radius_and_start_angle(
 # ----------------------------------------------------------------------
 
 def test_parameter_zero_error_names_the_worst_sample():
-    iso = CircleIsotopy(0, TrigPoly(0.0, [0.4]))
-    alex = AlexanderRadial(iso, cutoff_make(0.2, 0.1), 1.0)
+    disp = TrigPoly(0.0, [0.4])
+    alex = AlexanderRadial(disp, cutoff_make(0.2, 0.1), 1.0)
     bad = DiscDiffeo.from_link(alex.inverse_link())
     # the inverse link turns most where the cutoff is 1: the r = 0.95 ring
     with pytest.raises(DomainError,
@@ -1062,7 +1160,7 @@ def test_parameter_zero_error_names_the_worst_sample():
 
 def test_sphere_extend_error_names_the_worst_sample():
     alex = DiscDiffeo.from_link(AlexanderRadial(
-        CircleIsotopy(0, TrigPoly(0.0, [0.4])), cutoff_make(0.2, 0.1)))
+        TrigPoly(0.0, [0.4]), cutoff_make(0.2, 0.1)))
     with pytest.raises(NotBoundaryTrivialError,
                        match=r"boundary circle \(a coordinate moves by "
                              r"\d\.\d{3}e-01 at r=0\.975; worst of 512 "

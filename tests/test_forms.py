@@ -21,7 +21,6 @@ import virbott
 from virbott.diffeo import (
     AlexanderRadial,
     BumpProfile,
-    CircleIsotopy,
     DiscDiffeo,
     RadialTwist,
     Rotation,
@@ -246,8 +245,8 @@ def test_numeric_error_on_nan():
 # ----------------------------------------------------------------------
 
 def sample_map():
-    iso = CircleIsotopy(0, TrigPoly(0.1, [0.3], [0.2]))
-    alex = DiscDiffeo.from_link(AlexanderRadial(iso, cutoff_make(0.2, 0.1),
+    disp = TrigPoly(0.1, [0.3], [0.2])
+    alex = DiscDiffeo.from_link(AlexanderRadial(disp, cutoff_make(0.2, 0.1),
                                                 0.8))
     twist = DiscDiffeo.from_link(RadialTwist(BumpProfile(0.3, 0.7, 0.6)))
     return disc_compose(alex, twist)
