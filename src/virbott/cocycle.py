@@ -18,12 +18,13 @@ to mask, beta in :mod:`virbott.liealg`.  It sees a grid as a stack of
 layers of the same points (the disc grid and the plane are one layer; the
 ball grid has one per rho, and a layered map's mask does not depend on
 rho), takes the AND of the maps' masks once on layer 0, gathers the moved
-nodes and yields their weighted values for one ``math.fsum``.  Every value
-is bit-identical to a full-grid sum.  Two things stay unmasked: the
-box-edge support guards, which sample a few hundred points and must see
-all of them, and the FD4 plan, whose stencils at a fixed node can reach
-into the support.  A chain subclass that overrides ``jet`` must override
-``moves`` to match.
+nodes and yields their weighted values to one exact sum
+(``forms._fsum_products``: exponent-binned, rounded once, so equal to
+``math.fsum``).  Every value is bit-identical to a full-grid sum.  Two
+things stay unmasked: the box-edge support guards, which sample a few
+hundred points and must see all of them, and the FD4 plan, whose stencils
+at a fixed node can reach into the support.  A chain subclass that
+overrides ``jet`` must override ``moves`` to match.
 
 Each density call sees at most ``_BLOCK`` grid nodes, the FD4 plan's
 included: groups of whole layers, or pieces of one layer if it holds more.

@@ -31,7 +31,9 @@ an increment, ``turn(r, th)`` -> (a, [a_r, a_th], [[a_rr, a_rth],
 [a_rth, a_thth]]) with None for an exact zero, from which ``_PolarLink``
 derives phi = theta + a; it also gives ``scaled(u)``, the link with its
 turn scaled by u.  ``AngularLink`` turns by its displacement A and
-``InverseAngular`` solves for its own hook; both sign with A.
+``InverseAngular(link)`` solves for its own hook; both sign with A.  An
+inverse is built from the certified ``AngularLink`` it inverts and
+hands that link back as its own inverse.
 
 A circle map theta -> theta + 2 pi k + p(theta) is the r = 1 restriction
 of ``AlexanderRadial(2 pi k + p, cutoff, t)``, an angular link, and its
@@ -251,6 +253,10 @@ class BumpProfile(_Profile):
     __slots__ = ("a", "b", "amp")
 
     def __init__(self, a: float, b: float, amp: float):
+        for name, v in (("a", a), ("b", b), ("amp", amp)):
+            if not math.isfinite(v):
+                raise DomainError(f"bump profile {name} must be finite, "
+                                  f"got {name}={v!r}")
         if not (0.0 < a < b):
             raise DomainError(f"bump window invalid: [{a}, {b}]")
         self.a = float(a)
@@ -263,7 +269,7 @@ class BumpProfile(_Profile):
 
     @property
     def bounds(self):
-        return (min(self.amp, 0.0), max(self.amp, 0.0))   # NaN stays NaN
+        return (min(self.amp, 0.0), max(self.amp, 0.0))
 
     def _pieces(self, r):
         r = np.asarray(r, dtype=np.float64)
@@ -729,7 +735,7 @@ class AngularLink(_PolarLink):
         return AngularLink(self.displacement.scaled(u))
 
     def inverse_link(self):
-        return InverseAngular(self.displacement)
+        return InverseAngular(self)
 
     def signature(self):
         return ("angular", self.displacement.signature())
@@ -790,13 +796,19 @@ def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
 
 
 class InverseAngular(_PolarLink):
-    """Inverse of an angular link, solved per point; it has its own angle
+    """Inverse of an angular link, solved per point.  It takes the
+    ``AngularLink`` it inverts, whose certificate makes the solved map
+    increasing, and keeps it as its own inverse link; it has its own angle
     hook and no turn, and signs itself with the forward displacement."""
 
-    __slots__ = ("displacement",)
+    __slots__ = ("link", "displacement")
 
-    def __init__(self, displacement: AngleDisplacement):
-        self.displacement = displacement
+    def __init__(self, link: AngularLink):
+        if not isinstance(link, AngularLink):
+            raise DomainError("InverseAngular inverts a certified "
+                              f"AngularLink, got {type(link).__name__}")
+        self.link = link
+        self.displacement = link.displacement
 
     def radial_moves(self, r):
         return self.displacement.radial_moves(r)
@@ -827,7 +839,7 @@ class InverseAngular(_PolarLink):
         return (psi,) + _invert_angle_jets(self.displacement.jets(r, psi), psi)
 
     def inverse_link(self):
-        return AngularLink(self.displacement)
+        return self.link
 
     def signature(self):
         return ("inverse-angular", self.displacement.signature())

@@ -11,9 +11,11 @@ that enter the cocycle integrals, and integrates them over tensor grids:
 Gauss-Legendre in the radial/box directions crossed with a uniform
 (trapezoidal, spectrally accurate) angular rule.
 
-Final reductions go through ``math.fsum``, which rounds the sum of the
-per-node products exactly — the result is bit-identical under any
-reordering of the nodes.
+Final reductions sum the per-node products exactly and round once
+(``_fsum_products``): each product is binned by its binary exponent as
+integer mantissa halves, and the bins are folded into one Python int.  A
+correctly rounded sum is unique, so it equals ``math.fsum`` bit for bit,
+and no reordering of the nodes or split into blocks moves a bit.
 """
 
 from __future__ import annotations
@@ -207,20 +209,67 @@ def _check_edge(vals: np.ndarray, pts: np.ndarray, what: str, edge: str):
             f"worst of {vals.size} edge samples)")
 
 
-def _nonzero_finite(prods) -> list:
-    """The nonzero weighted products of one block, as floats; raises
-    NumericError on a non-finite one."""
-    if np.any(~np.isfinite(prods)):
-        raise NumericError("non-finite values in quadrature")
-    return prods[prods != 0.0].tolist()
+# Exact sums.  A finite double is M * 2**(e - 53), with ``frexp``'s
+# exponent e in [-1073, 1024] and an integer mantissa |M| < 2**53, split
+# into hi = floor(M / 2**26) and lo = M - 2**26 hi in [0, 2**26).  Bin i of
+# each half sums the halves with e = i - _EXP_OFFSET, in units of
+# 2**(i - 1126); for at most _FLUSH values every bin stays an integer
+# below 2**52, so each float64 addition is exact.  Values are binned
+# _PIECE at a time, which keeps the temporaries small.
+_EXP_OFFSET = 1073
+_N_BINS = 2098
+_PIECE = 8192
+_FLUSH = 1 << 25
+_UNIT = 1 << 1126          # bin values are multiples of 2**-1126
+
+
+def _fold(hi, lo) -> int:
+    """The exact value of the bins in units of 2**-1126: one Python int,
+    by Horner's rule over the used bin range."""
+    used = np.flatnonzero((hi != 0.0) | (lo != 0.0))
+    if not used.size:
+        return 0
+    first, stop = int(used[0]), int(used[-1]) + 1
+    acc = 0
+    for h, l in zip(hi[first:stop].astype(np.int64).tolist()[::-1],
+                    lo[first:stop].astype(np.int64).tolist()[::-1]):
+        acc = (acc << 1) + (h << 26) + l
+    return acc << first
 
 
 def _fsum_products(blocks) -> float:
     """Exactly rounded sum of the weighted products of ``blocks``, taken
-    one block at a time; the zero ones are left out, which changes nothing
-    (an exactly zero sum comes out +0.0 either way)."""
-    return math.fsum(itertools.chain.from_iterable(
-        map(_nonzero_finite, blocks)))
+    one block at a time; equal to ``math.fsum`` of the same values bit for
+    bit (an exactly zero sum is +0.0, an overflowing one raises
+    OverflowError).  Raises NumericError on a non-finite product."""
+    hi = np.zeros(_N_BINS)
+    lo = np.zeros(_N_BINS)
+    total = binned = 0
+    # one piece's work arrays, allocated once per sum rather than again
+    # for each piece between the density calls of the stream
+    m_buf, h_buf = np.empty(_PIECE), np.empty(_PIECE)
+    e_buf = np.empty(_PIECE, dtype=np.intc)
+    for block in blocks:
+        block = np.ravel(block)
+        for start in range(0, block.size, _PIECE):
+            piece = block[start:start + _PIECE]
+            if not np.isfinite(piece).all():
+                raise NumericError("non-finite values in quadrature")
+            if binned + piece.size > _FLUSH:
+                total += _fold(hi, lo)
+                hi[:] = lo[:] = 0.0
+                binned = 0
+            m, e, h = (buf[:piece.size] for buf in (m_buf, e_buf, h_buf))
+            np.frexp(piece, m, e)
+            e += _EXP_OFFSET
+            m *= 2.0 ** 27              # M / 2**26, exactly
+            np.floor(m, out=h)
+            m -= h
+            m *= 2.0 ** 26              # lo, exactly
+            hi += np.bincount(e, h, _N_BINS)
+            lo += np.bincount(e, m, _N_BINS)
+            binned += piece.size
+    return (total + _fold(hi, lo)) / _UNIT
 
 
 def _fsum_weighted(values, weights):

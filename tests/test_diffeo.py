@@ -123,6 +123,18 @@ def test_bump_profile_support():
     assert abs(mid - 1.0) < 1e-12      # peak value = amp at the midpoint
 
 
+@pytest.mark.parametrize("a, b, amp, named", [
+    (math.nan, 0.8, 0.5, "a=nan"),
+    (0.2, math.inf, 0.5, "b=inf"),
+    (0.2, 0.8, math.nan, "amp=nan"),
+    (0.2, 0.8, math.inf, "amp=inf"),
+    (0.2, 0.8, -math.inf, "amp=-inf"),
+])
+def test_bump_profile_refuses_non_finite_parameters(a, b, amp, named):
+    with pytest.raises(DomainError, match=rf"must be finite, got {named}$"):
+        BumpProfile(a, b, amp)
+
+
 # every profile class, with the edges of its support
 EVERY_PROFILE = {
     "cutoff": (cutoff_make(0.2, 0.15), (0.2, 0.85)),
@@ -985,13 +997,35 @@ def test_folds_between_samples_are_refused_at_8n_samples(make, N):
 @pytest.mark.parametrize("terms", [
     [(CutoffProfile(XI_FOLD), TrigPoly(math.nan))],
     [(CutoffProfile(XI_FOLD), TrigPoly(0.0, [0.1, math.nan]))],
-    [(BumpProfile(0.2, 0.8, math.nan), TrigPoly(1.0))],
     [(BumpProfile(0.2, 0.8, 0.5), TrigPoly(1.0)),
      (CutoffProfile(XI_FOLD), TrigPoly(0.0, [], [math.nan]))],
 ])
 def test_nan_displacements_are_refused(terms):
     with pytest.raises(DomainError, match=r">= nan "):
         AngularLink(AngleDisplacement(terms))
+
+
+def test_only_a_certified_angular_link_can_be_inverted():
+    folded = AngleDisplacement([(CutoffProfile(XI_FOLD), SIN_128)])
+    with pytest.raises(DomainError, match="got AngleDisplacement$"):
+        diffeo.InverseAngular(folded)
+    with pytest.raises(DomainError, match="got Rotation$"):
+        diffeo.InverseAngular(Rotation(0.3))
+
+
+def test_a_twice_inverted_chain_keeps_its_link_objects():
+    g = DiscDiffeo((RadialTwist(BumpProfile(0.2, 0.8, 0.7)),
+                    AlexanderRadial(TrigPoly(0.1, [0.2], [0.1]),
+                                    cutoff_make(0.2, 0.1))))
+    inverse = disc_invert(g)
+    assert all(isinstance(link, diffeo.InverseAngular)
+               for link in inverse.links)
+    assert [link.signature() for link in inverse.links] == [
+        ("inverse-angular", link.displacement.signature())
+        for link in reversed(g.links)]
+    back = disc_invert(inverse).links
+    assert len(back) == len(g.links)
+    assert all(b is a for a, b in zip(g.links, back))
 
 
 def test_twists_are_certified_from_no_sample():

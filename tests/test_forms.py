@@ -1,8 +1,8 @@
 """Tests for Maurer-Cartan components, wedge traces and quadrature.
 
-Oracles: closed-form integrals for the grids, FD differentiation of the
-Jacobian for the Maurer-Cartan components, and full permutation sums for
-both wedge-trace shortcuts.
+Oracles: closed-form integrals for the grids, ``math.fsum`` for the exact
+quadrature sum, FD differentiation of the Jacobian for the Maurer-Cartan
+components, and full permutation sums for both wedge-trace shortcuts.
 """
 
 import importlib
@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import virbott
+from virbott import forms
 from virbott.diffeo import (
     AlexanderRadial,
     BumpProfile,
@@ -32,6 +34,7 @@ from virbott.forms import (
     BallGrid,
     DiscGrid,
     _check_edge,
+    _fsum_products,
     _gl_nodes,
     _gl_rule,
     eta_closedness_residual,
@@ -238,6 +241,84 @@ def test_numeric_error_on_nan():
     bad[3] = np.nan
     with pytest.raises(NumericError):
         integrate_disc(bad, grid)
+
+
+def assert_sums_like_fsum(blocks):
+    """_fsum_products of ``blocks`` equals math.fsum of their values bit
+    for bit, the sign of a zero included."""
+    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+    values = [v for b in blocks for v in b.tolist()]
+    assert _fsum_products(iter(blocks)).hex() == math.fsum(values).hex()
+
+
+# bounded so that no partial sum of fsum's overflows (it raises then)
+finite_doubles = st.floats(-1e300, 1e300, allow_nan=False,
+                           allow_infinity=False)
+
+
+@given(st.lists(finite_doubles, max_size=60),
+       st.lists(st.integers(0, 60), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_equals_fsum_over_random_blocks(values, cuts):
+    cuts = sorted(min(c, len(values)) for c in cuts)
+    assert_sums_like_fsum(np.split(np.array(values, dtype=np.float64), cuts))
+
+
+def test_exact_sum_of_subnormals_and_exponent_ends():
+    rng = np.random.default_rng(5)
+    tiny = rng.integers(-(1 << 40), 1 << 40, 500) * 5e-324
+    assert_sums_like_fsum([tiny])
+    assert_sums_like_fsum([[5e-324] * 3, [-5e-324]])
+    assert_sums_like_fsum([[1.7e308, 5e-324], [-1.7e308]])
+    assert_sums_like_fsum([[1.7e308, -5e-324, 1e292], [-1e292]])
+    assert_sums_like_fsum([[-1.7e308, 2.2250738585072014e-308, -5e-324]])
+
+
+def test_exact_sum_cancellation_and_small_streams():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(1000) * np.exp2(rng.integers(-900, 900, 1000))
+    both = np.concatenate([x, -x])
+    rng.shuffle(both)
+    assert_sums_like_fsum(np.array_split(both, 3))      # exactly +0.0
+    assert _fsum_products(iter([both])).hex() == "0x0.0p+0"
+    assert_sums_like_fsum([[-0.0, -0.0]])
+    assert_sums_like_fsum([[1e16, 1.0], [1.0, -1e16], [1.0] * 7])
+    assert_sums_like_fsum([[1e16] + [1.0] * 9 + [-1e16, 0.5]])
+    assert_sums_like_fsum([])                            # no block at all
+    assert_sums_like_fsum([[], []])
+    assert_sums_like_fsum([[-3.25e-7]])
+
+
+def test_exact_sum_across_the_flush_point(monkeypatch):
+    # tiny pieces and flushes, so the stream folds its bins many times
+    folds = []
+    fold = forms._fold
+
+    def counted(hi, lo):
+        folds.append(1)
+        return fold(hi, lo)
+
+    monkeypatch.setattr(forms, "_PIECE", 3)
+    monkeypatch.setattr(forms, "_FLUSH", 7)
+    monkeypatch.setattr(forms, "_fold", counted)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(200) * np.exp2(rng.integers(-600, 600, 200))
+    x[::17] = 1e16
+    assert_sums_like_fsum(np.array_split(x, 11))
+    assert len(folds) > 20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_sum_refuses_non_finite_values(bad):
+    with pytest.raises(NumericError, match="non-finite values in quadrature"):
+        _fsum_products(iter([np.ones(5), np.array([1.0, bad])]))
+
+
+def test_exact_sum_overflows_as_fsum_does():
+    with pytest.raises(OverflowError):
+        math.fsum([1.7e308, 1.7e308])
+    with pytest.raises(OverflowError):
+        _fsum_products(iter([np.array([1.7e308, 1.7e308])]))
 
 
 # ----------------------------------------------------------------------
