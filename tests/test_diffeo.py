@@ -997,6 +997,7 @@ def test_folds_between_samples_are_refused_at_8n_samples(make, N):
 @pytest.mark.parametrize("terms", [
     [(CutoffProfile(XI_FOLD), TrigPoly(math.nan))],
     [(CutoffProfile(XI_FOLD), TrigPoly(0.0, [0.1, math.nan]))],
+    [(BumpProfile(0.2, 0.8, 0.5), TrigPoly(0.0, [], [0.1, math.nan]))],
     [(BumpProfile(0.2, 0.8, 0.5), TrigPoly(1.0)),
      (CutoffProfile(XI_FOLD), TrigPoly(0.0, [], [math.nan]))],
 ])
