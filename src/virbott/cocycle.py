@@ -13,12 +13,17 @@ map answers ``moves(pts)``, a mask that may be False only where its
 analytic jet is exactly the identity (see :mod:`virbott.diffeo`); there
 its Maurer-Cartan form is exactly 0, and so is any wedge trace that
 contains it.  One generator, ``_moved_products``, feeds every quadrature:
-gamma, W, the surface term of ``w_coboundary_residual`` and, with no maps
-to mask, beta in :mod:`virbott.liealg`.  It sees a grid as a stack of
-layers of the same points (the disc grid and the plane are one layer; the
-ball grid has one per rho, and a layered map's mask does not depend on
-rho), takes the AND of the maps' masks once on layer 0, gathers the moved
-nodes and yields their weighted values to one exact sum
+gamma, W, the surface term of ``w_coboundary_residual`` and beta in
+:mod:`virbott.liealg`, whose fields mask it the same way (a field's jet
+is exactly 0 where its mask is False).  Each density is a product of
+factors, and a factor may be a signed sum: gamma and the FD bridge to
+beta integrate tr(A ^ B) for sums A, B of +-theta (``_wedge_integral``),
+which is 0 wherever no map of A moves or no map of B does.  So the
+stream takes, once on layer 0, the AND over the factors of the OR of
+their maps' masks.  It sees a grid as a stack of layers of the same
+points (the disc grid and the plane are one layer; the ball grid has one
+per rho, and a layered map's mask does not depend on rho), gathers the
+moved nodes and yields their weighted values to one exact sum
 (``forms._fsum_products``: exponent-binned, rounded once, so equal to
 ``math.fsum``).  Every value is bit-identical to a full-grid sum.  Two
 things stay unmasked: the box-edge support guards, which sample a few
@@ -171,30 +176,46 @@ def _mc_stack(m, pts, plan) -> np.ndarray:
     return mc_components(m.jet(pts, plan))
 
 
-def _wedge_2form(g, hinv, plan):
-    """The density tr(theta(g) ^ theta(hinv)) as a function of (2, N) points."""
-    return lambda pts: wedge_trace_2form(_mc_stack(g, pts, plan),
-                                         _mc_stack(hinv, pts, plan))
+def _mc_sum(terms, pts, plan) -> np.ndarray:
+    """sum of sign * theta(m) over the (sign, m) of ``terms``, each map's
+    stack built once; a single (1, m) is theta(m) bit for bit."""
+    (sign, m), *rest = terms
+    total = sign * _mc_stack(m, pts, plan)
+    for sign, m in rest:
+        total += sign * _mc_stack(m, pts, plan)
+    return total
+
+
+def _wedge_2form(left, right, plan):
+    """The density tr(A ^ B) as a function of (2, N) points, A and B the
+    signed sums of MC forms over the (sign, map) terms of ``left`` and
+    ``right`` (see ``_mc_sum``)."""
+    return lambda pts: wedge_trace_2form(_mc_sum(left, pts, plan),
+                                         _mc_sum(right, pts, plan))
 
 
 # most grid nodes one density call sees (see _moved_products)
 _BLOCK = 2 ** 15
 
 
-def _moved_products(density, maps, nodes, weights, plane, plan):
-    """density times weight at the nodes where every map of ``maps`` moves,
-    one array per batch of whole layers of at most ``_BLOCK`` nodes (a
-    layer of more is split into pieces of ``_BLOCK`` points).
+def _moved_products(density, factors, nodes, weights, plane, plan):
+    """density times weight at the moved nodes, one array per batch of
+    whole layers of at most ``_BLOCK`` nodes (a layer of more is split
+    into pieces of ``_BLOCK`` points).
 
-    ``nodes`` is a stack of layers of ``plane`` points each, the node of
-    layer i and point k being i * plane + k: the disc grid and the plane
-    are one layer, the ball grid one layer per rho.  The mask is taken
-    once, on layer 0 (see the module docstring).  Under a
-    finite-difference plan, or with no maps, every node counts as moved.
+    ``factors`` holds one tuple of masked objects (maps, or fields) per
+    factor of the density; a node is moved where every factor has one that
+    moves there.  ``nodes`` is a stack of layers of ``plane`` points each,
+    the node of layer i and point k being i * plane + k: the disc grid and
+    the plane are one layer, the ball grid one layer per rho.  The mask is
+    taken once, on layer 0 (see the module docstring).  Under a
+    finite-difference plan, or with no factors, every node counts as moved.
     """
-    if plan.kind == "analytic" and maps:
-        moved = np.flatnonzero(functools.reduce(
-            np.logical_and, (m.moves(nodes[:, :plane]) for m in maps)))
+    if plan.kind == "analytic" and factors:
+        pts = nodes[:, :plane]
+        moved = np.flatnonzero(functools.reduce(np.logical_and, (
+            functools.reduce(np.logical_or, (m.moves(pts) for m in factor))
+            for factor in factors)))
     else:
         moved = np.arange(plane)
     layers = nodes.shape[1] // plane
@@ -209,23 +230,30 @@ def _moved_products(density, maps, nodes, weights, plane, plan):
                 yield density(nodes[:, idx]) * weights[idx]
 
 
+def _wedge_integral(left, right, cfg: CocycleConfig) -> float:
+    """integral_{D^2} tr(A ^ B) on the config disc grid, A and B the signed
+    sums of MC forms of ``left`` and ``right`` (see ``_wedge_2form``),
+    masked where no map of ``left`` or none of ``right`` moves."""
+    grid = cfg.disc_grid
+    return integrate_disc(_moved_products(
+        _wedge_2form(left, right, cfg.plan),
+        (tuple(m for _, m in left), tuple(m for _, m in right)),
+        grid.xy, grid.weights, grid.npts, cfg.plan), grid)
+
+
 # gamma values kept by the least-recently-used cache below
 _GAMMA_CACHE_SIZE = 1024
 _GAMMA_CACHE: OrderedDict = OrderedDict()
 _GAMMA_LOCK = threading.Lock()
 
 
-def gamma_m(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
-            h_inv: DiscDiffeo | None = None) -> float:
+def gamma_m(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig) -> float:
     """integral_{D^2} tr(theta(g) ^ theta(h^{-1})) on the config disc grid.
 
     Values are cached by (g, h, grid, plan) signature in an LRU of
     ``_GAMMA_CACHE_SIZE`` entries; the cache is safe for concurrent
     readers and writers (recomputing a value is harmless, losing one is
-    not).  A caller that already holds the inverse of ``h``
-    (a time-reversed flow, say, whose link chain ``disc_invert`` refuses)
-    may pass it as ``h_inv``; it must invert ``h``, and the cache key is
-    unchanged because the value is.
+    not).
     """
     key = (g.signature(), h.signature(),
            cfg.disc_grid.signature(), cfg.plan.signature())
@@ -233,11 +261,7 @@ def gamma_m(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
         if key in _GAMMA_CACHE:
             _GAMMA_CACHE.move_to_end(key)
             return _GAMMA_CACHE[key]
-    grid = cfg.disc_grid
-    hinv = disc_invert(h) if h_inv is None else h_inv
-    out = integrate_disc(_moved_products(
-        _wedge_2form(g, hinv, cfg.plan), (g, hinv), grid.xy, grid.weights,
-        grid.npts, cfg.plan), grid)
+    out = _wedge_integral(((1, g),), ((1, disc_invert(h)),), cfg)
     with _GAMMA_LOCK:
         _GAMMA_CACHE[key] = out
         _GAMMA_CACHE.move_to_end(key)      # another thread may have stored it
@@ -246,10 +270,9 @@ def gamma_m(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
     return out
 
 
-def gamma(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
-          h_inv: DiscDiffeo | None = None) -> float:
+def gamma(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig) -> float:
     """The scaled group 2-cocycle 3 c0 gamma_m(g, h)."""
-    return 3.0 * cfg.c0 * gamma_m(g, h, cfg, h_inv=h_inv)
+    return 3.0 * cfg.c0 * gamma_m(g, h, cfg)
 
 
 def ext_mul(e1: ExtElement, e2: ExtElement, cfg: CocycleConfig) -> ExtElement:
@@ -283,7 +306,7 @@ def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
     _check_edge(density(grid.edge_points), grid.edge_points,
                 "Wess-Zumino integrand", "box")
     W = integrate_ball(_moved_products(
-        density, (B,), grid.nodes, grid.weights, plane, cfg.plan), grid)
+        density, ((B,),), grid.nodes, grid.weights, plane, cfg.plan), grid)
     if (B.links and (W == 0.0 or cfg.plan.kind != "analytic")
             and not B.moves(grid.nodes[:, :plane]).any()):
         raise DomainError(f"ball map moves no plane node of the box "
@@ -355,9 +378,9 @@ def w_coboundary_residual(g: BallDiffeo, h: BallDiffeo,
     gb = g.boundary_map()
     hb_inv = disc_invert(h.boundary_map())
     pts, w, edge = _plane_quad(cfg.ball_grid)
-    density = _wedge_2form(gb, hb_inv, cfg.plan)
+    density = _wedge_2form(((1, gb),), ((1, hb_inv),), cfg.plan)
     _check_edge(density(edge), edge, "boundary surface term", "plane-box")
     surface = _fsum_products(_moved_products(
-        density, (gb, hb_inv), pts, w, pts.shape[1], cfg.plan))
+        density, ((gb,), (hb_inv,)), pts, w, pts.shape[1], cfg.plan))
     return abs(Wgh - Wg - Wh - 3.0 * surface)
 

@@ -24,14 +24,16 @@ Every link but a flow preserves the radius (and rho in the ball) and only
 turns the angle.  Such a link gives ``radial_moves(r)``, its mask as a
 function of the plane radius, and the angle hook ``angle_jet(*base, th)``:
 its image angle phi with the partials in (r, theta) on the disc or
-(rho, r, theta) in the ball.  ``_PolarLink`` derives ``moves`` and
-``apply`` from the two; ``apply`` leaves every node whose angle is
-unchanged as it is, bit for bit.  A forward disc link states its hook as
-an increment, ``turn(r, th)`` -> (a, [a_r, a_th], [[a_rr, a_rth],
-[a_rth, a_thth]]) with None for an exact zero, from which ``_PolarLink``
+(rho, r, theta) in the ball.  Its value hook ``angle(*base, th)`` gives
+the same phi, bit for bit, without the partials.  ``_PolarLink`` derives
+``moves`` from the mask and ``apply`` from ``angle``; ``apply`` leaves
+every node whose angle is unchanged as it is, bit for bit.  A forward
+disc link states its hooks as an increment, ``turn(r, th)`` ->
+(a, [a_r, a_th], [[a_rr, a_rth], [a_rth, a_thth]]) with None for an
+exact zero and ``turn_value(r, th)`` -> a, from which ``_PolarLink``
 derives phi = theta + a; it also gives ``scaled(u)``, the link with its
 turn scaled by u.  ``AngularLink`` turns by its displacement A and
-``InverseAngular(link)`` solves for its own hook; both sign with A.  An
+``InverseAngular(link)`` solves for its own hooks; both sign with A.  An
 inverse is built from the certified ``AngularLink`` it inverts and
 hands that link back as its own inverse.
 
@@ -673,17 +675,22 @@ class _PolarLink:
     """Base of the radius-preserving links: they keep the plane radius r
     (and rho) and move only the angle.  A subclass gives
     ``radial_moves(r)``, its mask as a function of r, and either the
-    increment hook ``turn(r, th)``, from which ``angle_jet`` = theta + a
-    follows, or its own angle hook ``angle_jet(*base, th)`` ->
-    (phi, dphi, d2phi) over (base..., theta).  ``apply`` and ``moves``
-    follow from the two, and its jet is the angle-jet engine on the one
-    link."""
+    increment hooks ``turn(r, th)`` and ``turn_value(r, th)``, from which
+    ``angle_jet`` = theta + a and its value ``angle`` follow, or its own
+    angle hooks ``angle_jet(*base, th)`` -> (phi, dphi, d2phi) over
+    (base..., theta) and ``angle(*base, th)`` -> phi, equal to the first
+    entry of ``angle_jet`` bit for bit.  ``moves`` follows from the mask
+    and ``apply`` from ``angle``, and its jet is the angle-jet engine on
+    the one link."""
 
     __slots__ = ()
 
     def angle_jet(self, r, th):
         a, (a_r, a_t), d2a = self.turn(r, th)
         return th + a, [a_r, _add(1.0, a_t)], d2a
+
+    def angle(self, r, th):
+        return th + self.turn_value(r, th)
 
     def moves(self, pts):
         return self.radial_moves(np.hypot(pts[-2], pts[-1]))
@@ -700,7 +707,7 @@ class _PolarLink:
             sub_r = r[idx]
             th = np.arctan2(pts[-1, idx], pts[-2, idx])
             base = (pts[0, idx], sub_r) if pts.shape[0] == 3 else (sub_r,)
-            phi = self.angle_jet(*base, th)[0]
+            phi = self.angle(*base, th)
             turned = phi != th
             idx, sub_r, phi = idx[turned], sub_r[turned], phi[turned]
             out[-2, idx] = sub_r * np.cos(phi)
@@ -730,6 +737,13 @@ class AngularLink(_PolarLink):
     def turn(self, r, th):
         A, Ar, At, Arr, Art, Att = self.displacement.jets(r, th)
         return A, [Ar, At], [[Arr, Art], [Art, Att]]
+
+    def turn_value(self, r, th):
+        # A read off the (0, 1) table product, the rows jets() reads it
+        # from: a one-row product (``value`` of one term) takes another
+        # BLAS kernel, which may round A differently
+        disp = self.displacement
+        return disp.value_and_slope(disp.weights(r), th)[0]
 
     def scaled(self, u: float):
         return AngularLink(self.displacement.scaled(u))
@@ -799,7 +813,7 @@ class InverseAngular(_PolarLink):
     """Inverse of an angular link, solved per point.  It takes the
     ``AngularLink`` it inverts, whose certificate makes the solved map
     increasing, and keeps it as its own inverse link; it has its own angle
-    hook and no turn, and signs itself with the forward displacement."""
+    hooks and no turn, and signs itself with the forward displacement."""
 
     __slots__ = ("link", "displacement")
 
@@ -838,6 +852,9 @@ class InverseAngular(_PolarLink):
         psi = self._solve(r, t)[0]
         return (psi,) + _invert_angle_jets(self.displacement.jets(r, psi), psi)
 
+    def angle(self, r, t):
+        return self._solve(r, t)[0]
+
     def inverse_link(self):
         return self.link
 
@@ -858,6 +875,9 @@ class Rotation(_PolarLink):
 
     def turn(self, r, th):
         return self.alpha, [None, None], [[None, None], [None, None]]
+
+    def turn_value(self, r, th):
+        return self.alpha
 
     def scaled(self, u: float):
         return Rotation(u * self.alpha)
@@ -1123,6 +1143,11 @@ class BallLayerLink(_PolarLink):
             _mul(c1, a), _mul(c0, a_r), _add(1.0, _mul(c0, a_t))], [
             [_mul(c2, a), rho_r, rho_t], [rho_r, _mul(c0, a_rr), r_t],
             [rho_t, r_t, _mul(c0, a_tt)]]
+
+    def angle(self, rho, r, th):
+        if self.profile is None:
+            return self.link.angle(r, th)
+        return th + _mul(self.profile.value(rho), self.link.turn_value(r, th))
 
     def at(self, u: float):
         """The planar link m_u."""

@@ -20,7 +20,11 @@ identically-zero factor: a bracket of two J's forms no product at all.
 Each generator polynomial is built once per index and shared, since a
 TrigPoly is immutable.  The curve behind the FD rederivation is
 closed-form, theta -> theta + t V4, for every separable field without a
-V3 part.
+V3 part.  The rederivation takes gamma's corner sum in its bilinear form,
+two masked integrals of tr(D theta ^ D theta) per Richardson level over
+eight maps built once each (``beta_from_gamma_fd``).  The quadrature of
+beta skips the nodes where either field's jet is exactly zero: a field
+answers ``moves(pts)`` as a map does.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from ._jets import (FD4_D1, FD4_D2, FD4_OFFSETS, Jet, compose, fd4_jacobian,
                     polar_chart_jet)
-from .cocycle import CocycleConfig, _moved_products, gamma
+from .cocycle import CocycleConfig, _moved_products, _wedge_integral
 from .diffeo import (AngleDisplacement, AngularLink, CutoffFn, CutoffProfile,
                      DiscDiffeo, FlowMap, disc_compose, disc_invert)
 from .errors import DomainError, FlagError, StepError, UnsupportedError
@@ -240,6 +244,11 @@ class DiscVectorField:
         out = compose(polar_u, chart)
         return out.x, out.j, out.h
 
+    def moves(self, pts):
+        """Mask of the nodes where the field's jet may be nonzero: every
+        node, for a general callable field."""
+        return np.ones(np.shape(pts)[1], dtype=bool)
+
     def signature(self):
         return ("discfield", self._serial)
 
@@ -269,6 +278,14 @@ class SeparableDiscField(DiscVectorField):
         r, theta = np.broadcast_arrays(np.asarray(r, np.float64),
                                        np.asarray(theta, np.float64))
         return tuple(terms.jets(r, theta) for terms in self._sums)
+
+    def moves(self, pts):
+        """False exactly where every profile of both components vanishes,
+        so that the polar 2-jet is exactly 0; there is no origin guard, as
+        a field's jet is not 0 near r = 0."""
+        r = np.hypot(pts[0], pts[1])
+        return ((self._sums[0].radial_envelope(r) != 0.0)
+                | (self._sums[1].radial_envelope(r) != 0.0))
 
     def signature(self):
         return ("sepfield", self.ar_epsilon,
@@ -381,7 +398,8 @@ def ar_split(V: DiscVectorField, xi: CutoffFn):
 def beta_integral(V: DiscVectorField, W: DiscVectorField,
                   cfg: CocycleConfig | None = None) -> float:
     """beta(V, W) = -6 c0 int_{D^2} tr(dJ(V) ^ dJ(W)) on the config disc
-    grid, its density taken in the node blocks of gamma with no mask."""
+    grid, its density taken in the node blocks of gamma at the nodes where
+    both fields move (``moves``): the density is bilinear in their jets."""
     cfg = cfg if cfg is not None else CocycleConfig()
     grid = cfg.disc_grid
 
@@ -392,7 +410,8 @@ def beta_integral(V: DiscVectorField, W: DiscVectorField,
                 - np.einsum("ikn,kin->n", d2v[:, :, 1], d2w[:, :, 0]))
 
     return -6.0 * cfg.c0 * integrate_disc(_moved_products(
-        density, (), grid.xy, grid.weights, grid.npts, cfg.plan), grid)
+        density, ((V,), (W,)), grid.xy, grid.weights, grid.npts, cfg.plan),
+        grid)
 
 
 def _gbeta_polys(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly, c0):
@@ -451,8 +470,8 @@ def default_curve_builder(field: DiscVectorField, flow_steps: int = 64):
     return flow_curve
 
 
-def _curve_inverse(curve, t: float) -> DiscDiffeo:
-    g = curve(t)
+def _curve_inverse(curve, t: float, g: DiscDiffeo) -> DiscDiffeo:
+    """The inverse of g = curve(t)."""
     try:
         return disc_invert(g)
     except UnsupportedError:
@@ -465,7 +484,16 @@ def beta_from_gamma_fd(V: DiscVectorField, W: DiscVectorField,
                        steps=(1e-2, 1e-2)) -> float:
     """beta(V, W) as the mixed derivative d^2/dt ds of
     gamma(h_t, k_s) - gamma(k_s, h_t) at (0, 0), by central differences
-    with one Richardson halving."""
+    with one Richardson halving.
+
+    gamma is bilinear in the MC forms, so the corner sum over the steps
+    (+-t, +-s) is 3 c0 [int tr(D(h) ^ D(k^{-1})) - int tr(D(k) ^ D(h^{-1}))]
+    with D(h) = theta(h_t) - theta(h_{-t}), and likewise for k and the
+    inverses.  Each level builds the four maps h_{+-t}, k_{+-s} and their
+    inverses once and takes the two integrals one after the other through
+    gamma's masked quadrature (``cocycle._wedge_integral``).  At V = W the
+    two are one computation, so the diagonal is exactly 0.
+    """
     cfg = cfg if cfg is not None else CocycleConfig()
     t_step, s_step = (float(steps[0]), float(steps[1]))
     if not (t_step > 0.0 and s_step > 0.0
@@ -474,21 +502,22 @@ def beta_from_gamma_fd(V: DiscVectorField, W: DiscVectorField,
     build = curve_builder if curve_builder is not None else default_curve_builder
     h_curve, k_curve = build(V), build(W)
 
-    def bracket_diff(t, s):
-        ht, ks = h_curve(t), k_curve(s)
-        ht_inv = _curve_inverse(h_curve, t)
-        ks_inv = _curve_inverse(k_curve, s)
-        return (gamma(ht, ks, cfg, h_inv=ks_inv)
-                - gamma(ks, ht, cfg, h_inv=ht_inv))
+    def ends(curve, step):
+        """(sign, map) terms of curve(+-step) and of their inverses."""
+        maps = [(sign, curve(sign * step)) for sign in (1, -1)]
+        return maps, [(sign, _curve_inverse(curve, sign * step, g))
+                      for sign, g in maps]
 
     def mixed(ts, ss):
         try:
-            corners = (bracket_diff(ts, ss) - bracket_diff(ts, -ss)
-                       - bracket_diff(-ts, ss) + bracket_diff(-ts, -ss))
+            h, h_inv = ends(h_curve, ts)
+            k, k_inv = ends(k_curve, ss)
+            corners = (_wedge_integral(h, k_inv, cfg)
+                       - _wedge_integral(k, h_inv, cfg))
         except DomainError as exc:
             raise StepError(
                 f"curve step produced an invalid chain: {exc}") from exc
-        return corners / (4.0 * ts * ss)
+        return 3.0 * cfg.c0 * corners / (4.0 * ts * ss)
 
     d_full = mixed(t_step, s_step)
     d_half = mixed(0.5 * t_step, 0.5 * s_step)

@@ -807,6 +807,40 @@ def test_ball_layer_apply_matches_its_jet(kind):
         assert np.array_equal(out[:, still], pts3[:, still])
 
 
+def angle_hook_links():
+    """Every radius-preserving disc link, two-term ones included, and the
+    graded and frozen ball layers of each."""
+    disc = {name: link for name, link in every_disc_link().items()
+            if name != "flow"}
+    two = AngularLink(AngleDisplacement([
+        (CutoffProfile(cutoff_make(0.2, 0.15)), TrigPoly(0.0, [0.3], [0.1])),
+        (BumpProfile(0.3, 0.75, 0.7), TrigPoly(0.2))]))
+    disc["two-term"], disc["two-term-inverse"] = two, two.inverse_link()
+    profile = CutoffProfile(cutoff_make(0.15, 0.1))
+    ball = {"graded-" + name: BallLayerLink(link, profile)
+            for name, link in disc.items() if hasattr(link, "turn")}
+    ball.update({"frozen-" + name: BallLayerLink(link)
+                 for name, link in disc.items()})
+    return disc, ball
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 3000])
+def test_angle_hook_is_the_angle_of_the_jet_hook_bit_for_bit(n):
+    # apply reads the value hook alone, so the FD4 plan, which
+    # differentiates apply, moves the points the analytic jet moves
+    rng = np.random.default_rng(n)
+    r = rng.uniform(0.0, 1.1, n)
+    th = rng.uniform(-math.pi, math.pi, n)
+    rho = rng.uniform(0.0, 1.0, n)
+    disc, ball = angle_hook_links()
+    for name, link in disc.items():
+        assert np.array_equal(link.angle(r, th),
+                              link.angle_jet(r, th)[0]), name
+    for name, layer in ball.items():
+        assert np.array_equal(layer.angle(rho, r, th),
+                              layer.angle_jet(rho, r, th)[0]), name
+
+
 # ----------------------------------------------------------------------
 # the angle-jet engine against a Cartesian fold of the links' own jets
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 
 from virbott import cocycle, liealg
 from virbott._jets import FD4_D1, FD4_OFFSETS
-from virbott.cocycle import CocycleConfig, gamma_m
+from virbott.cocycle import CocycleConfig, gamma, gamma_m
 from virbott.diffeo import (
     AlexanderRadial,
     AngularLink,
@@ -38,7 +38,7 @@ from virbott.diffeo import (
     disc_invert,
 )
 from virbott.errors import (DegenerateError, DomainError, FlagError,
-                            HarmonicCapError, StepError)
+                            HarmonicCapError, StepError, UnsupportedError)
 from virbott.forms import DiscGrid, integrate_disc, mc_components, wedge_trace_2form
 from virbott.liealg import (
     DiscVectorField,
@@ -461,8 +461,11 @@ def test_beta_matches_the_polynomial_oracle():
 
 def test_blocked_beta_equals_the_whole_grid_sum(monkeypatch):
     # beta goes through the node blocks of gamma, so no field jet holds
-    # more than a block, and the exactly rounded sum moves no bit
+    # more than a block, and the exactly rounded sum moves no bit; both
+    # fields are XI-profiled, so the nodes below the cutoff are skipped
     grid = CFG_SMALL.disc_grid
+    moved = np.count_nonzero(XI.value(grid.r) != 0.0)
+    assert 0 < moved < grid.npts
     _, _, d2v = FIELD_V.cartesian_jet2(grid.xy)
     _, _, d2w = FIELD_W.cartesian_jet2(grid.xy)
     vals = (np.einsum("ikn,kin->n", d2v[:, :, 0], d2w[:, :, 1])
@@ -477,7 +480,41 @@ def test_blocked_beta_equals_the_whole_grid_sum(monkeypatch):
     monkeypatch.setattr(DiscVectorField, "cartesian_jet2", recording)
     monkeypatch.setattr(cocycle, "_BLOCK", 256)
     assert beta_integral(FIELD_V, FIELD_W, CFG_SMALL) == whole
-    assert max(seen) <= 256 and sum(seen) == 2 * grid.npts
+    assert max(seen) <= 256 and sum(seen) == 2 * moved
+
+
+def test_beta_of_callable_fields_evaluates_every_node(monkeypatch):
+    grid = CFG_SMALL.disc_grid
+    assert POLY_V.moves(grid.xy).all() and POLY_W.moves(grid.xy).all()
+    seen = []
+
+    def recording(self, pts, _orig=DiscVectorField.cartesian_jet2):
+        seen.append(pts.shape[1])
+        return _orig(self, pts)
+
+    monkeypatch.setattr(DiscVectorField, "cartesian_jet2", recording)
+    beta_integral(POLY_V, POLY_W, CFG_SMALL)
+    assert sum(seen) == 2 * grid.npts
+
+
+@pytest.mark.parametrize("name", ["cutoff", "bump", "rotation"])
+def test_separable_field_moves_only_where_its_polar_jet_is_nonzero(name):
+    # the cutoff field vanishes below eps1 = 0.2 and not in the outer
+    # band; the bump field vanishes outside (0.2, 0.8), so at both support
+    # edges and in the outer band; the rotation field vanishes nowhere,
+    # not even inside the links' origin guard
+    field = {"cutoff": FIELD_V, "bump": ZERO_TAIL, "rotation": ROT_FIELD}[name]
+    radii = [0.0, 1e-12, 1e-10] + list(np.linspace(0.0, 1.05, 43))
+    for edge in (0.2, 0.8, 1.0):
+        radii += [edge - 1e-9, edge, edge + 1e-9, edge - 0.01, edge + 0.01]
+    th = np.arange(12) * (2.0 * PI / 12.0) + 0.1
+    r, t = (a.ravel() for a in np.meshgrid(radii, th, indexing="ij"))
+    moved = field.moves(np.stack([r * np.cos(t), r * np.sin(t)]))
+    jets = np.stack([np.stack(j) for j in field.polar_jet2(r, t)])
+    assert np.array_equal(moved, np.any(jets != 0.0, axis=(0, 1)))
+    inner, outer = moved[r < 0.2 - 1e-9], moved[r > 0.8 + 1e-9]
+    assert inner.all() if name == "rotation" else not inner.any()
+    assert outer.all() if name != "bump" else not outer.any()
 
 
 def test_beta_quadrature_is_safe_to_run_concurrently():
@@ -597,6 +634,97 @@ def test_beta_fd_through_the_flow_fallback():
     value = beta_from_gamma_fd(mixed, ALEX_FIELD, curve_builder=builder,
                                cfg=CFG_SMALL)
     assert abs(value - reference) < 1e-3
+
+
+def _flow_builder(field):
+    return default_curve_builder(field, flow_steps=16)
+
+
+def _sixteen_gamma_bridge(V, W, builder, cfg, steps=(1e-2, 1e-2)):
+    """The FD bridge as sixteen gamma integrals: every corner's
+    gamma(h_t, k_s) - gamma(k_s, h_t) on its own.  A flow has no inverse
+    link, so gamma against a flow integrates the definition with its
+    time reversal as the inverse."""
+    h_curve, k_curve = builder(V), builder(W)
+    grid = cfg.disc_grid
+
+    def gam(a, b, b_curve, b_step):
+        try:
+            return gamma(a, b, cfg)
+        except UnsupportedError:
+            inverse = b_curve(-b_step)
+            return 3.0 * cfg.c0 * integrate_disc(wedge_trace_2form(
+                mc_components(a.jet(grid.xy, cfg.plan)),
+                mc_components(inverse.jet(grid.xy, cfg.plan))), grid)
+
+    def mixed(ts, ss):
+        total = 0.0
+        for sig, tau in itertools.product((1, -1), repeat=2):
+            h, k = h_curve(sig * ts), k_curve(tau * ss)
+            total += sig * tau * (gam(h, k, k_curve, tau * ss)
+                                  - gam(k, h, h_curve, sig * ts))
+        return total / (4.0 * ts * ss)
+
+    t, s = steps
+    return (4.0 * mixed(0.5 * t, 0.5 * s) - mixed(t, s)) / 3.0
+
+
+@pytest.mark.parametrize("pair", ["closed-form", "twist-alexander", "flow"])
+def test_beta_fd_equals_the_sixteen_gamma_corner_sum(pair):
+    mixed = SeparableDiscField(
+        v3_terms=[(CutoffProfile(XI), TrigPoly(0.0, [0.3]))])
+    V, W, builder = {
+        "closed-form": (ALEX_FIELD, ALEX_FIELD_B, default_curve_builder),
+        "twist-alexander": (ALEX_TWIST_FIELD, ALEX_FIELD_B,
+                            default_curve_builder),
+        "flow": (mixed, ALEX_FIELD, _flow_builder)}[pair]
+    value = beta_from_gamma_fd(V, W, curve_builder=builder, cfg=CFG_SMALL)
+    oracle = _sixteen_gamma_bridge(V, W, builder, CFG_SMALL)
+    assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_beta_fd_builds_each_map_jet_once_per_block(monkeypatch):
+    calls = []
+
+    def recording(self, pts, plan, _orig=DiscDiffeo.jet):
+        calls.append((self, pts.shape[1]))
+        return _orig(self, pts, plan)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the bridge computed a gamma")
+
+    monkeypatch.setattr(DiscDiffeo, "jet", recording)
+    monkeypatch.setattr(cocycle, "gamma_m", refused)
+    monkeypatch.setattr(cocycle, "_BLOCK", 512)
+    beta_from_gamma_fd(ALEX_TWIST_FIELD, ALEX_FIELD_B, cfg=CFG_SMALL)
+    # a density call builds the stacks of its integral's four maps on one
+    # block, and an integral's blocks all go to the same four maps
+    assert len(calls) % 4 == 0
+    integrals = {}
+    for i in range(0, len(calls), 4):
+        group = calls[i:i + 4]
+        maps = frozenset(id(m) for m, _ in group)
+        size = {n for _, n in group}
+        assert len(maps) == 4 and len(size) == 1 and max(size) <= 512
+        integrals.setdefault(maps, []).append(size.pop())
+    # two integrals per Richardson level over sixteen maps in all, each
+    # integral over more than one block
+    assert len(integrals) == 4
+    assert len(frozenset().union(*integrals)) == 16
+    assert all(len(sizes) > 1 for sizes in integrals.values())
+    assert all(sum(sizes) <= CFG_SMALL.disc_grid.npts
+               for sizes in integrals.values())
+
+
+def test_beta_fd_step_that_folds_a_curve_map_is_a_step_error():
+    # at t = 1e-2 the turn t V4 = 1.5 xi(r) sin(theta) has slope 1.5 cos:
+    # the angular link's orientation certificate refuses it
+    steep = SeparableDiscField(
+        v4_terms=[(CutoffProfile(XI), TrigPoly(0.0, [], [150.0]))])
+    with pytest.raises(StepError, match="invalid chain") as info:
+        beta_from_gamma_fd(steep, ALEX_FIELD_B, cfg=CFG_SMALL)
+    assert isinstance(info.value.__cause__, DomainError)
+    assert "orientation" in str(info.value)
 
 
 def test_beta_fd_rejects_degenerate_steps():
