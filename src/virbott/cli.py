@@ -427,13 +427,13 @@ def _chk_gamma_cocycle(ctx):
     worst = 0.0
     first = None
     for a, b, c in triples:
-        res = abs(gamma(a, b, ctx.ccfg)
-                  + gamma(disc_compose(a, b), c, ctx.ccfg)
+        ab = gamma(a, b, ctx.ccfg)
+        res = abs(ab + gamma(disc_compose(a, b), c, ctx.ccfg)
                   - gamma(b, c, ctx.ccfg)
                   - gamma(a, disc_compose(b, c), ctx.ccfg))
         worst = max(worst, res)
         if first is None:
-            first = gamma(a, b, ctx.ccfg)
+            first = ab
     return first, worst, {"triples": len(triples)}
 
 

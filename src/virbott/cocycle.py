@@ -109,10 +109,6 @@ class CocycleConfig:
         self.ball_grid = ball_grid if ball_grid is not None else BallGrid()
         self.plan = plan
 
-    def signature(self):
-        return ("cocycle-config", self.c0, self.disc_grid.signature(),
-                self.ball_grid.signature(), self.plan.signature())
-
 
 class ExtElement:
     """Element (g, a) of the central extension G^ = G x R."""
@@ -250,13 +246,16 @@ _GAMMA_LOCK = threading.Lock()
 def gamma_m(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig) -> float:
     """integral_{D^2} tr(theta(g) ^ theta(h^{-1})) on the config disc grid.
 
-    Values are cached by (g, h, grid, plan) signature in an LRU of
-    ``_GAMMA_CACHE_SIZE`` entries; the cache is safe for concurrent
-    readers and writers (recomputing a value is harmless, losing one is
-    not).
+    Values are cached in an LRU of ``_GAMMA_CACHE_SIZE`` entries, keyed
+    by the link objects of g and h, the grid's two sizes (no grid arrays
+    are held) and the plan's kind.  A link compares by identity and a
+    key holds its links alive, so a value returns only for the very same
+    links, which must not change after they are built.  The cache is
+    safe for concurrent readers and writers (recomputing a value is
+    harmless, losing one is not).
     """
-    key = (g.signature(), h.signature(),
-           cfg.disc_grid.signature(), cfg.plan.signature())
+    grid = cfg.disc_grid
+    key = (g.links, h.links, grid.n_r, grid.n_theta, cfg.plan.kind)
     with _GAMMA_LOCK:
         if key in _GAMMA_CACHE:
             _GAMMA_CACHE.move_to_end(key)

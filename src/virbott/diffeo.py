@@ -13,12 +13,14 @@ The building blocks are:
 * layered ball maps (rho, p) -> (rho, m_{c(rho)}(p)) built from disc links
   graded by a radial profile.
 
-A link is any object with ``apply(pts)``, an exact 2-jet ``jet(pts)``, a
-mask ``moves(pts)`` and a ``signature()``; disc links also give
-``inverse_link()``.  ``moves`` may be False only where the analytic jet is
-exactly the identity (value ``pts``, Jacobian I, Hessian 0, bit for bit);
-a chain's mask is the OR of its links' masks.  Disc and ball maps are one
-chain type: ``DiscDiffeo`` and ``BallDiffeo`` share the chain base.
+A link is any object with ``apply(pts)``, an exact 2-jet ``jet(pts)`` and
+a mask ``moves(pts)``; disc links also give ``inverse_link()``.  ``moves``
+may be False only where the analytic jet is exactly the identity (value
+``pts``, Jacobian I, Hessian 0, bit for bit); a chain's mask is the OR of
+its links' masks.  Disc and ball maps are one chain type: ``DiscDiffeo``
+and ``BallDiffeo`` share the chain base.  The gamma cache keys on link
+objects and holds them (``cocycle.gamma_m``), so a link must not change
+after it is built.
 
 Every link but a flow preserves the radius (and rho in the ball) and only
 turns the angle.  Such a link gives ``radial_moves(r)``, its mask as a
@@ -33,9 +35,9 @@ disc link states its hooks as an increment, ``turn(r, th)`` ->
 exact zero and ``turn_value(r, th)`` -> a, from which ``_PolarLink``
 derives phi = theta + a; it also gives ``scaled(u)``, the link with its
 turn scaled by u.  ``AngularLink`` turns by its displacement A and
-``InverseAngular(link)`` solves for its own hooks; both sign with A.  An
-inverse is built from the certified ``AngularLink`` it inverts and
-hands that link back as its own inverse.
+``InverseAngular(link)`` solves for its own hooks.  An inverse is built
+from the certified ``AngularLink`` it inverts and hands that very link
+object back as its own inverse.
 
 A circle map theta -> theta + 2 pi k + p(theta) is the r = 1 restriction
 of ``AlexanderRadial(2 pi k + p, cutoff, t)``, an angular link, and its
@@ -182,9 +184,6 @@ class CutoffFn(_Profile):
 
     __call__ = value
 
-    def signature(self):
-        return ("cutoff", self.eps1, self.eps2)
-
 
 def cutoff_make(eps1: float, eps2: float) -> CutoffFn:
     """Validated constructor for :class:`CutoffFn` (raises DomainError)."""
@@ -209,9 +208,6 @@ class CutoffProfile(_Profile):
 
     def jets(self, r):
         return self.cutoff.jets(r)
-
-    def signature(self):
-        return ("cutoff-profile",) + self.cutoff.signature()
 
 
 class PoweredCutoffProfile(_Profile):
@@ -240,9 +236,6 @@ class PoweredCutoffProfile(_Profile):
         if k > 1:
             d2 = k * (k - 1) * v ** (k - 2) * d1 ** 2 + slope * d2
         return v ** k, slope * d1, d2
-
-    def signature(self):
-        return ("powered-cutoff", self.k) + self.cutoff.signature()
 
 
 class BumpProfile(_Profile):
@@ -301,9 +294,6 @@ class BumpProfile(_Profile):
         f2[inside] = v * (psi1 ** 2 + psi2)
         return f0, f1, f2
 
-    def signature(self):
-        return ("bump", self.a, self.b, self.amp)
-
 
 # ---------------------------------------------------------------------------
 # derivative plans
@@ -322,9 +312,6 @@ class DerivativePlan:
         if kind not in ("analytic", "fd4"):
             raise DomainError(f"unknown derivative plan {kind!r}")
         self.kind = kind
-
-    def signature(self):
-        return ("plan", self.kind)
 
     def __repr__(self):
         return f"DerivativePlan({self.kind!r})"
@@ -358,12 +345,13 @@ class AngleDisplacement:
         return [prof.value(r) for prof, _ in self.terms]
 
     def value(self, r, th, weights=None):
-        """A(r, th); pass ``weights(r)`` to reuse profile values."""
+        """A(r, th), shaped like r and th broadcast; pass ``weights(r)`` to
+        reuse profile values.  It is read off the rows ``jets`` reads it
+        from, so it equals ``jets(r, th)[0]`` bit for bit."""
         if weights is None:
             weights = self.weights(r)
         out = np.zeros(np.broadcast(r, th).shape)
-        for w, g in zip(weights, self._polys(th, (0,))[0]):
-            out = out + w * g
+        out += self.value_and_slope(weights, th)[0]
         return out
 
     def value_and_slope(self, weights, th):
@@ -447,11 +435,6 @@ class AngleDisplacement:
     def scaled(self, c: float) -> "AngleDisplacement":
         return AngleDisplacement([(prof, c * poly)
                                   for prof, poly in self.terms])
-
-    def signature(self):
-        return ("displacement",) + tuple(
-            (prof.signature(), poly.signature())
-            for prof, poly in self.terms)
 
 
 _ORIENT_MAX_SAMPLES = 4096     # cap on the certificate's angle samples
@@ -722,8 +705,8 @@ class AngularLink(_PolarLink):
     """The link (r, theta) -> (r, theta + A(r, theta)) of an angular
     displacement A, which is its turn; orientation (1 + A_theta > 0) is
     certified at construction (``AngleDisplacement.certify_orientation``).
-    It signs itself with its displacement, so equal maps share one
-    signature."""
+    The gamma cache keys on the link object and holds it, so the link and
+    its displacement must not change after it is built."""
 
     __slots__ = ("displacement",)
 
@@ -739,20 +722,13 @@ class AngularLink(_PolarLink):
         return A, [Ar, At], [[Arr, Art], [Art, Att]]
 
     def turn_value(self, r, th):
-        # A read off the (0, 1) table product, the rows jets() reads it
-        # from: a one-row product (``value`` of one term) takes another
-        # BLAS kernel, which may round A differently
-        disp = self.displacement
-        return disp.value_and_slope(disp.weights(r), th)[0]
+        return self.displacement.value(r, th)
 
     def scaled(self, u: float):
         return AngularLink(self.displacement.scaled(u))
 
     def inverse_link(self):
         return InverseAngular(self)
-
-    def signature(self):
-        return ("angular", self.displacement.signature())
 
 
 def AlexanderRadial(displacement: TrigPoly, cutoff: CutoffFn,
@@ -812,8 +788,10 @@ def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
 class InverseAngular(_PolarLink):
     """Inverse of an angular link, solved per point.  It takes the
     ``AngularLink`` it inverts, whose certificate makes the solved map
-    increasing, and keeps it as its own inverse link; it has its own angle
-    hooks and no turn, and signs itself with the forward displacement."""
+    increasing, and keeps it as its own inverse link, so a chain inverted
+    twice has the same link objects and shares its cached gamma values; it
+    has its own angle hooks and no turn.  Like every link, it must not
+    change after it is built."""
 
     __slots__ = ("link", "displacement")
 
@@ -858,9 +836,6 @@ class InverseAngular(_PolarLink):
     def inverse_link(self):
         return self.link
 
-    def signature(self):
-        return ("inverse-angular", self.displacement.signature())
-
 
 class Rotation(_PolarLink):
     """Rigid rotation of the plane by alpha: the constant turn alpha."""
@@ -884,9 +859,6 @@ class Rotation(_PolarLink):
 
     def inverse_link(self):
         return Rotation(-self.alpha)
-
-    def signature(self):
-        return ("rotation", self.alpha)
 
 
 class FlowMap:
@@ -951,9 +923,6 @@ class FlowMap:
                                "use time_reversed() where a numerical inverse "
                                "is acceptable")
 
-    def signature(self):
-        return ("flow", self.field.signature(), self.time, self.steps)
-
 
 # ---------------------------------------------------------------------------
 # chains and disc diffeomorphisms
@@ -965,7 +934,6 @@ class _Chain:
     with d = 2 on the disc and d = 3 in the ball chart."""
 
     __slots__ = ("links",)
-    _tag: str                     # leads the signature: disc- or ball-chain
 
     def __init__(self, links=()):
         self.links = tuple(links)
@@ -1030,15 +998,11 @@ class _Chain:
         H = 0.5 * (H + H.transpose(0, 2, 1, 3))       # symmetrize FD noise
         return Jet(self.apply(pts), J, H)
 
-    def signature(self):
-        return (self._tag,) + tuple(l.signature() for l in self.links)
-
 
 class DiscDiffeo(_Chain):
     """A diffeomorphism of the disc/plane as a chain of elementary links."""
 
     __slots__ = ()
-    _tag = "disc-chain"
 
     @classmethod
     def from_link(cls, link):
@@ -1153,17 +1117,12 @@ class BallLayerLink(_PolarLink):
         """The planar link m_u."""
         return self.link if self.profile is None else self.link.scaled(u)
 
-    def signature(self):
-        return ("ball-layer", self.link.signature(),
-                None if self.profile is None else self.profile.signature())
-
 
 class BallDiffeo(_Chain):
     """Layered diffeomorphism of the solid ball in the chart
     (rho, x, y) with rho preserved by every layer."""
 
     __slots__ = ()
-    _tag = "ball-chain"
 
     def boundary_map(self) -> DiscDiffeo:
         """The planar chain obtained by restricting every layer to rho = 1."""

@@ -84,9 +84,6 @@ class DiscGrid:
     def npts(self):
         return self.r.size
 
-    def signature(self):
-        return ("disc-grid", self.n_r, self.n_theta)
-
 
 class BallGrid:
     """Tensor grid on the layered ball chart (rho, x, y).
@@ -135,9 +132,6 @@ class BallGrid:
     @property
     def npts(self):
         return self.nodes.shape[1]
-
-    def signature(self):
-        return ("ball-grid", self.n_rho, self.n_plane, self.L)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ answers ``moves(pts)`` as a map does.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -140,10 +139,6 @@ def _sample_asymptotic_flags(v3, v4, ar_epsilon: float):
 # disc vector fields
 # ---------------------------------------------------------------------------
 
-#: Serial numbers for fields built from bare callables.  Unlike id(), a
-#: serial is never handed to a second field, so it can key the gamma cache.
-_FIELD_SERIALS = itertools.count()
-
 
 class DiscVectorField:
     """A field V3 d/dr + V4 d/dtheta on the closed disc.
@@ -165,7 +160,6 @@ class DiscVectorField:
         self.v3 = v3
         self.v4 = v4
         self.ar_epsilon = float(ar_epsilon)
-        self._serial = next(_FIELD_SERIALS)
         for name, fn, poly in (("v3", v3, boundary_v3), ("v4", v4, boundary_v4)):
             if poly is None:
                 poly = _fit_boundary_poly(fn)
@@ -249,9 +243,6 @@ class DiscVectorField:
         node, for a general callable field."""
         return np.ones(np.shape(pts)[1], dtype=bool)
 
-    def signature(self):
-        return ("discfield", self._serial)
-
 
 class SeparableDiscField(DiscVectorField):
     """Field whose components are sums of profile(r) * poly(theta) terms;
@@ -286,13 +277,6 @@ class SeparableDiscField(DiscVectorField):
         r = np.hypot(pts[0], pts[1])
         return ((self._sums[0].radial_envelope(r) != 0.0)
                 | (self._sums[1].radial_envelope(r) != 0.0))
-
-    def signature(self):
-        return ("sepfield", self.ar_epsilon,
-                tuple((p.signature(), q.signature())
-                      for p, q in self.v3_terms),
-                tuple((p.signature(), q.signature())
-                      for p, q in self.v4_terms))
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,6 @@ class TrigPoly:
         return (abs(self.constant) + float(np.sum(np.abs(self.cos_coeffs)))
                 + float(np.sum(np.abs(self.sin_coeffs))))
 
-    def signature(self) -> tuple:
-        """Hashable exact fingerprint (used for cache keys)."""
-        return ("trigpoly", self.real, self.coeffs.tobytes())
-
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented

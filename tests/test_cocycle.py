@@ -9,11 +9,13 @@ extension construction lives on, at default grids with refinement decay.
 """
 
 import concurrent.futures
+import gc
 import json
 import math
 import re
 import sys
 import tracemalloc
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -35,6 +37,8 @@ from virbott.cocycle import (
 from virbott.diffeo import (
     FD4,
     AlexanderRadial,
+    AngleDisplacement,
+    AngularLink,
     BallDiffeo,
     BumpProfile,
     DiscDiffeo,
@@ -94,9 +98,6 @@ def test_config_defaults_and_refined():
     cfg = CocycleConfig()
     assert (cfg.disc_grid.n_r, cfg.disc_grid.n_theta) == (96, 256)
     assert (cfg.ball_grid.n_rho, cfg.ball_grid.n_plane) == (24, 64)
-    # a config on a refined grid keys its cached values apart
-    assert CocycleConfig(cfg.c0, DiscGrid(192, 512)).signature() \
-        != cfg.signature()
     with pytest.raises(DomainError):
         CocycleConfig(float("nan"))
 
@@ -171,9 +172,11 @@ def test_gamma_cache_is_deterministic_and_thread_safe():
     assert set(vals) == {first}
 
 
-def test_gamma_cache_evicts_the_least_recently_used_entry(monkeypatch):
+@pytest.fixture
+def gamma_integrals(monkeypatch):
+    """An empty gamma cache, and the grids of the gamma integrals computed
+    (the cache misses)."""
     monkeypatch.setattr(cocycle, "_GAMMA_CACHE", OrderedDict())
-    monkeypatch.setattr(cocycle, "_GAMMA_CACHE_SIZE", 2)
     computed = []
     integrate = cocycle.integrate_disc
 
@@ -182,6 +185,13 @@ def test_gamma_cache_evicts_the_least_recently_used_entry(monkeypatch):
         return integrate(vals, grid)
 
     monkeypatch.setattr(cocycle, "integrate_disc", counting)
+    return computed
+
+
+def test_gamma_cache_evicts_the_least_recently_used_entry(monkeypatch,
+                                                          gamma_integrals):
+    monkeypatch.setattr(cocycle, "_GAMMA_CACHE_SIZE", 2)
+    computed = gamma_integrals
     gamma_m(TW1, ALEX, CFG_SMALL)
     gamma_m(TW2, ALEX, CFG_SMALL)
     gamma_m(TW1, ALEX, CFG_SMALL)        # a hit refreshes (TW1, ALEX)
@@ -210,6 +220,57 @@ def test_gamma_cache_stays_bounded_under_concurrent_eviction(monkeypatch):
         sys.setswitchinterval(switch)
     assert got == [want[i % 3] for i in range(240)]
     assert len(cocycle._GAMMA_CACHE) <= 2
+
+
+def test_gamma_cache_keeps_its_links_alive_until_cleared(gamma_integrals):
+    # a key holds its link objects, so no new link can take a cached
+    # link's id; clearing the cache lets them go.  Links declare
+    # __slots__ without __weakref__, so the test tracks a subclass
+    class Tracked(AngularLink):
+        pass
+
+    link = Tracked(AngleDisplacement([(BumpProfile(0.2, 0.8, 0.3),
+                                       TrigPoly(1.0))]))
+    ref = weakref.ref(link)
+    gamma_m(DiscDiffeo.from_link(link), ALEX,
+            CocycleConfig(1.0, DiscGrid(8, 16)))
+    del link
+    gc.collect()
+    assert ref() is not None
+    cocycle._GAMMA_CACHE.clear()
+    gc.collect()
+    assert ref() is None
+
+
+def test_gamma_cache_keys_on_grid_sizes_and_plan_kind(gamma_integrals):
+    first = gamma_m(TW1, ALEX, CocycleConfig(1.0, DiscGrid(8, 16)))
+    # another grid object of the same sizes shares the value
+    assert gamma_m(TW1, ALEX, CocycleConfig(2.0, DiscGrid(8, 16))) == first
+    assert len(gamma_integrals) == 1
+    for cfg in (CocycleConfig(1.0, DiscGrid(8, 32)),
+                CocycleConfig(1.0, DiscGrid(12, 16)),
+                CocycleConfig(1.0, DiscGrid(8, 16), plan=FD4)):
+        gamma_m(TW1, ALEX, cfg)
+    assert len(gamma_integrals) == 4
+    # the cache holds no grid, and so none of a grid's arrays
+    assert not any(isinstance(part, DiscGrid)
+                   for key in cocycle._GAMMA_CACHE for part in key)
+
+
+def test_equal_but_distinct_links_are_computed_apart(gamma_integrals):
+    cfg = CocycleConfig(1.0, DiscGrid(8, 16))
+    twists = [DiscDiffeo.from_link(RadialTwist(BumpProfile(0.2, 0.8, 0.3)))
+              for _ in range(2)]
+    values = [gamma_m(tw, ALEX, cfg) for tw in twists]
+    assert len(gamma_integrals) == 2
+    assert values[0] == values[1]
+    # a composition and a double inverse reuse their link objects
+    composed = gamma_m(disc_compose(twists[0], ALEX), ALEX, cfg)
+    computed = len(gamma_integrals)
+    assert gamma_m(disc_compose(twists[0], ALEX), ALEX, cfg) == composed
+    assert gamma_m(disc_invert(disc_invert(twists[0])), ALEX, cfg) \
+        == values[0]
+    assert len(gamma_integrals) == computed
 
 
 # ----------------------------------------------------------------------

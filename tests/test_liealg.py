@@ -113,9 +113,6 @@ class UnitProfile:
         one = self.value(r)
         return one, np.zeros_like(one), np.zeros_like(one)
 
-    def signature(self):
-        return ("unit",)
-
 
 ROT_FIELD = SeparableDiscField(v4_terms=[(UnitProfile(), TrigPoly.const(0.7))])
 ROT_FIELD_B = SeparableDiscField(v4_terms=[(UnitProfile(),
@@ -232,11 +229,9 @@ def test_cartesian_jets_refuse_the_origin():
 
 
 def test_gamma_of_a_flow_with_a_powered_cutoff_profile():
-    # every link signature enters the gamma cache key, profiles included
     cfg = CocycleConfig(disc_grid=DiscGrid(8, 16))
     grid = cfg.disc_grid
     squared = PoweredCutoffProfile(XI, 2)
-    assert squared.signature() != PoweredCutoffProfile(XI, 3).signature()
     field = SeparableDiscField(v4_terms=[(squared, TrigPoly(0.0, [0.3]))])
     g = DiscDiffeo.from_link(FlowMap(field, 0.5, 8))
     h = DiscDiffeo.from_link(AlexanderRadial(TrigPoly(0.0, [0.3]), XI))
