@@ -22,17 +22,28 @@ which is 0 wherever no map of A moves or no map of B does.  So the
 stream takes, once on layer 0, the AND over the factors of the OR of
 their maps' masks.  It sees a grid as a stack of layers of the same
 points (the disc grid and the plane are one layer; the ball grid has one
-per rho, and a layered map's mask does not depend on rho), gathers the
-moved nodes and yields their weighted values to one exact sum
-(``forms._fsum_products``: exponent-binned, rounded once, so equal to
-``math.fsum``).  Every value is bit-identical to a full-grid sum.  Two
-things stay unmasked: the box-edge support guards, which sample a few
-hundred points and must see all of them, and the FD4 plan, whose stencils
-at a fixed node can reach into the support.  A chain subclass that
-overrides ``jet`` must override ``moves`` to match.
+per rho, and a layered map's mask does not depend on rho), optionally
+keeps only some layers, gathers the moved nodes of the kept layers and
+yields their weighted values to one exact sum (``forms._fsum_products``:
+exponent-binned, rounded once, so equal to ``math.fsum``).
+
+W masks its density, not its map, more tightly.  Its integrand
+3 tr(theta_rho [theta_x, theta_y]) is an exact +-0 wherever the jet's
+rho-partials are: frozen layers never depend on rho, and a graded layer
+turns by c(rho) a, whose rho-partials c' a, c'' a, c' a_r and c' a_theta
+vanish where a does or c' = c'' = 0.  So ``wz_term`` keeps the rho
+layers where some graded profile has c' or c'' != 0 (a NaN is kept) and
+the plane points some graded layer moves; a frozen-only map keeps none.
+An exact +-0 moves no bit of the exact sum, so every value is
+bit-identical to a full-grid sum.  Two things stay unmasked: the
+box-edge support guards, which sample a few hundred points and must see
+all of them, and the FD4 plan, whose stencils at a fixed node can reach
+into the support.  A chain subclass that overrides ``jet`` must override
+``moves`` to match.
 
 Each density call sees at most ``_BLOCK`` grid nodes, the FD4 plan's
-included: groups of whole layers, or pieces of one layer if it holds more.
+included: groups of whole kept layers, or pieces of one layer if it holds
+more; a group holds as many layers as fit when every node moves.
 So the jets, MC stacks and wedge traces of one integral hold one block's
 worth of nodes however fine the grid.  The sum rounds exactly, so the
 split moves no bit, with one exception: an ``InverseAngular`` link runs
@@ -194,32 +205,37 @@ def _wedge_2form(left, right, plan):
 _BLOCK = 2 ** 15
 
 
-def _moved_products(density, factors, nodes, weights, plane, plan):
+def _moved_products(density, factors, nodes, weights, plane, plan,
+                    layers=None):
     """density times weight at the moved nodes, one array per batch of
-    whole layers of at most ``_BLOCK`` nodes (a layer of more is split
-    into pieces of ``_BLOCK`` points).
+    at most ``_BLOCK // plane`` kept layers (a layer of more than
+    ``_BLOCK`` points is split into pieces of ``_BLOCK`` points).
 
     ``factors`` holds one tuple of masked objects (maps, or fields) per
     factor of the density; a node is moved where every factor has one that
     moves there.  ``nodes`` is a stack of layers of ``plane`` points each,
     the node of layer i and point k being i * plane + k: the disc grid and
     the plane are one layer, the ball grid one layer per rho.  The mask is
-    taken once, on layer 0 (see the module docstring).  Under a
-    finite-difference plan, or with no factors, every node counts as moved.
+    taken once, on layer 0, and holds on the kept layers: all of them, or
+    those where the boolean mask ``layers`` is True (see the module
+    docstring).  Under a finite-difference plan every node counts as
+    moved, and with no factors every node of a kept layer.
     """
-    if plan.kind == "analytic" and factors:
+    analytic = plan.kind == "analytic"
+    if analytic and factors:
         pts = nodes[:, :plane]
         moved = np.flatnonzero(functools.reduce(np.logical_and, (
             functools.reduce(np.logical_or, (m.moves(pts) for m in factor))
             for factor in factors)))
     else:
         moved = np.arange(plane)
-    layers = nodes.shape[1] // plane
-    per = max(1, _BLOCK // plane)               # whole layers per batch
+    kept = (np.flatnonzero(layers) if analytic and layers is not None
+            else np.arange(nodes.shape[1] // plane))
+    per = max(1, _BLOCK // plane)               # layers per batch
     span = min(plane, _BLOCK)                   # points per layer piece
     cuts = np.searchsorted(moved, np.arange(0, plane + span, span))
-    for lo in range(0, layers, per):
-        starts = np.arange(lo, min(lo + per, layers))[:, None] * plane
+    for lo in range(0, kept.size, per):
+        starts = kept[lo:lo + per, None] * plane
         for a, b in zip(cuts[:-1], cuts[1:]):
             if a < b:
                 idx = (starts + moved[a:b]).ravel()
@@ -287,6 +303,14 @@ def ext_mul(e1: ExtElement, e2: ExtElement, cfg: CocycleConfig) -> ExtElement:
 def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
     """W(B) = integral_{B^3} tr(theta(B)^{wedge 3}) over the layered chart.
 
+    The integrand 3 tr(theta_rho [theta_x, theta_y]) is taken only where B
+    may depend on rho: on the rho layers where some graded layer's profile
+    has c' or c'' != 0 (a NaN counts), at the plane points some graded
+    layer moves.  Frozen layers do not depend on rho, so elsewhere every
+    rho-partial of the jet, and with it theta_rho and the integrand, is an
+    exact +-0, which moves no bit of the exact sum (see the module
+    docstring).  The FD4 plan takes every node.
+
     The integrand must vanish on the chart-box edge (layer supports stay
     inside the unit disc of the plane); a visible value at one of the
     grid's edge samples raises SupportError before any integration happens.
@@ -304,8 +328,14 @@ def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
 
     _check_edge(density(grid.edge_points), grid.edge_points,
                 "Wess-Zumino integrand", "box")
+    graded = BallDiffeo(link for link in B.links if link.profile is not None)
+    varying = np.zeros(grid.n_rho, dtype=bool)
+    for layer in graded.links:
+        _, c1, c2 = layer.profile.jets(grid.nodes[0, ::plane])
+        varying |= (c1 != 0.0) | (c2 != 0.0)
     W = integrate_ball(_moved_products(
-        density, ((B,),), grid.nodes, grid.weights, plane, cfg.plan), grid)
+        density, ((graded,),), grid.nodes, grid.weights, plane, cfg.plan,
+        varying), grid)
     if (B.links and (W == 0.0 or cfg.plan.kind != "analytic")
             and not B.moves(grid.nodes[:, :plane]).any()):
         raise DomainError(f"ball map moves no plane node of the box "

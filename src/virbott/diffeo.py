@@ -1091,8 +1091,10 @@ class BallLayerLink(_PolarLink):
         self.profile = profile
 
     def radial_moves(self, r):
-        # the rho-derivative of a graded layer is c' a, so layers where
-        # c = 0 stay active; only where a vanishes is the layer the identity
+        # the map's mask, the same on every rho layer: where c = 0 the layer
+        # is the identity, but its rho-derivative c' a need not be, so its
+        # jet is the identity only where a vanishes.  W masks its density
+        # more tightly, by where the map depends on rho (cocycle.wz_term)
         return self.link.radial_moves(r)
 
     def angle_jet(self, rho, r, th):

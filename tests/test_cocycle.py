@@ -41,6 +41,7 @@ from virbott.diffeo import (
     AngularLink,
     BallDiffeo,
     BumpProfile,
+    CutoffProfile,
     DiscDiffeo,
     Jet,
     PoweredCutoffProfile,
@@ -56,6 +57,7 @@ from virbott.diffeo import (
 from virbott.errors import (
     DomainError,
     NotBoundaryTrivialError,
+    NumericError,
     SupportError,
 )
 from virbott.forms import (
@@ -564,12 +566,94 @@ def ball_maps():
     }
 
 
+def w_support(B, grid):
+    """(rho layers, plane points) where W's integrand may be nonzero, read
+    off B's graded layers: the layers where a profile has c' or c'' != 0,
+    and the plane points a graded layer moves."""
+    n2 = grid.n_plane ** 2
+    rho = grid.nodes[0].reshape(grid.n_rho, n2)[:, 0]
+    r = np.hypot(grid.nodes[1, :n2], grid.nodes[2, :n2])
+    layers = np.zeros(grid.n_rho, dtype=bool)
+    plane = np.zeros(n2, dtype=bool)
+    for layer in B.links:
+        if layer.profile is not None:
+            _, c1, c2 = layer.profile.jets(rho)
+            layers |= (c1 != 0.0) | (c2 != 0.0)
+            plane |= layer.radial_moves(r)
+    return layers, plane
+
+
+# flat for rho <= 0.3 and rho >= 0.7, so on 8 of CFG_SMALL's 10 rho layers
+FLAT_ENDS = CutoffProfile(cutoff_make(0.3, 0.3))
+
+
+def w_support_maps():
+    """ball_maps() with a frozen-only map (every layer a conjugator, so W
+    does not depend on rho anywhere) and twists graded by FLAT_ENDS."""
+    return {**ball_maps(),
+            "frozen": conjugated_extension(ALEX, DiscDiffeo.identity(), XI),
+            "flat-layers": ball_extend(TW1, XI, profile=FLAT_ENDS),
+            "conj-flat-layers": conjugated_extension(ALEX, TW1, XI,
+                                                     profile=FLAT_ENDS)}
+
+
 @pytest.mark.parametrize("name", ["twist", "alexander", "rotation",
                                   "identity", "conj-rotation",
-                                  "conj-alexander"])
+                                  "conj-alexander", "frozen", "flat-layers",
+                                  "conj-flat-layers"])
 def test_masked_wz_equals_the_full_grid_sum(name):
-    B = ball_maps()[name]
+    B = w_support_maps()[name]
     assert wz_term(B, CFG_SMALL) == full_wz(B, CFG_SMALL)
+
+
+@pytest.mark.parametrize("name", sorted(w_support_maps()))
+def test_w_density_is_exactly_zero_off_its_support(name):
+    # W's integrand is 3 tr(theta_rho [theta_x, theta_y]), and theta_rho is
+    # an exact +-0 wherever the map does not depend on rho
+    B = w_support_maps()[name]
+    grid = CFG_SMALL.ball_grid
+    vals = wedge_trace_cube(mc_components(B.jet(grid.nodes)))
+    layers, plane = w_support(B, grid)
+    skipped = ~np.outer(layers, plane).ravel()
+    assert np.count_nonzero(skipped) >= 2 * plane.size
+    assert np.all(vals[skipped] == 0.0)
+
+
+def test_wz_takes_its_integrand_on_varying_layers_only(jet_nodes):
+    B = w_support_maps()["flat-layers"]
+    grid = CFG_SMALL.ball_grid
+    layers, plane = w_support(B, grid)
+    assert np.count_nonzero(layers) == 2
+    assert wz_term(B, CFG_SMALL) != 0.0
+    _, *interior = jet_nodes["ball"]            # after the edge samples
+    assert interior == [2 * np.count_nonzero(plane)]
+
+
+def test_frozen_only_map_evaluates_no_interior_node(jet_nodes):
+    B = w_support_maps()["frozen"]
+    grid = CFG_SMALL.ball_grid
+    assert B.moves(grid.nodes[:, :grid.n_plane ** 2]).any()
+    assert wz_term(B, CFG_SMALL) == 0.0
+    assert jet_nodes["ball"] == [grid.edge_points.shape[1]]
+
+
+class _NaNCurvatureProfile(CutoffProfile):
+    """XI with c'' = NaN above rho = 0.96, where XI is flat: on CFG_SMALL
+    that is the top rho layer, which W skips when c'' is 0."""
+
+    __slots__ = ()
+
+    def jets(self, r):
+        c0, c1, c2 = super().jets(r)
+        return c0, c1, np.where(r > 0.96, np.nan, c2)
+
+
+def test_a_nan_profile_curvature_keeps_its_layer():
+    # NaN != 0, so the layer stays in W and the quadrature refuses it
+    B = ball_extend(TW1, XI, profile=_NaNCurvatureProfile(XI))
+    assert w_support(B, CFG_SMALL.ball_grid)[0][-1]
+    with pytest.raises(NumericError, match="non-finite"):
+        wz_term(B, CFG_SMALL)
 
 
 def test_masked_wz_skips_the_fixed_nodes(jet_nodes):
@@ -664,7 +748,8 @@ def test_no_density_call_sees_more_than_a_block(cold_gamma, jet_nodes,
     edge, *interior = jet_nodes["ball"]
     assert edge == CFG_SMALL.ball_grid.edge_points.shape[1]
     assert interior and max(interior) <= 256
-    assert sum(interior) == np.count_nonzero(B.moves(CFG_SMALL.ball_grid.nodes))
+    layers, plane = w_support(B, CFG_SMALL.ball_grid)
+    assert sum(interior) == np.count_nonzero(layers) * np.count_nonzero(plane)
 
 
 def test_wz_masks_each_plane_point_once(monkeypatch):
@@ -722,7 +807,8 @@ def test_gamma_masks_each_factor_once_over_the_grid(cold_gamma, monkeypatch,
 
 
 # CFG_SMALL's layers hold 24^2 = 576 nodes: 256 splits each in three
-# pieces, 576 and 1000 take one layer per call, 1729 three
+# pieces, 576 and 1000 take one layer per call, 1729 three, of the 8 rho
+# layers where XI varies
 @pytest.mark.parametrize("block", [256, 576, 1000, 1729])
 def test_ball_groups_hold_whole_layers_or_layer_pieces(block, jet_nodes,
                                                        monkeypatch):
@@ -731,11 +817,13 @@ def test_ball_groups_hold_whole_layers_or_layer_pieces(block, jet_nodes,
     n2 = grid.n_plane ** 2
     B = ball_extend(TW1, XI)
     val = wz_term(B, CFG_SMALL)
-    plane = B.moves(grid.nodes[:, :n2])
+    layers, plane = w_support(B, grid)
+    varying = np.count_nonzero(layers)
+    assert varying == 8
     span, per = min(block, n2), max(1, block // n2)
     pieces = [np.count_nonzero(plane[lo:lo + span])
               for lo in range(0, n2, span)]
-    groups = [min(per, grid.n_rho - lo) for lo in range(0, grid.n_rho, per)]
+    groups = [min(per, varying - lo) for lo in range(0, varying, per)]
     _, *interior = jet_nodes["ball"]            # after the edge samples
     assert interior == [m * k for m in groups for k in pieces if k]
     assert max(interior) <= block
