@@ -24,8 +24,9 @@ of a flag only the other verb has (``levels`` in a ``verify`` file,
 
 Exit status of ``verify`` is 0 exactly when every selected check passes.
 A failing check is recorded in the report (``"pass": false``); only broken
-configuration, an unwritable ``--out`` included, raises (``ConfigError``)
-and exits 2; the ``--out`` path is checked before any check runs.
+configuration, an empty or unwritable ``--out`` included, raises
+(``ConfigError``) and exits 2; the ``--out`` path is checked before any
+check runs.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class SuiteConfig:
                 raise ConfigError(f"tolerance for {key!r} must be finite and "
                                   f"non-negative, got {val!r}")
         self.out_path = out_path
-        if out_path:
+        if out_path is not None:
             _check_writable(out_path)
         # building the quadrature config validates c0 and the grid bounds
         self.cocycle_cfg = _wrap_config(
@@ -183,7 +184,9 @@ def _check_writable(path: str):
     """ConfigError unless ``path`` can be opened for writing; nothing is
     created or truncated before the run ends."""
     folder = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
+    if not path:
+        why = "the path is empty"
+    elif os.path.isdir(path):
         why = "it is a directory"
     elif not os.path.isdir(folder):
         why = f"no directory {folder!r}"
@@ -682,7 +685,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
     meta = cfg.meta()
     meta["wall_time_seconds"] = wall if cfg.timing else None
     report = Report(cfg.suite, results, meta, wall)
-    if cfg.out_path:
+    if cfg.out_path is not None:
         with _open_out(cfg.out_path) as handle:
             handle.write(report.to_json())
     return report
@@ -912,7 +915,7 @@ def main(argv=None) -> int:
         series = [{axis: getattr(cfg, axis) * 2**i for axis in check.axes}
                   for i in range(args.levels)]
         rows = convergence_study(args.check, series, cfg)
-        if cfg.out_path:
+        if cfg.out_path is not None:
             with _open_out(cfg.out_path, newline="") as handle:
                 write_convergence_csv(rows, handle)
         else:

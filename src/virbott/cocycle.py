@@ -343,23 +343,22 @@ def wz_term(B: BallDiffeo, cfg: CocycleConfig) -> float:
     return W
 
 
-def omega0(h: DiscDiffeo, cfg: CocycleConfig, xi: CutoffFn | None = None,
-           profile=None) -> float:
+def omega0(h: DiscDiffeo, cfg: CocycleConfig,
+           xi: CutoffFn | None = None) -> float:
     """c0 * W of the layered ball extension of a boundary-trivial element.
 
     The extension follows h's own canonical isotopy (every link with a
     turn scales it linearly in u, inverse links stay frozen), radially
-    graded by ``profile`` (default: the plain cutoff profile of ``xi``).
+    graded by the cutoff profile of ``xi`` (default: cutoff_make(0.2, 0.2)).
     """
     require_boundary_trivial(
         h, _BT_EPS, "omega0 is defined on the boundary-trivial subgroup only")
-    ball = ball_extend(h, xi if xi is not None else _DEFAULT_BALL_CUTOFF,
-                       profile)
+    ball = ball_extend(h, xi if xi is not None else _DEFAULT_BALL_CUTOFF)
     return cfg.c0 * wz_term(ball, cfg)
 
 
 def delta_g_residual(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
-                     xi: CutoffFn | None = None, profile=None) -> float:
+                     xi: CutoffFn | None = None) -> float:
     """|omega0(h) + gamma(g, h) + gamma(gh, g^{-1}) - omega0(g h g^{-1})|.
 
     The conjugate's omega0 runs along the conjugated isotopy
@@ -373,9 +372,9 @@ def delta_g_residual(g: DiscDiffeo, h: DiscDiffeo, cfg: CocycleConfig,
         "conjugate g h g^{-1} fails the boundary-triviality check")
     xi_ = xi if xi is not None else _DEFAULT_BALL_CUTOFF
     gh = disc_compose(g, h)
-    total = (omega0(h, cfg, xi_, profile)
+    total = (omega0(h, cfg, xi_)
              + gamma(g, h, cfg) + gamma(gh, disc_invert(g), cfg))
-    om_conj = cfg.c0 * wz_term(conjugated_extension(g, h, xi_, profile), cfg)
+    om_conj = cfg.c0 * wz_term(conjugated_extension(g, h, xi_), cfg)
     return abs(total - om_conj)
 
 

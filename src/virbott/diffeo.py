@@ -67,8 +67,8 @@ and without one it is frozen, the link itself at every rho.
 
 A radial profile gives ``value(r)``, its value range ``bounds``, its
 ``support`` (lo, hi), the radius ``flat_from`` from which it is constant,
-and ``jets(r)`` = (f, f', f'') from one shared pass; ``d1`` and ``d2`` read
-``jets`` (``_Profile``), and ``jets(r)[0]`` is ``value(r)`` bit for bit.
+and ``jets(r)`` = (f, f', f'') from one shared pass, whose first entry is
+``value(r)`` bit for bit.
 ``value`` stays a separate, cheaper method because the link masks
 evaluate it over whole grids.
 """
@@ -82,13 +82,11 @@ import numpy as np
 from ._jets import (
     Jet,
     compose,
-    det_batched,
     fd4_jacobian,
     polar_chart_jet,
 )
 from .errors import (
     ConvergenceError,
-    DegenerateError,
     DomainError,
     NotBoundaryTrivialError,
     UnsupportedError,
@@ -120,21 +118,7 @@ def _bump(x, jets=False):
     return out, d1, d2
 
 
-class _Profile:
-    """Base of the radial profiles: each gives ``value(r)``, ``bounds``,
-    ``support``, ``flat_from`` and ``jets(r)`` (see the module docstring);
-    ``d1``, ``d2`` read jets."""
-
-    __slots__ = ()
-
-    def d1(self, r):
-        return self.jets(r)[1]
-
-    def d2(self, r):
-        return self.jets(r)[2]
-
-
-class CutoffFn(_Profile):
+class CutoffFn:
     """Smooth monotone cutoff from 0 to 1 over the window [eps1, 1 - eps2].
 
     xi(r) = b(x) / (b(x) + b(1-x)) with b(x) = exp(-1/x) and
@@ -192,7 +176,7 @@ def cutoff_make(eps1: float, eps2: float) -> CutoffFn:
     return CutoffFn(eps1, eps2)
 
 
-class CutoffProfile(_Profile):
+class CutoffProfile:
     """Radial profile r -> xi(r); support [eps1, inf), flat 1 from
     1 - eps2 on."""
 
@@ -241,7 +225,7 @@ class PoweredCutoffProfile(CutoffProfile):
         return v ** k, slope * d1, d2
 
 
-class BumpProfile(_Profile):
+class BumpProfile:
     """amp * exp(4/(b-a)^2 - 1/((r-a)(b-r))) on (a, b), 0 outside.
 
     Compactly supported in [a, b] and flat at both ends; peak value amp at
@@ -760,8 +744,12 @@ def RadialTwist(profile) -> AngularLink:
     return AngularLink(AngleDisplacement([(profile, TrigPoly(1.0))]))
 
 
-def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
-                     what="root solve"):
+# residual bound and Newton iteration cap of every angle inversion
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 200
+
+
+def solve_increasing(residual, x, lo, hi):
     """Per-node root of an increasing function inside [lo, hi], vectorized;
     ``residual(x)`` returns its values and slopes at x.
 
@@ -770,11 +758,13 @@ def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
     would leave it is bisected instead.  A step landing exactly on an end
     counts as inside, so converged nodes are never bisected.  Returns
     (x, newton_iterations, bisected_node_steps); raises ConvergenceError if
-    some |residual| still exceeds ``tol`` after ``max_iter`` iterations.
+    some |residual| still exceeds ``_NEWTON_TOL`` after ``_NEWTON_MAX_ITER``
+    iterations.
     """
     res, slope = residual(x)
     iters = bisected = 0
-    while iters < max_iter and not np.all(np.abs(res) <= tol):
+    while (iters < _NEWTON_MAX_ITER
+           and not np.all(np.abs(res) <= _NEWTON_TOL)):
         iters += 1
         hi = np.where(res > 0.0, x, hi)
         lo = np.where(res < 0.0, x, lo)
@@ -783,12 +773,12 @@ def solve_increasing(residual, x, lo, hi, tol=1e-12, max_iter=200,
         bisected += int(np.count_nonzero(~inside))
         x = np.where(inside, step, 0.5 * (lo + hi))
         res, slope = residual(x)
-    above = ~(np.abs(res) <= tol)
+    above = ~(np.abs(res) <= _NEWTON_TOL)
     if np.any(above):
         raise ConvergenceError(
-            f"{what} stalled at residual {np.max(np.abs(res)):.3e}: "
+            f"angle inversion stalled at residual {np.max(np.abs(res)):.3e}: "
             f"{int(np.count_nonzero(above))} of {res.size} nodes above "
-            f"tol {tol:.1e} after {iters} Newton iterations")
+            f"tol {_NEWTON_TOL:.1e} after {iters} Newton iterations")
     return x, iters, bisected
 
 
@@ -812,7 +802,7 @@ class InverseAngular(_PolarLink):
     def radial_moves(self, r):
         return self.displacement.radial_moves(r)
 
-    def _solve(self, r, t, tol=1e-12, max_iter=200):
+    def _solve(self, r, t):
         """Solve psi + A(r, psi) = t per node by :func:`solve_increasing`.
 
         The seed psi0 = t - A(r, t) is exact where A does not depend on
@@ -830,8 +820,7 @@ class InverseAngular(_PolarLink):
             return psi + value - t, slope
 
         return solve_increasing(
-            residual, t - disp.value(r, t, w), t - bound, t + bound, tol,
-            max_iter, "angle inversion")
+            residual, t - disp.value(r, t, w), t - bound, t + bound)
 
     def angle_jet(self, r, t):
         psi = self._solve(r, t)[0]
@@ -850,6 +839,9 @@ class Rotation(_PolarLink):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
+        if not math.isfinite(alpha):
+            raise DomainError(f"rotation angle must be finite, "
+                              f"got alpha={alpha!r}")
         self.alpha = float(alpha)
 
     def radial_moves(self, r):
@@ -887,9 +879,6 @@ class FlowMap:
         self.time = float(time)
         self.steps = int(steps)
 
-    def time_reversed(self):
-        return FlowMap(self.field, -self.time, self.steps)
-
     def apply(self, pts):
         x = pts.astype(np.float64).copy()
         dt = self.time / self.steps
@@ -926,9 +915,7 @@ class FlowMap:
         return Jet(x, J, H)
 
     def inverse_link(self):
-        raise UnsupportedError("flow links have no closed-form inverse; "
-                               "use time_reversed() where a numerical inverse "
-                               "is acceptable")
+        raise UnsupportedError("flow links have no closed-form inverse")
 
 
 # ---------------------------------------------------------------------------
@@ -1026,26 +1013,10 @@ def disc_invert(g: DiscDiffeo) -> DiscDiffeo:
     return DiscDiffeo(tuple(link.inverse_link() for link in reversed(g.links)))
 
 
-def _chain_jacobian(chain: _Chain, pts, plan: DerivativePlan, failure: str):
-    """Jacobian stack (d, d, N), or (d, d) for a single point; raises
-    DegenerateError naming ``failure`` and the min det if any det <= 0."""
-    pts = np.asarray(pts, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[:, None]
-    J = chain.jet(pts, plan).j
-    det = det_batched(J)
-    if np.any(det <= 0.0) or np.any(~np.isfinite(det)):
-        raise DegenerateError(f"{failure} (min det {np.min(det):.3e})")
-    return J[:, :, 0] if single else J
-
-
-def disc_jacobian(g: DiscDiffeo, pts, plan: DerivativePlan = ANALYTIC):
-    """Jacobian stack (2, 2, N); DegenerateError if any det <= 0."""
-    return _chain_jacobian(g, pts, plan, "Jacobian not orientation-preserving")
-
-
 _BT_ANGLES = np.linspace(0.0, _TWO_PI, 256, endpoint=False)
+
+# largest coordinate offset the identity checks of sampled maps accept
+_IDENTITY_TOL = 1e-12
 
 
 def _boundary_offset(g: DiscDiffeo, eps: float):
@@ -1060,14 +1031,13 @@ def _boundary_offset(g: DiscDiffeo, eps: float):
     return off[k], r[k], off.size
 
 
-def require_boundary_trivial(g: DiscDiffeo, eps: float, what: str,
-                             tol: float = 1e-12):
+def require_boundary_trivial(g: DiscDiffeo, eps: float, what: str):
     """Raise NotBoundaryTrivialError saying ``what`` and naming the worst
-    sample unless g is the identity (to ``tol``) on the annulus radii
-    1-eps/2 and 1-eps/4: the test that g is a sphere map, one that the
-    identity extends across the chart."""
+    sample unless g is the identity (to ``_IDENTITY_TOL``) on the annulus
+    radii 1-eps/2 and 1-eps/4: the test that g is a sphere map, one that
+    the identity extends across the chart."""
     off, r, n = _boundary_offset(g, eps)
-    if not off <= tol:
+    if not off <= _IDENTITY_TOL:
         raise NotBoundaryTrivialError(
             f"{what} (a coordinate moves by {off:.3e} at r={r:.4g}; worst of "
             f"{n} samples)")
@@ -1162,14 +1132,14 @@ def _layers(links, profile):
 _ID_CHECK_RADII = (0.15, 0.45, 0.75, 0.95)
 
 
-def _check_parameter_zero_identity(ball: BallDiffeo, tol: float = 1e-12):
+def _check_parameter_zero_identity(ball: BallDiffeo):
     r, th = (g.ravel() for g in np.meshgrid(
         _ID_CHECK_RADII, np.linspace(0.0, _TWO_PI, 64, endpoint=False),
         indexing="ij"))
     pts = np.stack([r * np.cos(th), r * np.sin(th)])
     off = np.max(np.abs(ball.parameter_zero_map().apply(pts) - pts), axis=0)
     k = int(np.argmax(off))
-    if not off[k] <= tol:
+    if not off[k] <= _IDENTITY_TOL:
         raise DomainError(
             "layer isotopy does not start at the identity (frozen conjugator "
             "links fail to cancel at u = 0: a coordinate moves by "
@@ -1201,9 +1171,3 @@ def conjugated_extension(g: DiscDiffeo, h: DiscDiffeo, xi: CutoffFn,
                       + _layers(h.links, prof) + _layers(g.links, None))
     _check_parameter_zero_identity(ball)
     return ball
-
-
-def ball_jacobian(B: BallDiffeo, pts3, plan: DerivativePlan = ANALYTIC):
-    """Jacobian stack (3, 3, N); DegenerateError if any det <= 0.  For
-    layered maps the top row is exactly (1, 0, 0)."""
-    return _chain_jacobian(B, pts3, plan, "ball Jacobian degenerate")

@@ -32,6 +32,7 @@ map does.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -69,6 +70,10 @@ _BOUNDARY_MATCH_TOL = 1e-10
 _GENERATOR_PRUNE = 1e-12
 _AZ_VALUE_TOL = 1e-12
 _THETA_FD_STEP = 1e-4
+# width of the outer band r > 1 - _AR_BAND on which the field flags are read
+_AR_BAND = 0.05
+# step in t and in s of the FD bridge from gamma to beta
+_BETA_FD_STEP = 1e-2
 
 # ---------------------------------------------------------------------------
 # disc vector fields
@@ -96,7 +101,7 @@ class SeparableDiscField:
     exact.  A term with a non-finite coefficient is refused (DomainError).
 
     The flags are decided from the terms' profiles, with no sample.  Write
-    b = 1 - ``ar_epsilon`` and leave out the terms whose polynomial is
+    b = 1 - ``_AR_BAND`` = 0.95 and leave out the terms whose polynomial is
     identically zero.  The field is asymptotically zero if every profile's
     support ends by b, and asymptotically radial if every profile is
     constant from b on (``flat_from``).  Both are sufficient conditions: a
@@ -104,12 +109,9 @@ class SeparableDiscField:
     its boundary V3 vanishes.
     """
 
-    def __init__(self, v3_terms=(), v4_terms=(), ar_epsilon: float = 0.05):
-        if not (0.0 < ar_epsilon < 1.0):
-            raise DomainError(f"ar_epsilon={ar_epsilon} outside (0, 1)")
+    def __init__(self, v3_terms=(), v4_terms=()):
         self.v3_terms = tuple((p, q) for p, q in v3_terms)
         self.v4_terms = tuple((p, q) for p, q in v4_terms)
-        self.ar_epsilon = float(ar_epsilon)
         for name, terms in (("v3", self.v3_terms), ("v4", self.v4_terms)):
             for k, (_, poly) in enumerate(terms):
                 if not np.isfinite(poly.coeffs).all():
@@ -146,12 +148,12 @@ class SeparableDiscField:
 
     @property
     def asymptotically_zero(self) -> bool:
-        b = 1.0 - self.ar_epsilon
+        b = 1.0 - _AR_BAND
         return all(prof.support[1] <= b for prof in self._band_profiles())
 
     @property
     def asymptotically_radial(self) -> bool:
-        b = 1.0 - self.ar_epsilon
+        b = 1.0 - _AR_BAND
         return all(prof.flat_from <= b for prof in self._band_profiles())
 
     @property
@@ -260,8 +262,7 @@ def ar_split(V: SeparableDiscField, xi: CutoffFn):
     if f.coeff_l1() <= _AZ_VALUE_TOL:
         return V, TrigPoly.zero()
     correction = (CutoffProfile(xi), f * (-1.0))
-    return (SeparableDiscField(V.v3_terms + (correction,), V.v4_terms,
-                               ar_epsilon=V.ar_epsilon), f)
+    return SeparableDiscField(V.v3_terms + (correction,), V.v4_terms), f
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +354,11 @@ def _curve_inverse(curve, t: float, g: DiscDiffeo) -> DiscDiffeo:
 
 
 def beta_from_gamma_fd(V: SeparableDiscField, W: SeparableDiscField,
-                       curve_builder=None, cfg: CocycleConfig | None = None,
-                       steps=(1e-2, 1e-2)) -> float:
+                       curve_builder=None,
+                       cfg: CocycleConfig | None = None) -> float:
     """beta(V, W) as the mixed derivative d^2/dt ds of
     gamma(h_t, k_s) - gamma(k_s, h_t) at (0, 0), by central differences
-    with one Richardson halving.
+    with one Richardson halving of the steps t = s = ``_BETA_FD_STEP``.
 
     gamma is bilinear in the MC forms, so the corner sum over the steps
     (+-t, +-s) is 3 c0 [int tr(D(h) ^ D(k^{-1})) - int tr(D(k) ^ D(h^{-1}))]
@@ -368,10 +369,6 @@ def beta_from_gamma_fd(V: SeparableDiscField, W: SeparableDiscField,
     two are one computation, so the diagonal is exactly 0.
     """
     cfg = cfg if cfg is not None else CocycleConfig()
-    t_step, s_step = (float(steps[0]), float(steps[1]))
-    if not (t_step > 0.0 and s_step > 0.0
-            and np.isfinite(t_step) and np.isfinite(s_step)):
-        raise StepError(f"FD steps must be positive and finite: {steps}")
     build = curve_builder if curve_builder is not None else default_curve_builder
     h_curve, k_curve = build(V), build(W)
 
@@ -381,19 +378,19 @@ def beta_from_gamma_fd(V: SeparableDiscField, W: SeparableDiscField,
         return maps, [(sign, _curve_inverse(curve, sign * step, g))
                       for sign, g in maps]
 
-    def mixed(ts, ss):
+    def mixed(step):
         try:
-            h, h_inv = ends(h_curve, ts)
-            k, k_inv = ends(k_curve, ss)
+            h, h_inv = ends(h_curve, step)
+            k, k_inv = ends(k_curve, step)
             corners = (_wedge_integral(h, k_inv, cfg)
                        - _wedge_integral(k, h_inv, cfg))
         except DomainError as exc:
             raise StepError(
                 f"curve step produced an invalid chain: {exc}") from exc
-        return 3.0 * cfg.c0 * corners / (4.0 * ts * ss)
+        return 3.0 * cfg.c0 * corners / (4.0 * step * step)
 
-    d_full = mixed(t_step, s_step)
-    d_half = mixed(0.5 * t_step, 0.5 * s_step)
+    d_full = mixed(_BETA_FD_STEP)
+    d_half = mixed(0.5 * _BETA_FD_STEP)
     return (4.0 * d_half - d_full) / 3.0
 
 
@@ -429,8 +426,8 @@ def semidirect_bracket(x: SemidirectElement, y: SemidirectElement,
 
 
 class GeneratorIndexPair:
-    """Index data (n, m, kind) for a bracket of generators; kind is one of
-    LL, LJ, JJ."""
+    """Index data (n, m, kind) for a bracket of generators; n and m are
+    integers (Python or numpy), and kind is one of LL, LJ, JJ."""
 
     __slots__ = ("n", "m", "kind")
     _KINDS = ("LL", "LJ", "JJ")
@@ -438,8 +435,11 @@ class GeneratorIndexPair:
     def __init__(self, n: int, m: int, kind: str):
         if kind not in self._KINDS:
             raise DomainError(f"kind must be one of {self._KINDS}: {kind!r}")
-        self.n = int(n)
-        self.m = int(m)
+        try:
+            self.n, self.m = operator.index(n), operator.index(m)
+        except TypeError:
+            raise DomainError(f"generator indices must be integers, got "
+                              f"n={n!r}, m={m!r}") from None
         self.kind = kind
 
     def __repr__(self):

@@ -14,13 +14,15 @@ derived, trimmed, read-only views (``cos_coeffs``, ``sin_coeffs``).  All
 operations are coefficient-exact (no sampling, no aliasing): a sum pads
 and adds the vectors, the derivative multiplies c_k by i k, a product
 convolves the vectors, and an integral over a period reads off c_0.
+Every degree is capped at ``MAX_HARMONIC``: building a polynomial or
+taking a product past it raises ``HarmonicCapError`` instead of aliasing.
 
 The module also carries the bracket and the two classical pairings of
 boundary vector fields v(theta) d/dtheta, each field given by its
 component v, a TrigPoly:
 
 * ``circle_bracket(v, w)`` -- v w' - w v', every product p q' skipped
-  (the zero polynomial with its flag and cap) when a factor is zero;
+  (the zero polynomial with its flag) when a factor is zero;
 * ``gelfand_fuchs(v, w)`` -- (1 / 24 pi i) * integral of v' w'' ;
 * ``heisenberg_cocycle(v, w)`` -- integral of v' w .
 """
@@ -34,9 +36,8 @@ import numpy as np
 
 from .errors import HarmonicCapError
 
-#: Operations refuse to build coefficient arrays longer than this unless the
-#: operands carry a more permissive cap of their own.
-DEFAULT_MAX_HARMONIC = 256
+#: The largest degree a polynomial, and so a product, may have.
+MAX_HARMONIC = 256
 
 _TWO_PI = 2.0 * math.pi
 
@@ -58,17 +59,13 @@ class TrigPoly:
         The mean value c0.
     cos_coeffs, sin_coeffs : sequence of scalars
         Coefficients a_n, b_n for n = 1, 2, ...; trailing zeros are trimmed.
-        The polynomial is complex if any of the data is.
-    max_harmonic : int
-        Cap on the harmonic content this polynomial (and products built from
-        it) may carry.  Products whose exact degree would exceed the cap
-        raise :class:`HarmonicCapError` instead of aliasing.
+        The polynomial is complex if any of the data is.  A degree past
+        ``MAX_HARMONIC`` raises :class:`HarmonicCapError`.
     """
 
-    __slots__ = ("coeffs", "real", "max_harmonic", "degree")
+    __slots__ = ("coeffs", "real", "degree")
 
-    def __init__(self, constant=0.0, cos_coeffs=(), sin_coeffs=(),
-                 max_harmonic: int = DEFAULT_MAX_HARMONIC):
+    def __init__(self, constant=0.0, cos_coeffs=(), sin_coeffs=()):
         a = np.asarray(cos_coeffs).ravel()
         b = np.asarray(sin_coeffs).ravel()
         real = not (isinstance(constant, complex) or a.dtype.kind == "c"
@@ -82,28 +79,27 @@ class TrigPoly:
             ab[1, : b.size] = b
             c[n + 1:] = (ab[0] - 1j * ab[1]) / 2.0       # c_1 .. c_n
             c[n - 1::-1] = (ab[0] + 1j * ab[1]) / 2.0    # c_{-1} .. c_{-n}
-        self._set(c, real, max_harmonic)
+        self._set(c, real)
 
-    def _set(self, c: np.ndarray, real: bool, max_harmonic: int):
+    def _set(self, c: np.ndarray, real: bool):
         """Store the vector ``c`` (odd length, centred on c_0), trimmed to
         the first and last nonzero harmonic."""
         nz = c.nonzero()[0]
         mid = len(c) // 2
         degree = max(mid - int(nz[0]), int(nz[-1]) - mid) if nz.size else 0
-        if degree > max_harmonic:
+        if degree > MAX_HARMONIC:
             raise HarmonicCapError(
-                f"degree {degree} exceeds max_harmonic={max_harmonic}")
+                f"degree {degree} exceeds the cap {MAX_HARMONIC}")
         c = c[mid - degree: mid + degree + 1]
         c.flags.writeable = False
         self.coeffs = c
         self.real = real
-        self.max_harmonic = int(max_harmonic)
         self.degree = degree
 
     @classmethod
-    def _from_vector(cls, c: np.ndarray, real: bool, max_harmonic: int):
+    def _from_vector(cls, c: np.ndarray, real: bool):
         p = cls.__new__(cls)
-        p._set(c, real, max_harmonic)
+        p._set(c, real)
         return p
 
     # -- constructors ------------------------------------------------------
@@ -113,42 +109,20 @@ class TrigPoly:
         return cls(0.0)
 
     @classmethod
-    def const(cls, c):
-        return cls(c)
-
-    @classmethod
-    def harmonic_cos(cls, n: int, a=1.0, max_harmonic: int = DEFAULT_MAX_HARMONIC):
-        """a * cos(n theta), n >= 1."""
-        if n < 1:
-            raise ValueError("harmonic index must be >= 1")
-        coeffs = [0.0] * n
-        coeffs[n - 1] = a
-        return cls(0.0, coeffs, (), max_harmonic=max_harmonic)
-
-    @classmethod
-    def harmonic_sin(cls, n: int, b=1.0, max_harmonic: int = DEFAULT_MAX_HARMONIC):
-        """b * sin(n theta), n >= 1."""
-        if n < 1:
-            raise ValueError("harmonic index must be >= 1")
-        coeffs = [0.0] * n
-        coeffs[n - 1] = b
-        return cls(0.0, (), coeffs, max_harmonic=max_harmonic)
-
-    @classmethod
     def exp_harmonic(cls, n: int, c=1.0):
         """c * e^{i n theta} for any integer n (complex coefficients)."""
         return cls.from_exp_coeffs({n: complex(c)})
 
     @classmethod
-    def from_exp_coeffs(cls, coeffs: dict, max_harmonic: int = DEFAULT_MAX_HARMONIC):
+    def from_exp_coeffs(cls, coeffs: dict):
         """Build from {k: c_k} with p = sum c_k e^{i k theta}."""
         if not coeffs:
-            return cls(0.0, max_harmonic=max_harmonic)
+            return cls(0.0)
         N = max(abs(k) for k in coeffs)
         c = np.zeros(2 * N + 1, np.complex128)
         for k, ck in coeffs.items():
             c[N + k] += ck
-        return cls._from_vector(c, False, max_harmonic)
+        return cls._from_vector(c, False)
 
     # -- basic queries -----------------------------------------------------
 
@@ -157,10 +131,6 @@ class TrigPoly:
         """The mean value c0: a float when the polynomial is real."""
         c0 = self.coeffs[self.degree]
         return float(c0.real) if self.real else complex(c0)
-
-    @property
-    def is_complex(self) -> bool:
-        return not self.real
 
     def _cos_sin(self):
         """Untrimmed (a_n, b_n), n = 1..N, read off the vector; real arrays
@@ -233,15 +203,14 @@ class TrigPoly:
     def _combine(self, other, op):
         """self op other for op one of operator.iadd, operator.isub."""
         if isinstance(other, (int, float, complex)):
-            other = TrigPoly(other, max_harmonic=self.max_harmonic)
+            other = TrigPoly(other)
         if not isinstance(other, TrigPoly):
             return NotImplemented
         N = max(self.degree, other.degree)
         c = np.zeros(2 * N + 1, np.complex128)
         c[N - self.degree: N + self.degree + 1] = self.coeffs
         op(c[N - other.degree: N + other.degree + 1], other.coeffs)
-        return TrigPoly._from_vector(c, self.real and other.real,
-                                     min(self.max_harmonic, other.max_harmonic))
+        return TrigPoly._from_vector(c, self.real and other.real)
 
     def __add__(self, other):
         return self._combine(other, operator.iadd)
@@ -249,7 +218,7 @@ class TrigPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly._from_vector(-self.coeffs, self.real, self.max_harmonic)
+        return TrigPoly._from_vector(-self.coeffs, self.real)
 
     def __sub__(self, other):
         return self._combine(other, operator.isub)
@@ -258,7 +227,7 @@ class TrigPoly:
         if isinstance(other, (int, float, complex)):
             return TrigPoly._from_vector(
                 self.coeffs * other,
-                self.real and not isinstance(other, complex), self.max_harmonic)
+                self.real and not isinstance(other, complex))
         if isinstance(other, TrigPoly):
             return tp_multiply(self, other)
         return NotImplemented
@@ -324,16 +293,14 @@ class TrigStack:
 def tp_derivative(p: TrigPoly) -> TrigPoly:
     """d/dtheta, exact on coefficients: c_k -> i k c_k."""
     k = np.arange(-p.degree, p.degree + 1)
-    return TrigPoly._from_vector(p.coeffs * (1j * k), p.real, p.max_harmonic)
+    return TrigPoly._from_vector(p.coeffs * (1j * k), p.real)
 
 
-def _product_cap(p: TrigPoly, q: TrigPoly) -> int:
-    """The harmonic cap of p q, after checking that p q stays within it."""
-    cap = min(p.max_harmonic, q.max_harmonic)
-    if p.degree + q.degree > cap:
-        raise HarmonicCapError(
-            f"product degree {p.degree + q.degree} exceeds cap {cap}")
-    return cap
+def _check_product_degree(p: TrigPoly, q: TrigPoly):
+    """Raise HarmonicCapError if p q would pass ``MAX_HARMONIC``."""
+    if p.degree + q.degree > MAX_HARMONIC:
+        raise HarmonicCapError(f"product degree {p.degree + q.degree} "
+                               f"exceeds the cap {MAX_HARMONIC}")
 
 
 def tp_multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:
@@ -342,16 +309,16 @@ def tp_multiply(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     Raises
     ------
     HarmonicCapError
-        If deg p + deg q exceeds the (smaller) cap of the operands.
+        If deg p + deg q exceeds ``MAX_HARMONIC``.
     """
-    cap = _product_cap(p, q)
+    _check_product_degree(p, q)
     c = np.convolve(p.coeffs, q.coeffs)
     real = p.real and q.real
     if real:
         # c_k and c_{-k} are summed in different orders; averaging c_k with
         # conj(c_{-k}) restores the exact symmetry of a real polynomial
         c = 0.5 * (c + c[::-1].conj())
-    return TrigPoly._from_vector(c, real, cap)
+    return TrigPoly._from_vector(c, real)
 
 
 def tp_integrate_period(p: TrigPoly):
@@ -362,7 +329,7 @@ def tp_integrate_period(p: TrigPoly):
 def tp_integrate_product(p: TrigPoly, q: TrigPoly):
     """tp_integrate_period(tp_multiply(p, q)), reading the product's constant
     term off the convolution without building the product."""
-    _product_cap(p, q)
+    _check_product_degree(p, q)
     c0 = np.convolve(p.coeffs, q.coeffs)[p.degree + q.degree]
     return _TWO_PI * (float(c0.real) if p.real and q.real else complex(c0))
 
@@ -373,11 +340,12 @@ def _is_zero_poly(p: TrigPoly) -> bool:
 
 def _times_derivative(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     """p q'.  With an identically-zero factor neither q' nor the product
-    is formed: the result is the zero polynomial with the product's flag
-    and cap, which is what ``tp_multiply`` returns there, bit for bit."""
+    is formed: the result is the zero polynomial with the product's flag,
+    which is what ``tp_multiply`` returns there, bit for bit.  A zero factor
+    has degree 0, so the product is within the cap."""
     if _is_zero_poly(p) or _is_zero_poly(q):
         return TrigPoly._from_vector(np.zeros(1, np.complex128),
-                                     p.real and q.real, _product_cap(p, q))
+                                     p.real and q.real)
     return tp_multiply(p, tp_derivative(q))
 
 

@@ -495,6 +495,32 @@ def test_unwritable_out_fails_before_any_check_runs(argv, target, why,
     assert err.startswith(f"virbott: cannot write {str(path)!r}: {why}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "forms"],
+    ["converge", "gamma-cocycle", "--grid-r", "8", "--grid-theta", "16",
+     "--levels", "1"]])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_empty_out_is_a_config_error(argv, source, tmp_path, monkeypatch,
+                                     capsys):
+    # an empty path names no file: it must neither skip the report nor
+    # send the CSV to stdout
+    calls = []
+    run_check = cli._run_check
+    monkeypatch.setattr(cli, "_run_check",
+                        lambda *args: calls.append(args) or run_check(*args))
+    if source == "flag":
+        extra = ["--out", ""]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("out =\n")
+        extra = ["--config", str(config)]
+    assert main(argv + extra) == 2
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "virbott: cannot write '': the path is empty\n"
+
+
 def test_a_failed_config_leaves_an_existing_out_file_alone(tmp_path):
     path = tmp_path / "report.json"
     path.write_text("earlier report\n")
