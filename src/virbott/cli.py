@@ -37,6 +37,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -134,14 +135,21 @@ class SuiteConfig:
         if isinstance(plan, str):
             plan = _wrap_config(DerivativePlan, plan.lower())
         self.plan = plan
-        self.n_r, self.n_theta = int(n_r), int(n_theta)
-        self.n_rho, self.n_plane = int(n_rho), int(n_plane)
-        self.L = float(L)
-        self.c0 = float(c0)
-        self.seed = int(seed)
+        # counts are taken whole or refused, never truncated
+        index = operator.index
+        for name, value, convert in (
+                ("n_r", n_r, index), ("n_theta", n_theta, index),
+                ("n_rho", n_rho, index), ("n_plane", n_plane, index),
+                ("seed", seed, index), ("jobs", jobs, index),
+                ("c0", c0, float), ("L", L, float)):
+            try:
+                setattr(self, name, convert(value))
+            except (TypeError, ValueError, OverflowError):
+                kind = "an integer" if convert is index else "a number"
+                raise ConfigError(
+                    f"{name} must be {kind}, got {value!r}") from None
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
-        self.jobs = int(jobs)
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         self.timing = bool(timing)
@@ -704,21 +712,15 @@ def _open_out(path: str, **kwargs):
 # ---------------------------------------------------------------------------
 
 def _series_entry(entry) -> dict:
-    """Normalize one grid-series entry: a (n_r, n_theta) pair, a full
-    4-tuple, or a mapping over grid dimension names."""
-    if isinstance(entry, dict):
-        bad = set(entry) - set(_GRID_AXES)
-        if bad:
-            raise ConfigError(f"unknown grid dimension(s) {sorted(bad)} "
-                              f"in series entry")
-        return dict(entry)
-    entry = tuple(entry)
-    if len(entry) == 2:
-        return {"n_r": entry[0], "n_theta": entry[1]}
-    if len(entry) == 4:
-        return dict(zip(_GRID_AXES, entry))
-    raise ConfigError(f"series entry must name grid dimensions or be a "
-                      f"2-/4-tuple, got {entry!r}")
+    """Check one grid-series entry, a dict over grid dimension names."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"series entry must be a dict over grid "
+                          f"dimensions, got {entry!r}")
+    bad = set(entry) - set(_GRID_AXES)
+    if bad:
+        raise ConfigError(f"unknown grid dimension(s) {sorted(bad)} "
+                          f"in series entry")
+    return entry
 
 
 def convergence_study(check_name: str, grid_series, cfg: SuiteConfig) -> list:

@@ -66,9 +66,8 @@ graded by a radial profile c it turns by c(rho) times the link's turn,
 and without one it is frozen, the link itself at every rho.
 
 A radial profile gives ``value(r)``, its value range ``bounds``, its
-``support`` (lo, hi), the radius ``flat_from`` from which it is constant,
-and ``jets(r)`` = (f, f', f'') from one shared pass, whose first entry is
-``value(r)`` bit for bit.
+``support`` (lo, hi), and ``jets(r)`` = (f, f', f'') from one shared pass,
+whose first entry is ``value(r)`` bit for bit.
 ``value`` stays a separate, cheaper method because the link masks
 evaluate it over whole grids.
 """
@@ -76,6 +75,7 @@ evaluate it over whole grids.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -190,10 +190,6 @@ class CutoffProfile:
     def support(self):
         return (self.cutoff.eps1, np.inf)
 
-    @property
-    def flat_from(self):
-        return 1.0 - self.cutoff.eps2
-
     def value(self, r):
         return self.cutoff.value(r)
 
@@ -248,10 +244,6 @@ class BumpProfile:
     @property
     def support(self):
         return (self.a, self.b)
-
-    @property
-    def flat_from(self):
-        return self.b
 
     @property
     def bounds(self):
@@ -873,11 +865,17 @@ class FlowMap:
     __slots__ = ("field", "time", "steps")
 
     def __init__(self, field, time: float, steps: int = 64):
-        if steps < 1:
+        if not math.isfinite(time):
+            raise DomainError(f"flow time must be finite, got time={time!r}")
+        try:
+            self.steps = operator.index(steps)
+        except TypeError:
+            raise DomainError(f"flow steps must be an integer, "
+                              f"got steps={steps!r}") from None
+        if self.steps < 1:
             raise DomainError("flow needs at least one step")
         self.field = field
         self.time = float(time)
-        self.steps = int(steps)
 
     def apply(self, pts):
         x = pts.astype(np.float64).copy()

@@ -48,11 +48,6 @@ class SupportError(VirbottError, RuntimeError):
     is still visibly nonzero at the box edge."""
 
 
-class FlagError(VirbottError, ValueError):
-    """A vector-field operation needs a structural flag (genuine /
-    asymptotically radial / asymptotically zero) the field does not carry."""
-
-
 class StepError(VirbottError, RuntimeError):
     """Finite-difference step produced a non-invertible or unusable
     configuration."""

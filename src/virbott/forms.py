@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -55,6 +56,16 @@ def _gl_nodes(n, lo, hi):
     return lo + half * (x + 1.0), half * w
 
 
+def _grid_counts(**counts):
+    """The node counts as ints, taken whole through ``operator.index``; a
+    non-integral count is refused (DomainError), never truncated."""
+    try:
+        return [operator.index(n) for n in counts.values()]
+    except TypeError:
+        raise DomainError(f"grid node counts must be integers, got "
+                          f"{counts}") from None
+
+
 class DiscGrid:
     """Tensor quadrature grid on the unit disc (polar chart).
 
@@ -66,10 +77,10 @@ class DiscGrid:
     __slots__ = ("n_r", "n_theta", "r", "theta", "weights", "xy")
 
     def __init__(self, n_r: int = 96, n_theta: int = 256):
-        if n_r < 4 or n_theta < 8:
-            raise DomainError(f"disc grid too coarse: {n_r} x {n_theta}")
-        self.n_r = int(n_r)
-        self.n_theta = int(n_theta)
+        self.n_r, self.n_theta = _grid_counts(n_r=n_r, n_theta=n_theta)
+        if self.n_r < 4 or self.n_theta < 8:
+            raise DomainError(
+                f"disc grid too coarse: {self.n_r} x {self.n_theta}")
         r, wr = _gl_nodes(self.n_r, 0.0, 1.0)
         th = np.arange(self.n_theta) * (_TWO_PI / self.n_theta)
         R, T = np.meshgrid(r, th, indexing="ij")
@@ -99,14 +110,14 @@ class BallGrid:
     __slots__ = ("n_rho", "n_plane", "L", "nodes", "weights", "edge_points")
 
     def __init__(self, n_rho: int = 24, n_plane: int = 64, L: float = 1.25):
-        if n_rho < 4 or n_plane < 4:
-            raise DomainError(f"ball grid too coarse: {n_rho} x {n_plane}^2")
+        self.n_rho, self.n_plane = _grid_counts(n_rho=n_rho, n_plane=n_plane)
+        if self.n_rho < 4 or self.n_plane < 4:
+            raise DomainError(
+                f"ball grid too coarse: {self.n_rho} x {self.n_plane}^2")
         if not (1.0 <= L and math.isfinite(2.0 * L)):
             raise DomainError(
                 "plane box must contain the unit disc and have a finite "
                 f"width (1 <= L, 2 L < inf), got L={L!r}")
-        self.n_rho = int(n_rho)
-        self.n_plane = int(n_plane)
         self.L = float(L)
         rho, wrho = _gl_nodes(self.n_rho, 0.0, 1.0)
         x, wx = _gl_nodes(self.n_plane, -self.L, self.L)

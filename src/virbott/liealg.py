@@ -3,8 +3,10 @@
 A field lives on the closed unit disc in polar components V3 d/dr +
 V4 d/dtheta, each a sum of profile(r) * poly(theta) terms
 (``SeparableDiscField``, the one field type).  Its boundary trig
-polynomials, its polar 2-jets and its flags are exact, so the boundary
-formula for G(beta) and the disc quadrature for beta share one object.
+polynomials ``boundary_v3``/``boundary_v4`` and its polar 2-jets are
+exact, so the boundary formula for G(beta) and the disc quadrature for
+beta share one object; the boundary data are read only through those two
+polynomials.
 The module computes the cocycle beta = -6 c0 int tr(dJ(V) ^ dJ(W)), its
 boundary reduction G(beta), the finite-difference rederivation of beta
 from the group cocycle gamma, the semidirect bracket on the circle with its
@@ -38,9 +40,9 @@ import numpy as np
 
 from ._jets import Jet, compose, fd4_jacobian, polar_chart_jet
 from .cocycle import CocycleConfig, _moved_products, _wedge_integral
-from .diffeo import (AngleDisplacement, AngularLink, CutoffFn, CutoffProfile,
-                     DiscDiffeo, FlowMap, disc_compose, disc_invert)
-from .errors import DomainError, FlagError, StepError, UnsupportedError
+from .diffeo import (AngleDisplacement, AngularLink, DiscDiffeo, FlowMap,
+                     disc_compose, disc_invert)
+from .errors import DomainError, StepError, UnsupportedError
 from .forms import integrate_disc, mc_components
 from .trigpoly import (TrigPoly, _is_zero_poly, _times_derivative,
                        circle_bracket, tp_derivative, tp_integrate_product)
@@ -49,7 +51,6 @@ __all__ = [
     "GeneratorIndexPair",
     "SemidirectElement",
     "SeparableDiscField",
-    "ar_split",
     "beta_from_gamma_fd",
     "beta_integral",
     "default_curve_builder",
@@ -57,10 +58,8 @@ __all__ = [
     "gbeta_cyclic_residual",
     "generator_bracket",
     "generator_table_rows",
-    "restrict_to_circle",
     "semidirect_bracket",
     "theta_variation_residual",
-    "wf_field",
 ]
 
 _N_BOUNDARY_ANGLES = 64
@@ -68,10 +67,7 @@ _BOUNDARY_THETA = (np.arange(_N_BOUNDARY_ANGLES)
                    * (2.0 * np.pi / _N_BOUNDARY_ANGLES))
 _BOUNDARY_MATCH_TOL = 1e-10
 _GENERATOR_PRUNE = 1e-12
-_AZ_VALUE_TOL = 1e-12
 _THETA_FD_STEP = 1e-4
-# width of the outer band r > 1 - _AR_BAND on which the field flags are read
-_AR_BAND = 0.05
 # step in t and in s of the FD bridge from gamma to beta
 _BETA_FD_STEP = 1e-2
 
@@ -79,17 +75,11 @@ _BETA_FD_STEP = 1e-2
 # disc vector fields
 # ---------------------------------------------------------------------------
 
-def _boundary_trace(fn) -> np.ndarray:
-    """Values of a polar callable at r = 1 on the 64 equispaced angles
-    ``_BOUNDARY_THETA``."""
-    theta = _BOUNDARY_THETA
-    return np.broadcast_to(
-        np.asarray(fn(np.ones(theta.size), theta), dtype=np.float64),
-        theta.shape)
-
-
 def _boundary_mismatch(fn, poly: TrigPoly) -> float:
-    return float(np.max(np.abs(_boundary_trace(fn) - poly(_BOUNDARY_THETA))))
+    """Largest gap between a polar callable at r = 1 and ``poly`` on the
+    64 equispaced angles ``_BOUNDARY_THETA``."""
+    theta = _BOUNDARY_THETA
+    return float(np.max(np.abs(fn(np.ones(theta.size), theta) - poly(theta))))
 
 
 class SeparableDiscField:
@@ -99,14 +89,6 @@ class SeparableDiscField:
     ``v3``/``v4`` are the components as callables of (r, theta); the
     boundary polys ``boundary_v3``/``boundary_v4`` and the polar 2-jets are
     exact.  A term with a non-finite coefficient is refused (DomainError).
-
-    The flags are decided from the terms' profiles, with no sample.  Write
-    b = 1 - ``_AR_BAND`` = 0.95 and leave out the terms whose polynomial is
-    identically zero.  The field is asymptotically zero if every profile's
-    support ends by b, and asymptotically radial if every profile is
-    constant from b on (``flat_from``).  Both are sufficient conditions: a
-    field whose terms cancel on the band reads False.  It is genuine if
-    its boundary V3 vanishes.
     """
 
     def __init__(self, v3_terms=(), v4_terms=()):
@@ -138,33 +120,6 @@ class SeparableDiscField:
                     f"boundary poly for {name} disagrees with the callable "
                     f"at r = 1 beyond {_BOUNDARY_MATCH_TOL}")
             setattr(self, "boundary_" + name, poly)
-
-    # -- flags --------------------------------------------------------------
-
-    def _band_profiles(self):
-        """Profiles of the terms whose polynomial is not identically 0."""
-        return [prof for prof, poly in self.v3_terms + self.v4_terms
-                if not _is_zero_poly(poly)]
-
-    @property
-    def asymptotically_zero(self) -> bool:
-        b = 1.0 - _AR_BAND
-        return all(prof.support[1] <= b for prof in self._band_profiles())
-
-    @property
-    def asymptotically_radial(self) -> bool:
-        b = 1.0 - _AR_BAND
-        return all(prof.flat_from <= b for prof in self._band_profiles())
-
-    @property
-    def genuine(self) -> bool:
-        return self.boundary_v3.coeff_l1() <= _AZ_VALUE_TOL
-
-    @property
-    def flags(self) -> dict:
-        return {"genuine": self.genuine,
-                "asymptotically_radial": self.asymptotically_radial,
-                "asymptotically_zero": self.asymptotically_zero}
 
     # -- jets ---------------------------------------------------------------
 
@@ -222,7 +177,7 @@ class SeparableDiscField:
 
 
 # ---------------------------------------------------------------------------
-# constructions on fields
+# the boundary bracket
 # ---------------------------------------------------------------------------
 
 def _boundary_bracket(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly):
@@ -237,32 +192,6 @@ def _boundary_bracket(v3: TrigPoly, v4: TrigPoly, w3: TrigPoly, w4: TrigPoly):
     """
     return (_times_derivative(v4, w3) - _times_derivative(w4, v3),
             circle_bracket(v4, w4))
-
-
-def restrict_to_circle(V: SeparableDiscField) -> TrigPoly:
-    """Boundary restriction V4(1, theta) d/dtheta of an asymptotically
-    radial field, as its component V4(1, theta)."""
-    if not V.asymptotically_radial:
-        raise FlagError("restriction needs an asymptotically radial field")
-    return V.boundary_v4
-
-
-def wf_field(f: TrigPoly, xi: CutoffFn) -> SeparableDiscField:
-    """The section W_f: (W_f)_3 = xi(r) f(theta), (W_f)_4 = 0."""
-    terms = [] if f.coeff_l1() == 0.0 else [(CutoffProfile(xi), f)]
-    return SeparableDiscField(v3_terms=terms)
-
-
-def ar_split(V: SeparableDiscField, xi: CutoffFn):
-    """Split a generalized asymptotically radial V as (V - W_{f_V}, f_V)
-    with f_V the boundary trace of V3; the first part is genuine."""
-    if not V.asymptotically_radial:
-        raise FlagError("ar_split needs an asymptotically radial field")
-    f = V.boundary_v3
-    if f.coeff_l1() <= _AZ_VALUE_TOL:
-        return V, TrigPoly.zero()
-    correction = (CutoffProfile(xi), f * (-1.0))
-    return SeparableDiscField(V.v3_terms + (correction,), V.v4_terms), f
 
 
 # ---------------------------------------------------------------------------

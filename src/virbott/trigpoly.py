@@ -34,7 +34,7 @@ import operator
 
 import numpy as np
 
-from .errors import HarmonicCapError
+from .errors import DomainError, HarmonicCapError
 
 #: The largest degree a polynomial, and so a product, may have.
 MAX_HARMONIC = 256
@@ -250,7 +250,7 @@ class TrigStack:
     def __init__(self, polys):
         polys = tuple(polys)
         if any(not p.real for p in polys):
-            raise ValueError("TrigStack evaluates real polynomials only")
+            raise DomainError("TrigStack evaluates real polynomials only")
         self.size = len(polys)
         self.degree = D = max((p.degree for p in polys), default=0)
         k = np.arange(1, D + 1)

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from virbott import cli, cocycle
@@ -63,6 +64,27 @@ def test_bad_plan_name_and_jobs_are_rejected():
         SuiteConfig(plan="symbolic")
     with pytest.raises(ConfigError):
         SuiteConfig(jobs=0)
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("jobs", 2.5, "an integer"), ("seed", 2.9, "an integer"),
+    ("n_r", 16.6, "an integer"), ("n_theta", 32.0, "an integer"),
+    ("n_rho", "8", "an integer"), ("n_plane", math.inf, "an integer"),
+    ("n_r", math.nan, "an integer"), ("c0", "abc", "a number"),
+    ("c0", None, "a number"), ("L", "wide", "a number"),
+    pytest.param("c0", 10 ** 400, "a number", id="c0-int-past-float")])
+def test_non_integral_sizes_and_non_numbers_are_config_errors(field, value,
+                                                              kind):
+    # nothing is truncated, and no raw TypeError, ValueError or
+    # OverflowError escapes
+    with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got "):
+        SuiteConfig(**{field: value})
+
+
+def test_integer_fields_keep_numpy_integers_as_ints():
+    cfg = small_config(n_r=np.int64(12), seed=np.int32(3), jobs=np.int8(2))
+    assert (cfg.n_r, cfg.seed, cfg.jobs) == (12, 3, 2)
+    assert all(type(v) is int for v in (cfg.n_r, cfg.seed, cfg.jobs))
 
 
 def test_unknown_tolerance_key_is_rejected_at_run_time():
@@ -216,7 +238,10 @@ def test_crashed_ladder_level_is_a_failing_row(monkeypatch, tmp_path,
         cli._REGISTRY, "fragile-check",
         cli._Check("fragile-check", "forms", "never holds", 1e-6,
                    ("n_r", "n_theta"), fragile))
-    rows = convergence_study("fragile-check", [(8, 16), (16, 32), (32, 64)],
+    rows = convergence_study("fragile-check",
+                             [{"n_r": 8, "n_theta": 16},
+                              {"n_r": 16, "n_theta": 32},
+                              {"n_r": 32, "n_theta": 64}],
                              small_config())
     assert [row["n_r"] for row in rows] == [8, 16, 32]
     assert rows[0]["residual"] == 0.5 and "error" not in rows[0]
@@ -257,7 +282,9 @@ def test_gamma_cocycle_ladder_decays_fourfold_per_step():
     # the identity converges spectrally: its quadrature window sits below
     # 32 radial nodes, after which residuals live at the rounding floor
     rows = convergence_study("gamma-cocycle",
-                             [(8, 16), (16, 32), (32, 64)],
+                             [{"n_r": 8, "n_theta": 16},
+                              {"n_r": 16, "n_theta": 32},
+                              {"n_r": 32, "n_theta": 64}],
                              small_config(seed=0))
     res = [row["residual"] for row in rows]
     assert res[0] >= 4.0 * res[1] >= 16.0 * res[2]
@@ -296,7 +323,9 @@ def test_wz_extension_independence_ladder_is_block_independent(monkeypatch):
 
 def test_exact_symbolic_check_is_grid_flat():
     rows = convergence_study("generator-bracket-ll",
-                             [(16, 32), (32, 64), (64, 128)],
+                             [{"n_r": 16, "n_theta": 32},
+                              {"n_r": 32, "n_theta": 64},
+                              {"n_r": 64, "n_theta": 128}],
                              small_config())
     assert all(row["residual"] <= 1e-12 for row in rows)
     assert len({row["residual"] for row in rows}) == 1
@@ -304,16 +333,19 @@ def test_exact_symbolic_check_is_grid_flat():
 
 def test_convergence_rejects_unknown_checks_and_bad_entries():
     with pytest.raises(ConfigError):
-        convergence_study("no-such-check", [(8, 16)], small_config())
-    with pytest.raises(ConfigError):
-        convergence_study("gamma-cocycle", [(8, 16, 4)], small_config())
+        convergence_study("no-such-check", [{"n_r": 8, "n_theta": 16}],
+                          small_config())
+    # an entry is a dict over grid dimensions; a tuple of sizes is refused
+    for entry in ((8, 16), (8, 16, 4), [8, 16, 6, 16], 8):
+        with pytest.raises(ConfigError, match="must be a dict"):
+            convergence_study("gamma-cocycle", [entry], small_config())
     with pytest.raises(ConfigError):
         convergence_study("gamma-cocycle", [{"n_q": 8}], small_config())
 
 
 def test_csv_writer_emits_the_fixed_header():
-    rows = convergence_study("generator-bracket-jj", [(16, 32)],
-                             small_config())
+    rows = convergence_study("generator-bracket-jj",
+                             [{"n_r": 16, "n_theta": 32}], small_config())
     buf = io.StringIO()
     write_convergence_csv(rows, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -583,7 +615,7 @@ def test_cli_converge_checks_the_tolerance_names(capsys):
     assert main(ladder + ["--tol", "no-such-check=1"]) == 2
     assert "no-such-check" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="no-such-check"):
-        convergence_study("generator-bracket-jj", [(8, 16)],
+        convergence_study("generator-bracket-jj", [{"n_r": 8, "n_theta": 16}],
                           small_config(tolerances={"no-such-check": 1.0}))
     # a known name is accepted, and the CSV does not show it
     assert main(ladder) == 0

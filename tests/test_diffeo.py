@@ -144,6 +144,21 @@ def test_rotation_refuses_a_non_finite_angle(alpha, named):
         Rotation(alpha)
 
 
+@pytest.mark.parametrize("time, steps, message", [
+    (math.nan, 4, "must be finite, got time=nan$"),
+    (math.inf, 4, "must be finite, got time=inf$"),
+    (-math.inf, 4, "must be finite, got time=-inf$"),
+    (0.5, 2.5, "must be an integer, got steps=2.5$"),
+])
+def test_flow_refuses_a_non_finite_time_and_a_non_integral_step_count(
+        time, steps, message):
+    field = SeparableDiscField(
+        v3_terms=[(CutoffProfile(cutoff_make(0.2, 0.15)),
+                   TrigPoly(0.0, [0.3]))])
+    with pytest.raises(DomainError, match=message):
+        FlowMap(field, time, steps)
+
+
 # every profile class, with the edges of its support
 EVERY_PROFILE = {
     "cutoff": (cutoff_make(0.2, 0.15), (0.2, 0.85)),

@@ -62,6 +62,24 @@ def test_grid_validation():
         BallGrid(8, 16, L=0.5)
 
 
+@pytest.mark.parametrize("build, named", [
+    (lambda: DiscGrid(4.7, 8.9), "'n_r': 4.7"),
+    (lambda: DiscGrid(16, 32.0), "'n_theta': 32.0"),
+    (lambda: BallGrid(4.5, 4.2), "'n_rho': 4.5"),
+    (lambda: BallGrid(8, math.inf), "'n_plane': inf"),
+], ids=["disc-both", "disc-integral-float", "ball-both", "ball-inf"])
+def test_grids_refuse_non_integral_node_counts(build, named):
+    # a count is taken whole or refused, never truncated
+    with pytest.raises(DomainError, match=named):
+        build()
+
+
+def test_grids_take_numpy_integer_node_counts():
+    grid = DiscGrid(np.int64(8), np.int32(16))
+    assert (type(grid.n_r), grid.n_r, grid.n_theta) == (int, 8, 16)
+    assert BallGrid(np.int64(4), np.int16(6)).n_plane == 6
+
+
 def _mp_gauss_legendre(n, dps=40):
     """Gauss-Legendre nodes and weights on (-1, 1) to ``dps`` digits: Newton
     on the three-term recurrence from the Tricomi start, in mpmath."""

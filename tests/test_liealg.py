@@ -42,14 +42,13 @@ from virbott.diffeo import (
     cutoff_make,
     disc_invert,
 )
-from virbott.errors import (DegenerateError, DomainError, FlagError,
-                            HarmonicCapError, StepError, UnsupportedError)
+from virbott.errors import (DegenerateError, DomainError, HarmonicCapError,
+                            StepError, UnsupportedError)
 from virbott.forms import DiscGrid, integrate_disc, mc_components, wedge_trace_2form
 from virbott.liealg import (
     GeneratorIndexPair,
     SemidirectElement,
     SeparableDiscField,
-    ar_split,
     beta_from_gamma_fd,
     beta_integral,
     default_curve_builder,
@@ -57,10 +56,8 @@ from virbott.liealg import (
     gbeta_cyclic_residual,
     generator_bracket,
     generator_table_rows,
-    restrict_to_circle,
     semidirect_bracket,
     theta_variation_residual,
-    wf_field,
 )
 from virbott.trigpoly import (
     TrigPoly,
@@ -83,7 +80,7 @@ class CallableField:
     """A field V3 d/dr + V4 d/dtheta given by vectorized callables of
     (r, theta), which must tolerate an FD4 stencil beyond r = 1 and
     reflection through r = 0.  Its polar 2-jets are FD4, it moves at every
-    node, and it has neither flags nor boundary polys."""
+    node, and it has no boundary polys."""
 
     def __init__(self, v3, v4):
         self.v3 = v3
@@ -183,7 +180,6 @@ class UnitProfile:
     """Constant-1 radial profile: a V4 term with it is a rotation field."""
 
     support = (0.0, np.inf)
-    flat_from = 0.0
     bounds = (1.0, 1.0)
 
     def value(self, r):
@@ -243,10 +239,6 @@ def test_polar_components_of_the_zero_field():
                              lambda x, y: np.zeros_like(x))
     pts = np.array([[0.31, -0.52, 0.05], [0.44, 0.12, -0.61]])
     assert not any(part.any() for part in field.cartesian_jet2(pts))
-    # the exact zero field has no term, and every flag holds
-    assert SeparableDiscField().flags == {
-        "genuine": True, "asymptotically_radial": True,
-        "asymptotically_zero": True}
 
 
 def test_boundary_polys_match_the_callables():
@@ -269,6 +261,18 @@ def test_non_finite_field_coefficients_are_refused(part, bad):
         SeparableDiscField(**{part + "_terms": terms})
 
 
+@pytest.mark.parametrize("part", ["v3", "v4"])
+def test_a_field_refuses_a_complex_polynomial(part):
+    terms = [(CutoffProfile(XI), TrigPoly.exp_harmonic(1))]
+    with pytest.raises(DomainError, match="real polynomials only"):
+        SeparableDiscField(**{part + "_terms": terms})
+
+
+def test_an_alexander_link_refuses_a_complex_displacement():
+    with pytest.raises(DomainError, match="real polynomials only"):
+        AlexanderRadial(TrigPoly.exp_harmonic(1), XI)
+
+
 def test_building_a_field_evaluates_only_its_two_boundary_traces(monkeypatch):
     sizes = []
 
@@ -279,45 +283,6 @@ def test_building_a_field_evaluates_only_its_two_boundary_traces(monkeypatch):
     monkeypatch.setattr(AngleDisplacement, "value", recording)
     separable(V3G, V4G)
     assert sizes == [64, 64]
-
-
-_EPS = 0.05            # width of the outer band the flags read
-_EDGE = 1.0 - _EPS      # the inner edge b of the outer band
-
-
-@pytest.mark.parametrize(("profile", "poly", "radial", "zero"), [
-    (CutoffProfile(cutoff_make(0.2, _EPS)), TrigPoly(0.0, [0.3]), True,
-     False),
-    (CutoffProfile(cutoff_make(0.2, 0.5 * _EPS)), TrigPoly(0.0, [0.3]),
-     False, False),
-    (BumpProfile(0.2, _EDGE, 1.0), TrigPoly(0.0, [0.3]), True, True),
-    (BumpProfile(0.2, _EDGE + 0.01, 1.0), TrigPoly(0.0, [0.3]), False,
-     False),
-    (PoweredCutoffProfile(cutoff_make(0.2, _EPS), 3), TrigPoly(0.0, [0.3]),
-     True, False),
-    (PoweredCutoffProfile(cutoff_make(0.2, 0.01), 3), TrigPoly(0.0, [0.3]),
-     False, False),
-    (CutoffProfile(cutoff_make(0.2, 0.01)), TrigPoly.zero(), True, True),
-    (BumpProfile(0.2, 0.99, 1.0), TrigPoly(0.0, [0.0], [0.0]), True, True),
-], ids=["cutoff-flat-at-the-edge", "cutoff-flat-past-the-edge",
-        "bump-ending-at-the-edge", "bump-ending-past-the-edge",
-        "powered-cutoff-flat-at-the-edge", "powered-cutoff-flat-past-it",
-        "zero-poly-cutoff", "zero-poly-bump"])
-@pytest.mark.parametrize("part", ["v3", "v4"])
-def test_flags_are_decided_from_the_profile_tails(part, profile, poly,
-                                                  radial, zero):
-    # the profile's tail against the band's edge decides each flag, and a
-    # term whose polynomial is identically zero counts for nothing; a
-    # rotation-like term on the other component leaves zero False
-    field = SeparableDiscField(**{part + "_terms": [(profile, poly)]})
-    assert field.asymptotically_radial == radial
-    assert field.asymptotically_zero == zero
-    other = "v4" if part == "v3" else "v3"
-    mixed = SeparableDiscField(
-        **{part + "_terms": [(profile, poly)],
-           other + "_terms": [(UnitProfile(), TrigPoly(0.5))]})
-    assert mixed.asymptotically_radial == radial
-    assert not mixed.asymptotically_zero
 
 
 def test_separable_jets_match_the_fd_fallback():
@@ -392,18 +357,6 @@ def test_gamma_cache_never_returns_the_value_of_a_dead_field():
         gc.collect()
 
 
-def test_flags_catch_a_field_that_keeps_radial_slope():
-    # xi is flat only from r = 0.99, inside the band (0.95, 1)
-    field = SeparableDiscField(
-        v3_terms=[(CutoffProfile(cutoff_make(0.2, 0.01)),
-                   TrigPoly(0.0, [1.0]))])
-    assert not field.asymptotically_radial
-    with pytest.raises(FlagError):
-        restrict_to_circle(field)
-    with pytest.raises(FlagError):
-        ar_split(field, XI)
-
-
 # ---------------------------------------------------------------------------
 # the disc bracket
 # ---------------------------------------------------------------------------
@@ -469,71 +422,20 @@ def test_disc_bracket_jacobi_pointwise():
 
 
 # ---------------------------------------------------------------------------
-# restriction, sections, and the splitting
+# restriction to the boundary circle
 # ---------------------------------------------------------------------------
 
 def test_restriction_of_the_rotation_field():
-    circle = restrict_to_circle(ROT_FIELD)
-    assert circle == TrigPoly(0.7)
+    assert ROT_FIELD.boundary_v4 == TrigPoly(0.7)
 
 
 def test_restriction_of_a_zero_tail_field():
-    assert restrict_to_circle(ZERO_TAIL) == TrigPoly.zero()
+    assert ZERO_TAIL.boundary_v4 == TrigPoly.zero()
 
 
 def test_restriction_of_an_alexander_generator():
     poly = TrigPoly(0.0, [0.35], [0.0, -0.15])
-    assert restrict_to_circle(ALEX_FIELD) == poly
-
-
-def test_wf_field_shape():
-    f = TrigPoly(0.0, [0.5])
-    section = wf_field(f, XI)
-    r = np.array([0.4, 0.7, 0.95])
-    theta = np.array([0.2, 2.0, 5.1])
-    assert np.max(np.abs(section.v4(r, theta))) == 0.0
-    assert section.boundary_v3 == f
-    assert section.asymptotically_radial
-    assert not section.genuine
-
-
-def test_wf_field_of_the_zero_poly():
-    section = wf_field(TrigPoly.zero(), XI)
-    assert section.asymptotically_zero
-
-
-def test_ar_split_returns_the_boundary_trace():
-    genuine_part, trace = ar_split(FIELD_V, XI)
-    assert trace == FIELD_V.boundary_v3
-    assert genuine_part.genuine
-    assert genuine_part.asymptotically_radial
-
-
-def test_ar_split_of_a_section_recovers_it():
-    f = TrigPoly(0.0, [0.4], [0.0, 0.2])
-    remainder, trace = ar_split(wf_field(f, XI), XI)
-    assert trace == f
-    r = np.array([0.5, 0.8, 0.97])
-    theta = np.array([0.1, 2.3, 4.0])
-    assert np.max(np.abs(remainder.v3(r, theta))) < 1e-12
-
-
-def test_ar_split_is_idempotent():
-    genuine_part, _ = ar_split(FIELD_V, XI)
-    again, trace = ar_split(genuine_part, XI)
-    assert trace == TrigPoly.zero()
-    assert again is genuine_part
-
-
-def test_ar_split_recombines_pointwise():
-    genuine_part, trace = ar_split(FIELD_V, XI)
-    section = wf_field(trace, XI)
-    r = np.array([0.45, 0.72, 0.91, 0.99])
-    theta = np.array([0.3, 1.5, 3.3, 5.7])
-    back = genuine_part.v3(r, theta) + section.v3(r, theta)
-    assert np.max(np.abs(back - FIELD_V.v3(r, theta))) < 1e-12
-    assert np.max(np.abs(genuine_part.v4(r, theta)
-                         - FIELD_V.v4(r, theta))) == 0.0
+    assert ALEX_FIELD.boundary_v4 == poly
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from virbott.errors import HarmonicCapError
+from virbott.errors import DomainError, HarmonicCapError
 from virbott.trigpoly import (
     TrigPoly,
     TrigStack,
@@ -417,5 +417,5 @@ def test_trig_stack_matches_separate_evaluations(degree):
 
 
 def test_trig_stack_refuses_complex_polynomials():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="real polynomials only"):
         TrigStack([TrigPoly.exp_harmonic(1)])
