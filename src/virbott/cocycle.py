@@ -49,10 +49,14 @@ worth of nodes however fine the grid.  The sum rounds exactly, so the
 split moves no bit, with one exception: an ``InverseAngular`` link runs
 one Newton iteration over its whole batch until the slowest node
 converges, so a block split can move one of its roots by a rounding.
+Importing this module pins glibc's mmap and trim thresholds
+(``_pin_malloc``), so each block reuses the heap pages of the block
+before it instead of faulting them in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import threading
@@ -139,22 +143,26 @@ class CheckResult:
 
     ``law`` states the identity in one line; ``params`` records whatever
     is needed to reproduce the check (seeds, grid sizes, indices).
-    ``wall_time``, the seconds the check took, is left out of the row
-    when it is None, so a row without it is reproducible byte for byte.
+    ``wall_time``, the seconds the check took, and ``minor_faults``, the
+    minor page faults its thread took meanwhile, are left out of the row
+    when they are None, so a row without them is reproducible byte for
+    byte.
     """
 
     __slots__ = ("name", "law", "residual", "tolerance", "params",
-                 "wall_time")
+                 "wall_time", "minor_faults")
 
     def __init__(self, name: str, law: str, residual: float,
                  tolerance: float, params: dict | None = None,
-                 wall_time: float | None = None):
+                 wall_time: float | None = None,
+                 minor_faults: int | None = None):
         self.name = str(name)
         self.law = str(law)
         self.residual = float(residual)
         self.tolerance = float(tolerance)
         self.params = dict(params) if params else {}
         self.wall_time = wall_time
+        self.minor_faults = minor_faults
 
     @property
     def passed(self) -> bool:
@@ -166,6 +174,8 @@ class CheckResult:
                "pass": self.passed, "params": self.params}
         if self.wall_time is not None:
             row["wall_time_seconds"] = self.wall_time
+        if self.minor_faults is not None:
+            row["minor_faults"] = self.minor_faults
         return row
 
     def __repr__(self):
@@ -203,6 +213,36 @@ def _wedge_2form(left, right, plan):
 
 # most grid nodes one density call sees (see _moved_products)
 _BLOCK = 2 ** 15
+
+# glibc's mallopt parameters, and the values pinned for them below
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 2 ** 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _pin_malloc():
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at twice
+    that, the most glibc's dynamic rule reaches on 64-bit; a no-op where
+    libc has no ``mallopt``.
+
+    The dynamic rule sets the mmap threshold to the largest chunk freed so
+    far.  A block's jets and MC stacks (up to 27 * _BLOCK doubles) are its
+    largest chunks, and its working set is several of them, so under that
+    rule the top of the heap is trimmed, or those arrays mapped, after
+    every block, and the next block faults every page in again.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_pin_malloc()
 
 
 def _moved_products(density, factors, nodes, weights, plane, plan,

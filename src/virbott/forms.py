@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Iterator
 
@@ -114,7 +115,12 @@ class BallGrid:
         if self.n_rho < 4 or self.n_plane < 4:
             raise DomainError(
                 f"ball grid too coarse: {self.n_rho} x {self.n_plane}^2")
-        if not (1.0 <= L and math.isfinite(2.0 * L)):
+        try:
+            fits = (isinstance(L, numbers.Real)
+                    and 1.0 <= L and math.isfinite(2.0 * L))
+        except OverflowError:
+            fits = False
+        if not fits:
             raise DomainError(
                 "plane box must contain the unit disc and have a finite "
                 f"width (1 <= L, 2 L < inf), got L={L!r}")

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -79,6 +80,15 @@ def test_non_integral_sizes_and_non_numbers_are_config_errors(field, value,
     # OverflowError escapes
     with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got "):
         SuiteConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1e-3], 10 ** 400],
+                         ids=["str", "none", "list", "int-past-float"])
+def test_a_tolerance_that_is_no_number_is_a_config_error(value):
+    # the conversion sits inside the guard, so no raw error escapes
+    with pytest.raises(ConfigError, match=re.escape(
+            f"tolerance for 'eta-closed-2' must be a number, got {value!r}")):
+        SuiteConfig(tolerances={"eta-closed-2": value})
 
 
 def test_integer_fields_keep_numpy_integers_as_ints():
@@ -180,6 +190,30 @@ def test_timing_records_each_check_wall_time():
         assert row["wall_time_seconds"] > 0.0, row["name"]
     untimed = run_suite(small_config(suite="liealg"))
     assert all("wall_time_seconds" not in c.as_dict() for c in untimed.checks)
+
+
+@pytest.mark.skipif(cli._getrusage is None,
+                    reason="no per-thread rusage (RUSAGE_THREAD) here")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_timing_records_each_check_minor_faults(jobs):
+    timed = run_suite(small_config(suite="cocycle", timing=True, jobs=jobs))
+    rows = json.loads(timed.to_json())["checks"]
+    for row in rows:
+        assert type(row["minor_faults"]) is int, row["name"]
+        assert row["minor_faults"] >= 0, row["name"]
+    assert timed.meta["minor_faults"] == sum(r["minor_faults"] for r in rows)
+    untimed = run_suite(small_config(suite="cocycle", jobs=jobs))
+    assert "minor_faults" not in untimed.meta
+    assert all("minor_faults" not in c.as_dict() for c in untimed.checks)
+
+
+def test_timing_leaves_faults_out_where_threads_do_not_count_them(
+        monkeypatch):
+    monkeypatch.setattr(cli, "_getrusage", None)
+    timed = run_suite(small_config(suite="forms", timing=True))
+    assert "minor_faults" not in timed.meta
+    for row in json.loads(timed.to_json())["checks"]:
+        assert "minor_faults" not in row and row["wall_time_seconds"] > 0.0
 
 
 def test_parallel_jobs_produce_the_serial_report():

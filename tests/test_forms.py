@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,16 @@ def test_grids_refuse_non_integral_node_counts(build, named):
     # a count is taken whole or refused, never truncated
     with pytest.raises(DomainError, match=named):
         build()
+
+
+@pytest.mark.parametrize("L", ["abc", None, "1.5", 1j, math.nan, math.inf,
+                               0.5, 10 ** 400],
+                         ids=["str", "none", "numeric-str", "complex", "nan",
+                              "inf", "too-small", "int-past-float"])
+def test_ball_grid_refuses_a_box_half_width_that_is_no_real_number(L):
+    # no raw TypeError or OverflowError escapes, and the message names L
+    with pytest.raises(DomainError, match=re.escape(f"got L={L!r}")):
+        BallGrid(8, 16, L=L)
 
 
 def test_grids_take_numpy_integer_node_counts():
